@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import zlib
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
@@ -186,6 +187,15 @@ def open_ndjson(path):
     return open(path, "r", encoding="utf-8")
 
 
+# What reading a damaged .gz raises: truncation, bad header or CRC, bad data.
+GZIP_ERRORS = (EOFError, gzip.BadGzipFile, zlib.error)
+
+
+def damaged_stream(err: Exception, line_no: int, source: str) -> RecordError:
+    """The data error for a .gz that breaks off after line `line_no`."""
+    return RecordError(f"corrupt or truncated gzip stream ({err})", line_no + 1, source)
+
+
 def stream_posts(
     paths: Iterable,
     filter_config: FilterConfig | None = None,
@@ -195,26 +205,31 @@ def stream_posts(
     """Yield filtered posts from NDJSON files in order.
 
     Malformed lines are counted (and passed to on_error) without aborting
-    the stream. Blank lines are ignored entirely.
+    the stream. Blank lines are ignored entirely. A damaged .gz input
+    raises RecordError naming the file and the line where it breaks off.
     """
     if counts is None:
         counts = StreamCounts()
     for path in paths:
         name = str(path)
+        line_no = 0
         with open_ndjson(path) as fh:
-            for line_no, line in enumerate(fh, 1):
-                if not line or line.isspace():
-                    continue
-                counts.records += 1
-                try:
-                    post = parse_post_record(line, line_no=line_no, source=name)
-                except RecordError as err:
-                    counts.malformed += 1
-                    if on_error is not None:
-                        on_error(err)
-                    continue
-                if filter_config is not None and not filter_post(post, filter_config):
-                    counts.dropped += 1
-                    continue
-                counts.kept += 1
-                yield post
+            try:
+                for line_no, line in enumerate(fh, 1):
+                    if not line or line.isspace():
+                        continue
+                    counts.records += 1
+                    try:
+                        post = parse_post_record(line, line_no=line_no, source=name)
+                    except RecordError as err:
+                        counts.malformed += 1
+                        if on_error is not None:
+                            on_error(err)
+                        continue
+                    if filter_config is not None and not filter_post(post, filter_config):
+                        counts.dropped += 1
+                        continue
+                    counts.kept += 1
+                    yield post
+            except GZIP_ERRORS as err:
+                raise damaged_stream(err, line_no, name) from None

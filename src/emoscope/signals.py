@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import StreamCounts, open_ndjson, Post
+from .corpus import GZIP_ERRORS, Post, StreamCounts, damaged_stream, open_ndjson
 from .errors import RecordError, SignalError, SurveyError
 from .lexicon import (
     ExplicitReportMatcher,
@@ -156,20 +156,24 @@ def stream_scores(
     if counts is None:
         counts = StreamCounts()
     name = str(path)
+    line_no = 0
     with open_ndjson(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line or line.isspace():
-                continue
-            counts.records += 1
-            try:
-                rec = parse_score_record(line, line_no=line_no, source=name)
-            except RecordError as err:
-                counts.malformed += 1
-                if on_error is not None:
-                    on_error(err)
-                continue
-            counts.kept += 1
-            yield rec
+        try:
+            for line_no, line in enumerate(fh, 1):
+                if not line or line.isspace():
+                    continue
+                counts.records += 1
+                try:
+                    rec = parse_score_record(line, line_no=line_no, source=name)
+                except RecordError as err:
+                    counts.malformed += 1
+                    if on_error is not None:
+                        on_error(err)
+                    continue
+                counts.kept += 1
+                yield rec
+        except GZIP_ERRORS as err:
+            raise damaged_stream(err, line_no, name) from None
 
 
 def daily_mean_score(

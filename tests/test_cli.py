@@ -296,6 +296,19 @@ class TestExitCodes:
     def test_missing_config(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "no.ini")]) == 1
 
+    def test_truncated_gzip_is_data_error(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        assert main(["synth", "--out", str(ws), "--days", "20", "--posts-per-day", "50",
+                     "--gzip"]) == 0
+        corpus = ws / "corpus.ndjson.gz"
+        data = corpus.read_bytes()
+        corpus.write_bytes(data[: len(data) // 2])
+        capsys.readouterr()
+        assert main(["signal", "--config", str(ws / "pipeline.ini")]) == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}:" in err
+        assert "truncated gzip stream" in err
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -244,6 +244,101 @@ class TestPermutationTest:
         assert 1 / 100 <= p <= 1.0
 
 
+def _loop_permutation_p(x, y, statistic, n_perm, seed, block=1):
+    """Scalar oracle: one statistic call per shuffle of x, each shuffle an
+    rng.permutation of the observations or of the blocks, with the tie
+    rule of permutation_test."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    rng = np.random.default_rng(seed)
+    obs = abs(statistic(x, y))
+    bar = obs - 100 * np.finfo(float).eps * obs
+    blocks = [x[i : i + block] for i in range(0, len(x), block)]
+    hits = 0
+    for _ in range(n_perm):
+        if block == 1:
+            shuffled = rng.permutation(x)
+        else:
+            shuffled = np.concatenate([blocks[i] for i in rng.permutation(len(blocks))])
+        hits += abs(statistic(shuffled, y)) >= bar
+    return (1 + hits) / (n_perm + 1)
+
+
+def _covariance(a, b):
+    return float(np.cov(a, b)[0, 1])
+
+
+def _ar1_pair(seed, n):
+    rng = np.random.default_rng(seed)
+    e, f = rng.normal(size=n), rng.normal(size=n)
+    x, y = np.empty(n), np.empty(n)
+    x[0], y[0] = e[0], f[0]
+    for t in range(1, n):
+        x[t] = 0.6 * x[t - 1] + e[t]
+        y[t] = 0.6 * y[t - 1] + 0.3 * e[t] + f[t]
+    return x, y
+
+
+class TestPermutationEngine:
+    """The chunked engine against the scalar loop it replaced: equal p."""
+
+    @pytest.mark.parametrize(
+        "statistic, oracle, n_perm, block",
+        [
+            (None, pearson, 999, 1),
+            (dcca_statistic(12), dcca_statistic(12), 999, 1),
+            (_covariance, _covariance, 999, 1),
+            (None, pearson, 999, 4),
+            (None, pearson, 999, 6),
+            (None, pearson, 999, 7),
+            (dcca_statistic(12), dcca_statistic(12), 999, 6),
+            (None, pearson, 4001, 1),
+            (dcca_statistic(12), dcca_statistic(12), 4001, 1),
+        ],
+        ids=["pearson", "dcca", "callable", "pearson-block4", "pearson-block6",
+             "pearson-block7", "dcca-block6", "pearson-4001", "dcca-4001"],
+    )
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_matches_scalar_loop(self, statistic, oracle, n_perm, block, seed):
+        x, y = _ar1_pair(seed, 50)  # 50 is a multiple of no block size used
+        got = permutation_test(x, y, statistic=statistic, n_perm=n_perm, seed=seed, block=block)
+        assert got == _loop_permutation_p(x, y, oracle, n_perm, seed, block)
+
+    def test_theoretical_ties_count_as_hits(self):
+        # y splits into two tied groups, so r depends only on which x values
+        # land in the second group; the observed split holds the top three x,
+        # and only it and the bottom three reach |r_obs|.
+        y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+        x = np.array([0.3, 0.1, 0.7, 1.9, 1.3, 2.2])
+        extremes = ({3, 4, 5}, {0, 1, 2})
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            hits = sum(set(rng.permutation(6)[3:].tolist()) in extremes for _ in range(999))
+            assert permutation_test(x, y, n_perm=999, seed=seed) == (1 + hits) / 1000
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(4, 16),
+        st.integers(0, 1_100),
+        st.floats(-2.0, 2.0),
+        st.floats(-1e3, 1e3),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dcca_kernel_matches_dcca(self, seed, window, extra, log_scale, offset, walk):
+        rng = np.random.default_rng(seed)
+        n = min(window + extra, 1_100)
+        x = rng.normal(size=n)
+        if walk:
+            x = np.cumsum(x)
+        x = x * 10.0**log_scale + offset
+        y = rng.normal(size=n)
+        rows = dcca_statistic(window).rows(x, y)
+        X = np.stack([x] + [rng.permutation(x) for _ in range(4)])
+        for got, row in zip(rows(X), X):
+            assert abs(got - dcca(row, y, window=window).rho) <= 1e-10
+
+
 def _dcca_reference(x, y, window):
     """Independent slow oracle: polyfit per box, float accumulation."""
     x = np.asarray(x, float)
