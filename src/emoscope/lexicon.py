@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import LexiconError
 
@@ -62,7 +62,6 @@ class Lexicon:
     name: str
     exact_terms: frozenset[str]
     prefix_terms: frozenset[str] = frozenset()
-    _prefix_lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.name:
@@ -73,9 +72,6 @@ class Lexicon:
             _check_term(term, "term")
         for stem in self.prefix_terms:
             _check_term(stem, "prefix stem")
-        object.__setattr__(
-            self, "_prefix_lengths", tuple(sorted({len(p) for p in self.prefix_terms}))
-        )
 
     def __len__(self) -> int:
         return len(self.exact_terms) + len(self.prefix_terms)
@@ -110,27 +106,14 @@ def load_lexicon(path, name: str | None = None) -> Lexicon:
     return Lexicon(name=name or path.stem, exact_terms=frozenset(exact), prefix_terms=frozenset(prefix))
 
 
-def matches_lexicon(tokens: Sequence[str], lexicon: Lexicon) -> bool:
-    """True iff any token is an exact term or extends a prefix stem."""
-    exact = lexicon.exact_terms
-    prefixes = lexicon.prefix_terms
-    lengths = lexicon._prefix_lengths
-    for tok in tokens:
-        if tok in exact:
-            return True
-        for n in lengths:
-            if n <= len(tok) and tok[:n] in prefixes:
-                return True
-    return False
-
-
 class MultiLexiconMatcher:
     """Single-pass matcher for several lexicons at once.
 
     Exact terms share one hash map from token to lexicon bitmask; prefix
     stems are bucketed by stem length. Each token then costs one exact
     lookup plus one lookup per distinct stem length, independent of the
-    number of lexicons. Agrees with matches_lexicon per lexicon.
+    number of lexicons. Per lexicon it agrees with the literal reference
+    `matches_lexicon` in tests/oracles.py.
     """
 
     def __init__(self, lexicons: Sequence[Lexicon]):
@@ -283,14 +266,6 @@ class ExplicitReportMatcher:
                     if emos and tuple(tokens[j + 1 : j + 1 + s]) == suffix:
                         found |= emos
         return found
-
-
-def matches_explicit_report(
-    tokens: Sequence[str], templates: ReportTemplateSet, emotion: str
-) -> bool:
-    """True iff some template, instantiated with one of the emotion's
-    adjectives, occurs in the tokens (slot gap rules per the template set)."""
-    return emotion in ExplicitReportMatcher(templates, (emotion,)).match(tokens)
 
 
 THIRD_PERSON_PRONOUNS = frozenset(

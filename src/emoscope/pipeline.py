@@ -12,12 +12,14 @@ import json
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+from typing import Callable
 
 from .config import PipelineConfig, expand_inputs
 from .corpus import Gender, StreamCounts, stream_posts
-from .errors import ConfigError, SignalError, StatError
+from .errors import ConfigError, RecordError, SignalError, StatError
 from .lexicon import (
     ExplicitReportMatcher,
+    Lexicon,
     MultiLexiconMatcher,
     PronounList,
     contains_third_person,
@@ -25,9 +27,12 @@ from .lexicon import (
     tokenize,
 )
 from .signals import (
+    GENDER_STRATA,
     DailySignal,
+    ScoreCounts,
     SurveySeries,
     WeeklySeries,
+    daily_mean_scores,
     gender_rescale,
     load_survey,
     paired_values,
@@ -58,7 +63,7 @@ class SignalBundle:
 
     daily: dict[tuple[str, str], DailySignal]
     counts: StreamCounts
-    score_counts: StreamCounts | None
+    score_counts: ScoreCounts | None
     matched: dict[str, int]
     errors: list[str]
     signal_names: list[str]
@@ -78,22 +83,65 @@ class SignalBundle:
         return self.daily[(name, stratum)]
 
 
-def build_signals(cfg: PipelineConfig) -> SignalBundle:
-    """Single pass over the corpus evaluating every configured matcher,
-    then one pass over the score file. Equivalent to composing
-    daily_fraction per matcher and stratum, but reads each post once."""
+def _load_lexicons(cfg: PipelineConfig) -> list[Lexicon]:
     lexicons = []
     for name, lex_path in cfg.lexicons:
         if not Path(lex_path).is_file():
             raise ConfigError(f"lexicon file not found: {lex_path}")
         lexicons.append(load_lexicon(lex_path, name=name))
+    return lexicons
+
+
+def scan_corpus(
+    cfg: PipelineConfig,
+    matcher: MultiLexiconMatcher | None,
+    report_matcher: ExplicitReportMatcher | None = None,
+    pronouns: PronounList | None = None,
+    on_error: Callable[[RecordError], None] | None = None,
+) -> tuple[StreamCounts, dict[tuple[date, int, int], int]]:
+    """The one pass over the filtered corpus: kept posts per (day, gender
+    index, match mask), with gender index 1 male, 2 female, 0 unknown.
+
+    Mask bit i is lexicon i of `matcher`; the report emotions of
+    `report_matcher` take the next bits in order, and the bit after them
+    marks a third-person pronoun from `pronouns`. A matcher left None is
+    never run and sets no bits.
+    """
+    n_lex = 0 if matcher is None else len(matcher.names)
+    report_bits = (
+        {} if report_matcher is None
+        else {e: 1 << (n_lex + i) for i, e in enumerate(report_matcher.emotions)}
+    )
+    pronoun_bit = 1 << (n_lex + len(report_bits))
+    tz = cfg.tz_offset_minutes
+    counts = StreamCounts()
+    table: dict[tuple[date, int, int], int] = {}
+    for post in stream_posts(expand_inputs(cfg), cfg.filter, counts, on_error):
+        tokens = tokenize(post.text)
+        mask = 0 if matcher is None else matcher.match_mask(tokens)
+        if report_matcher is not None:
+            for emotion in report_matcher.match(tokens):
+                mask |= report_bits[emotion]
+        if pronouns is not None and contains_third_person(tokens, pronouns):
+            mask |= pronoun_bit
+        gender = post.author_gender
+        gi = 1 if gender is Gender.MALE else 2 if gender is Gender.FEMALE else 0
+        key = (post.day(tz), gi, mask)
+        table[key] = table.get(key, 0) + 1
+    if counts.kept == 0:
+        raise SignalError("no posts left after filtering")
+    return counts, table
+
+
+def build_signals(cfg: PipelineConfig) -> SignalBundle:
+    """One corpus scan with every lexicon and report matcher, then one
+    pass over the score file."""
+    lexicons = _load_lexicons(cfg)
     matcher = MultiLexiconMatcher(lexicons) if lexicons else None
     report_matcher = (
         ExplicitReportMatcher(cfg.templates, cfg.report_emotions) if cfg.report_emotions else None
     )
-    n_lex = len(lexicons)
     corpus_signals = [lex.name for lex in lexicons] + [f"report_{e}" for e in cfg.report_emotions]
-    report_bit = {e: n_lex + i for i, e in enumerate(cfg.report_emotions)}
     signal_names = corpus_signals + [f"score_{e}" for e in cfg.score_emotions]
     if not signal_names:
         raise ConfigError("no signals configured (lexicons, reports, or scores)")
@@ -105,67 +153,42 @@ def build_signals(cfg: PipelineConfig) -> SignalBundle:
         if len(errors) < _MAX_ERROR_SAMPLES:
             errors.append(str(err))
 
-    width = 3 + 3 * len(corpus_signals)
-    agg: dict[date, list[int]] = {}
+    daily: dict[tuple[str, str], DailySignal] = {}
+    matched: dict[str, int] = {}
     if corpus_signals:
-        files = expand_inputs(cfg)
-        tz = cfg.tz_offset_minutes
-        for post in stream_posts(files, cfg.filter, counts, on_error):
-            tokens = tokenize(post.text)
-            mask = matcher.match_mask(tokens) if matcher is not None else 0
-            if report_matcher is not None:
-                for emotion in report_matcher.match(tokens):
-                    mask |= 1 << report_bit[emotion]
-            d = post.day(tz)
+        counts, table = scan_corpus(cfg, matcher, report_matcher, on_error=on_error)
+        # per day: posts per gender index, then the same three per signal bit
+        agg: dict[date, list[int]] = {}
+        for (d, gi, mask), n in table.items():
             row = agg.get(d)
             if row is None:
-                row = agg[d] = [0] * width
-            gender = post.author_gender
-            gi = 1 if gender is Gender.MALE else 2 if gender is Gender.FEMALE else 0
-            row[0] += 1
+                row = agg[d] = [0] * (3 + 3 * len(corpus_signals))
+            row[0] += n
             if gi:
-                row[gi] += 1
+                row[gi] += n
             while mask:
                 low = mask & -mask
                 mask ^= low
                 base = 3 + 3 * (low.bit_length() - 1)
-                row[base] += 1
+                row[base] += n
                 if gi:
-                    row[base + gi] += 1
-        if counts.kept == 0:
-            raise SignalError("no posts left after filtering")
-
-    daily: dict[tuple[str, str], DailySignal] = {}
-    matched: dict[str, int] = {}
-    for idx, name in enumerate(corpus_signals):
-        base = 3 + 3 * idx
-        for gi, stratum in ((0, "all"), (1, "male"), (2, "female")):
-            per_day = {d: (row[base + gi], row[gi]) for d, row in agg.items() if row[gi] > 0}
-            daily[(name, stratum)] = DailySignal.from_counts(name, per_day)
-        matched[name] = sum(row[base] for row in agg.values())
+                    row[base + gi] += n
+        for idx, name in enumerate(corpus_signals):
+            base = 3 + 3 * idx
+            for gi, stratum in enumerate(GENDER_STRATA):
+                per_day = {d: (row[base + gi], row[gi]) for d, row in agg.items() if row[gi] > 0}
+                daily[(name, stratum)] = DailySignal.from_counts(name, per_day)
+            matched[name] = sum(row[base] for row in agg.values())
 
     score_counts = None
     if cfg.score_emotions:
         if cfg.score_path is None or not Path(cfg.score_path).is_file():
             raise ConfigError(f"score file not found: {cfg.score_path}")
-        score_counts = StreamCounts()
-        acc: dict[str, dict[date, list[float]]] = {e: {} for e in cfg.score_emotions}
-        for rec in stream_scores(cfg.score_path, score_counts, on_error):
-            for emotion in cfg.score_emotions:
-                value = rec.scores.get(emotion)
-                if value is None:
-                    continue
-                if not 0.0 <= value <= 1.0:
-                    score_counts.malformed += 1
-                    continue
-                row = acc[emotion].setdefault(rec.day, [0.0, 0.0])
-                row[0] += value
-                row[1] += 1.0
-        for emotion in cfg.score_emotions:
-            name = f"score_{emotion}"
-            per_day = {d: (s, n) for d, (s, n) in acc[emotion].items()}
-            daily[(name, "all")] = DailySignal.from_counts(name, per_day)
-            matched[name] = int(sum(n for _, n in per_day.values()))
+        score_counts = ScoreCounts()
+        records = stream_scores(cfg.score_path, score_counts, on_error)
+        for signal in daily_mean_scores(records, cfg.score_emotions, score_counts).values():
+            daily[(signal.name, "all")] = signal
+            matched[signal.name] = int(sum(n for _, n in signal.counts.values()))
 
     return SignalBundle(
         daily=daily,
@@ -396,6 +419,20 @@ def _stat_cell(value, p, digits=3) -> str:
     return cell
 
 
+def _aligned_table(header: list[str], body: list[list[str]], notes: list[str]) -> str:
+    """Left-aligned columns two spaces apart under a dashed rule, then the
+    notes after a blank line."""
+    widths = [max([len(h)] + [len(line[i]) for line in body]) for i, h in enumerate(header)]
+    rule = ["-" * w for w in widths]
+    out = [
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+        for line in (header, rule, *body)
+    ]
+    if notes:
+        out += ["", *notes]
+    return "\n".join(out) + "\n"
+
+
 def format_report_table(rows) -> str:
     """Aligned text table with star notation (*** p<0.001, ** p<0.01,
     * p<0.05, middle dot p<0.1)."""
@@ -425,21 +462,12 @@ def format_report_table(rows) -> str:
                 "skipped" if row.kpss_band is None else f"{row.kpss_stat:.3f} ({row.kpss_band})",
             ]
         )
-    widths = [max(len(header[i]), *(len(line[i]) for line in body)) if body else len(header[i])
-              for i in range(len(header))]
-    out = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    out.append("  ".join("-" * w for w in widths))
-    for line in body:
-        out.append("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
     notes = [
         f"note [{row.survey_emotion} / {row.signal} ({row.stratum})]: {note}"
         for row in rows
         for note in row.notes
     ]
-    if notes:
-        out.append("")
-        out.extend(notes)
-    return "\n".join(out) + "\n"
+    return _aligned_table(header, body, notes)
 
 
 def write_plot_data(cfg: PipelineConfig, bundle: SignalBundle, path) -> None:
@@ -568,51 +596,32 @@ def finalize_proportion_row(row: ProportionRow) -> ProportionRow:
 def thirdperson_rows(
     cfg: PipelineConfig, pronouns: PronounList | None = None
 ) -> tuple[StreamCounts, ProportionRow, list[ProportionRow]]:
-    """One corpus pass counting pronoun incidence per lexicon stratum.
+    """Pronoun incidence per lexicon stratum, from one corpus scan.
 
     Returns (ingestion counts, baseline row over all posts, per-lexicon rows).
     """
     if not cfg.lexicons:
         raise ConfigError("thirdperson needs at least one lexicon")
-    lexicons = []
-    for name, lex_path in cfg.lexicons:
-        if not Path(lex_path).is_file():
-            raise ConfigError(f"lexicon file not found: {lex_path}")
-        lexicons.append(load_lexicon(lex_path, name=name))
-    matcher = MultiLexiconMatcher(lexicons)
+    lexicons = _load_lexicons(cfg)
     vocab = pronouns if pronouns is not None else PronounList()
-    counts = StreamCounts()
-    names = [lex.name for lex in lexicons]
-    table = {name: [0, 0, 0, 0] for name in names}  # with_k, with_n, without_k, without_n
+    counts, table = scan_corpus(cfg, MultiLexiconMatcher(lexicons), pronouns=vocab)
+    pronoun_bit = len(lexicons)
+    cells = [[0, 0, 0, 0] for _ in lexicons]  # with_k, with_n, without_k, without_n
     base_k = 0
-    base_n = 0
-    files = expand_inputs(cfg)
-    for post in stream_posts(files, cfg.filter, counts):
-        tokens = tokenize(post.text)
-        pron = contains_third_person(tokens, vocab)
-        mask = matcher.match_mask(tokens)
-        base_n += 1
-        if pron:
-            base_k += 1
-        for idx, name in enumerate(names):
-            cell = table[name]
-            if mask >> idx & 1:
-                cell[1] += 1
-                if pron:
-                    cell[0] += 1
-            else:
-                cell[3] += 1
-                if pron:
-                    cell[2] += 1
-    if base_n == 0:
-        raise SignalError("no posts left after filtering")
-    baseline = ProportionRow(label="all_posts", with_k=base_k, with_n=base_n)
-    baseline.frac_with = base_k / base_n
+    for (_, _, mask), n in table.items():
+        k = n if mask >> pronoun_bit & 1 else 0
+        base_k += k
+        for idx, cell in enumerate(cells):
+            at = 0 if mask >> idx & 1 else 2
+            cell[at] += k
+            cell[at + 1] += n
+    baseline = ProportionRow(label="all_posts", with_k=base_k, with_n=counts.kept)
+    baseline.frac_with = base_k / counts.kept
     rows = [
         finalize_proportion_row(
-            ProportionRow(label=name, with_k=c[0], with_n=c[1], without_k=c[2], without_n=c[3])
+            ProportionRow(label=lex.name, with_k=c[0], with_n=c[1], without_k=c[2], without_n=c[3])
         )
-        for name, c in table.items()
+        for lex, c in zip(lexicons, cells)
     ]
     return counts, baseline, rows
 
@@ -696,13 +705,5 @@ def format_proportions_table(baseline: ProportionRow | None, rows) -> str:
                 "" if row.p is None else f"{row.p:.3g}{significance_marker(row.p)}",
             ]
         )
-    widths = [max(len(header[i]), *(len(line[i]) for line in body)) for i in range(len(header))]
-    out = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    out.append("  ".join("-" * w for w in widths))
-    for line in body:
-        out.append("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip())
     notes = [f"note [{row.label}]: {note}" for row in rows for note in row.notes]
-    if notes:
-        out.append("")
-        out.extend(notes)
-    return "\n".join(out) + "\n"
+    return _aligned_table(header, body, notes)

@@ -11,17 +11,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import GZIP_ERRORS, Post, StreamCounts, damaged_stream, open_ndjson
+from .corpus import GZIP_ERRORS, StreamCounts, damaged_stream, open_ndjson
 from .errors import RecordError, SignalError, SurveyError
-from .lexicon import (
-    ExplicitReportMatcher,
-    Lexicon,
-    PronounList,
-    ReportTemplateSet,
-    contains_third_person,
-    matches_lexicon,
-    tokenize,
-)
 
 GENDER_STRATA = ("all", "male", "female")
 
@@ -57,45 +48,6 @@ class DailySignal:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-def daily_fraction(
-    posts: Iterable[Post],
-    predicate: Callable[[Post], bool],
-    gender: str = "all",
-    name: str = "signal",
-    tz_offset_minutes: int = 0,
-) -> DailySignal:
-    """Per-day fraction of posts passing `predicate` within a gender stratum.
-
-    gender="all" keeps every post, unknown gender included; "male" and
-    "female" restrict numerator and denominator to that stratum. Days
-    with no posts in the stratum are missing from the result.
-    """
-    if gender not in GENDER_STRATA:
-        raise SignalError(f"unknown gender stratum {gender!r}; have {GENDER_STRATA}")
-    acc: dict[date, list[int]] = {}
-    for post in posts:
-        if gender != "all" and post.author_gender.value != gender:
-            continue
-        row = acc.setdefault(post.day(tz_offset_minutes), [0, 0])
-        row[1] += 1
-        if predicate(post):
-            row[0] += 1
-    return DailySignal.from_counts(name, {d: (num, den) for d, (num, den) in acc.items()})
-
-
-def lexicon_predicate(lexicon: Lexicon) -> Callable[[Post], bool]:
-    return lambda post: matches_lexicon(tokenize(post.text), lexicon)
-
-
-def report_predicate(templates: ReportTemplateSet, emotion: str) -> Callable[[Post], bool]:
-    matcher = ExplicitReportMatcher(templates, (emotion,))
-    return lambda post: bool(matcher.match(tokenize(post.text)))
-
-
-def pronoun_predicate(pronouns: PronounList | None = None) -> Callable[[Post], bool]:
-    return lambda post: contains_third_person(tokenize(post.text), pronouns)
 
 
 def gender_rescale(male: DailySignal, female: DailySignal, name: str | None = None) -> DailySignal:
@@ -146,6 +98,17 @@ def parse_score_record(line: str, line_no: int | None = None, source: str | None
     return ScoreRecord(id=str(rid), day=day, scores=clean)
 
 
+@dataclass
+class ScoreCounts(StreamCounts):
+    """Score-file bookkeeping: lines as for posts, plus the score values
+    outside [0, 1] that were skipped inside otherwise valid lines."""
+
+    rejected_values: int = 0
+
+    def as_dict(self) -> dict:
+        return {**super().as_dict(), "rejected_values": self.rejected_values}
+
+
 def stream_scores(
     path,
     counts: StreamCounts | None = None,
@@ -176,30 +139,31 @@ def stream_scores(
             raise damaged_stream(err, line_no, name) from None
 
 
-def daily_mean_score(
+def daily_mean_scores(
     records: Iterable[ScoreRecord],
-    emotion: str,
-    name: str | None = None,
-    counts: StreamCounts | None = None,
-) -> DailySignal:
-    """Per-day mean of one emotion's scores.
+    emotions: Sequence[str],
+    counts: ScoreCounts | None = None,
+) -> dict[str, DailySignal]:
+    """Per-day mean score of every emotion in one pass, keyed by emotion
+    and named score_<emotion>.
 
-    Records without that emotion are ignored; scores outside [0, 1] are
-    skipped and counted as malformed rather than aborting the pass.
+    A record without an emotion is ignored for it; a value outside [0, 1]
+    is skipped and counted in counts.rejected_values, its line stays parsed.
     """
-    acc: dict[date, list[float]] = {}
+    acc: dict[str, dict[date, list[float]]] = {e: {} for e in emotions}
     for rec in records:
-        score = rec.scores.get(emotion)
-        if score is None:
-            continue
-        if not 0.0 <= score <= 1.0:
-            if counts is not None:
-                counts.malformed += 1
-            continue
-        row = acc.setdefault(rec.day, [0.0, 0.0])
-        row[0] += score
-        row[1] += 1.0
-    return DailySignal.from_counts(name or emotion, {d: (s, n) for d, (s, n) in acc.items()})
+        for emotion, per_day in acc.items():
+            value = rec.scores.get(emotion)
+            if value is None:
+                continue
+            if not 0.0 <= value <= 1.0:
+                if counts is not None:
+                    counts.rejected_values += 1
+                continue
+            row = per_day.setdefault(rec.day, [0.0, 0.0])
+            row[0] += value
+            row[1] += 1.0
+    return {e: DailySignal.from_counts(f"score_{e}", per_day) for e, per_day in acc.items()}
 
 
 def _check_anchors(name: str, anchors: Sequence[date]) -> tuple[date, ...]:

@@ -16,28 +16,6 @@ from scipy.stats import rankdata
 from .errors import StatError
 
 
-def normal_cdf(x: float) -> float:
-    return float(special.ndtr(x))
-
-
-def normal_quantile(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise StatError(f"quantile needs p in (0,1), got {p}")
-    return float(special.ndtri(p))
-
-
-def t_cdf(x: float, df: int) -> float:
-    if df < 1:
-        raise StatError(f"t distribution needs df >= 1, got {df}")
-    return float(special.stdtr(df, x))
-
-
-def chi2_sf(x: float, df: int) -> float:
-    if df < 1:
-        raise StatError(f"chi-square needs df >= 1, got {df}")
-    return float(special.chdtrc(df, x))
-
-
 def _clean_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -1,6 +1,8 @@
 """INI config loading and PipelineConfig validation."""
 
+import re
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +140,34 @@ class TestLoadConfig:
         body = MINIMAL + "\n[reports]\nemotions = sad\ntemplates = i am\n"
         with pytest.raises(ConfigError):
             load_config(_write_config(tmp_path, body))
+
+
+def test_readme_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    (tmp_path / "lexicons").mkdir()
+    for name in ("corpus.ndjson", "scores.ndjson"):
+        (tmp_path / name).write_text("", encoding="utf-8")
+    for name in ("sadness", "anxiety", "positive"):
+        (tmp_path / "lexicons" / f"{name}.txt").write_text(f"{name}\n", encoding="utf-8")
+    (tmp_path / "survey.csv").write_text("date,emotion,percent\n", encoding="utf-8")
+    path = tmp_path / "pipeline.ini"
+    path.write_text(blocks[0], encoding="utf-8")
+    cfg = load_config(path)
+    for referenced in (*cfg.inputs, *(p for _, p in cfg.lexicons), cfg.score_path, cfg.survey_path):
+        assert Path(referenced).is_file(), referenced
+    assert cfg.filter.exclude_retweets is True
+    assert cfg.tz_offset_minutes == 0
+    assert cfg.seed == 1
+    assert cfg.signal_names() == [
+        "sadness", "anxiety", "positive", "report_sad", "score_sadness"
+    ]
+    assert cfg.pairs == (
+        ("sadness", "sadness"), ("sadness", "score_sadness"), ("sadness", "report_sad")
+    )
+    assert cfg.templates.emotion_terms["sad"] == ("sad", "down", "blue")
+    assert cfg.output_dir == str(tmp_path / "out")
 
 
 class TestPipelineConfigValidate:

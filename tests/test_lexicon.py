@@ -19,10 +19,10 @@ from emoscope.lexicon import (
     contains_third_person,
     demo_lexicon,
     load_lexicon,
-    matches_explicit_report,
-    matches_lexicon,
     tokenize,
 )
+
+from oracles import matches_explicit_report, matches_lexicon
 
 
 class TestTokenize:

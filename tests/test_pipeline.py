@@ -1,0 +1,194 @@
+"""The one corpus scan behind `signal` and `thirdperson`, checked against
+brute-force counts over the same filtered posts."""
+
+import json
+
+import pytest
+
+from emoscope.cli import main
+from emoscope.config import expand_inputs, load_config
+from emoscope.corpus import StreamCounts, stream_posts
+from emoscope.lexicon import contains_third_person, load_lexicon, tokenize
+from emoscope.pipeline import (
+    ProportionRow,
+    ValidationRow,
+    build_signals,
+    format_proportions_table,
+    format_report_table,
+    thirdperson_rows,
+)
+from emoscope.signals import GENDER_STRATA
+
+from oracles import daily_fraction, lexicon_predicate, matches_explicit_report, matches_lexicon
+
+# Hand-written records beside the synthetic corpus: unknown and other
+# genders, offsets and fractional seconds near the day boundary, a
+# retweet, a follower decoy, report phrases, and malformed lines.
+EXTRA = """\
+{"id": "x1", "created_at": "2020-06-01T01:00:00Z", "text": "i am so sad about him", "author_followers": 500}
+{"id": "x2", "created_at": "2020-06-03T23:59:59+02:00", "text": "Coffee, garden... she cried", "author_gender": "female", "author_followers": 1000}
+{"id": "x3", "created_at": "2020-06-04T02:29:59.5", "text": "worried about THEM http://x.co/sad", "author_gender": "nonbinary", "author_followers": 150}
+{"id": "x4", "created_at": "2020-06-05T12:00:00Z", "text": "i am sad", "author_gender": "male", "author_followers": 500, "is_retweet": true}
+{"id": "x5", "created_at": "2020-06-05T12:00:00Z", "text": "i am sad", "author_gender": "male", "author_followers": 5}
+{"id": "x6", "created_at": "2020-06-06T02:30:00Z", "text": "coffee x train his", "author_gender": "male", "author_followers": 100}
+{not json
+
+{"id": "x7", "created_at": "2020-06-06T12:00:00Z", "text": "no followers"}
+"""
+
+# Out-of-range score values appended to the synthetic score file.
+BAD_SCORES = [
+    {"id": "s1", "date": "2020-06-02", "scores": {"sadness": 1.5, "anxiety": -0.5, "positive": 0.5}},
+    {"id": "s2", "date": "2020-06-02", "scores": {"sadness": 0.25, "anxiety": 2.0}},
+]
+
+CONFIG = """\
+[corpus]
+input = corpus.ndjson.gz, extra.ndjson
+tz_offset_minutes = -150
+
+[lexicons]
+sadness = lexicons/sadness.txt
+anxiety = lexicons/anxiety.txt
+positive = lexicons/positive.txt
+
+[reports]
+emotions = sad, bored
+templates = coffee _, i am _
+
+[report_adjectives]
+sad = train, sad
+bored = garden, weather
+
+[scores]
+path = scores.ndjson
+emotions = sadness, anxiety
+
+[signals]
+gender_mode = stratified
+"""
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    ws = tmp_path_factory.mktemp("scan")
+    args = ["synth", "--out", str(ws), "--days", "12", "--posts-per-day", "150", "--gzip",
+            "--decoy-fraction", "0.05", "--scores-per-day", "10", "--seed", "5"]
+    assert main(args) == 0
+    (ws / "extra.ndjson").write_text(EXTRA, encoding="utf-8")
+    with open(ws / "scores.ndjson", "a", encoding="utf-8") as fh:
+        fh.write("".join(json.dumps(rec) + "\n" for rec in BAD_SCORES))
+    (ws / "pipeline.ini").write_text(CONFIG, encoding="utf-8")
+    return ws
+
+
+@pytest.fixture(scope="module")
+def cfg(workspace):
+    return load_config(workspace / "pipeline.ini")
+
+
+@pytest.fixture(scope="module")
+def posts(cfg):
+    return list(stream_posts(expand_inputs(cfg), cfg.filter))
+
+
+def _predicates(cfg):
+    preds = {name: lexicon_predicate(load_lexicon(path, name=name)) for name, path in cfg.lexicons}
+    for emotion in cfg.report_emotions:
+        preds[f"report_{emotion}"] = (
+            lambda post, e=emotion: matches_explicit_report(tokenize(post.text), cfg.templates, e)
+        )
+    return preds
+
+
+def test_daily_tables_equal_oracle(cfg, posts):
+    bundle = build_signals(cfg)
+    counts = StreamCounts()
+    assert len(list(stream_posts(expand_inputs(cfg), cfg.filter, counts))) == bundle.counts.kept
+    assert bundle.counts == counts
+    assert counts.malformed == 2 and counts.dropped > 1
+    for name, pred in _predicates(cfg).items():
+        for stratum in GENDER_STRATA:
+            want = daily_fraction(posts, pred, stratum, name, cfg.tz_offset_minutes)
+            got = bundle.daily[(name, stratum)]
+            assert got.counts == want.counts, (name, stratum)
+            assert got.values == want.values, (name, stratum)
+        total = sum(num for num, _ in bundle.daily[(name, "all")].counts.values())
+        assert bundle.matched[name] == total > 0, name
+    # unknown genders count in "all" only, and the offset moved x1 a day back
+    all_posts = sum(den for _, den in bundle.daily[("sadness", "all")].counts.values())
+    male = sum(den for _, den in bundle.daily[("sadness", "male")].counts.values())
+    female = sum(den for _, den in bundle.daily[("sadness", "female")].counts.values())
+    assert all_posts == len(posts) == male + female + 2
+    assert min(bundle.daily[("report_sad", "all")].counts).isoformat() == "2020-05-31"
+
+
+def test_score_signals_and_bookkeeping(workspace, cfg, tmp_path):
+    bundle = build_signals(cfg)
+    sc = bundle.score_counts
+    assert sc.rejected_values == 3
+    assert sc.malformed == 0
+    assert sc.records == sc.parsed + sc.malformed
+    assert sc.parsed == sc.kept + sc.dropped
+    with open(cfg.score_path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    for emotion in cfg.score_emotions:
+        per_day = {}
+        for rec in records:
+            value = rec["scores"].get(emotion)
+            if value is not None and 0.0 <= value <= 1.0:
+                per_day.setdefault(rec["date"], []).append(value)
+        got = bundle.daily[(f"score_{emotion}", "all")]
+        assert {d.isoformat(): n for d, (_, n) in got.counts.items()} == {
+            d: len(v) for d, v in per_day.items()
+        }
+        for d, value in got.values.items():
+            assert value == pytest.approx(sum(per_day[d.isoformat()]) / len(per_day[d.isoformat()]))
+
+    out = tmp_path / "out"
+    assert main(["signal", "--config", str(workspace / "pipeline.ini"), "--output", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["score_counts"] == sc.as_dict()
+    assert set(manifest["counts"]) == {"records", "parsed", "malformed", "filtered", "kept"}
+
+
+def test_thirdperson_equals_brute_force(cfg, posts):
+    counts, baseline, rows = thirdperson_rows(cfg)
+    assert counts.kept == len(posts)
+    lexicons = [load_lexicon(path, name=name) for name, path in cfg.lexicons]
+    base_k = 0
+    cells = {lex.name: [0, 0, 0, 0] for lex in lexicons}
+    for post in posts:
+        tokens = tokenize(post.text)
+        pron = contains_third_person(tokens)
+        base_k += pron
+        for lex in lexicons:
+            at = 0 if matches_lexicon(tokens, lex) else 2
+            cells[lex.name][at] += pron
+            cells[lex.name][at + 1] += 1
+    assert (baseline.label, baseline.with_k, baseline.with_n) == ("all_posts", base_k, len(posts))
+    assert [row.label for row in rows] == list(cells)
+    for row in rows:
+        assert [row.with_k, row.with_n, row.without_k, row.without_n] == cells[row.label]
+        assert row.with_k > 0 and row.without_k > 0
+
+
+def test_tables_share_one_layout():
+    assert format_report_table([]) == (
+        "pair  n1  r1 [95% CI]  n2  r2 [95% CI]  perm p  DCCA rho  beta  KPSS\n"
+        "----  --  -----------  --  -----------  ------  --------  ----  ----\n"
+    )
+    row = ValidationRow("sad", "sadness", "all", notes=["too short"])
+    assert format_report_table([row]) == (
+        "pair                 n1  r1 [95% CI]  n2  r2 [95% CI]  perm p  DCCA rho  beta     KPSS\n"
+        "-------------------  --  -----------  --  -----------  ------  --------  -------  -------\n"
+        "sad / sadness (all)      skipped          skipped              skipped   skipped  skipped\n"
+        "\n"
+        "note [sad / sadness (all)]: too short\n"
+    )
+    baseline = ProportionRow("all_posts", 1, 4, frac_with=0.25)
+    assert format_proportions_table(baseline, []) == (
+        "lexicon    with pronouns | match  with pronouns | no match  % difference  chi2 p\n"
+        "---------  ---------------------  ------------------------  ------------  ------\n"
+        "all_posts  0.2500\n"
+    )

@@ -8,24 +8,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from emoscope.corpus import Gender, Post, StreamCounts
+from emoscope.corpus import Gender, Post
 from emoscope.errors import SignalError, SurveyError
 from emoscope.lexicon import Lexicon
 from emoscope.signals import (
     DailySignal,
-    daily_fraction,
-    daily_mean_score,
+    ScoreCounts,
+    daily_mean_scores,
     gender_rescale,
-    lexicon_predicate,
     load_survey,
     paired_values,
-    pronoun_predicate,
     split_periods,
     stream_scores,
     weekly_align,
     write_daily_csv,
     write_weekly_csv,
 )
+
+from oracles import daily_fraction, lexicon_predicate, pronoun_predicate
 
 SAD = Lexicon("sad", frozenset({"sad"}), frozenset())
 
@@ -158,8 +158,8 @@ class TestScores:
                 {"id": "c", "date": "2020-03-03", "scores": {"sad": 0.7}},
             ],
         )
-        counts = StreamCounts()
-        sig = daily_mean_score(stream_scores(p, counts), "sad")
+        sig = daily_mean_scores(stream_scores(p), ["sad"])["sad"]
+        assert sig.name == "score_sad"
         assert sig.values[date(2020, 3, 2)] == pytest.approx(0.3)
         assert sig.values[date(2020, 3, 3)] == pytest.approx(0.7)
 
@@ -171,10 +171,35 @@ class TestScores:
                 {"id": "b", "date": "2020-03-02", "scores": {"sad": 0.5}},
             ],
         )
-        counts = StreamCounts()
-        sig = daily_mean_score(stream_scores(p, counts), "sad", counts=counts)
+        counts = ScoreCounts()
+        sig = daily_mean_scores(stream_scores(p, counts), ["sad"], counts)["sad"]
         assert sig.values[date(2020, 3, 2)] == pytest.approx(0.5)
-        assert counts.malformed == 1
+        # the value is rejected, its line is not malformed
+        assert counts.malformed == 0
+        assert counts.rejected_values == 1
+
+    def test_rejected_values_keep_line_counts(self, tmp_path):
+        # 4 records, 3 emotions, 9 values outside [0, 1]: every line parses
+        p = self._score_file(
+            tmp_path,
+            [
+                {"id": "a", "date": "2020-03-02", "scores": {"sad": 1.5, "joy": -0.1, "fear": 2.0}},
+                {"id": "b", "date": "2020-03-02", "scores": {"sad": 0.5, "joy": 3.0, "fear": 9.0}},
+                {"id": "c", "date": "2020-03-03", "scores": {"sad": -1.0, "joy": 1.2, "fear": 1.1}},
+                {"id": "d", "date": "2020-03-03", "scores": {"sad": 0.4, "joy": 7.0, "fear": 0.3}},
+            ],
+        )
+        counts = ScoreCounts()
+        signals = daily_mean_scores(stream_scores(p, counts), ["sad", "joy", "fear"], counts)
+        assert counts.as_dict() == {
+            "records": 4, "parsed": 4, "malformed": 0, "filtered": 0, "kept": 4,
+            "rejected_values": 9,
+        }
+        assert counts.records == counts.parsed + counts.malformed
+        assert counts.parsed == counts.kept + counts.dropped
+        assert signals["sad"].counts == {date(2020, 3, 2): (0.5, 1.0), date(2020, 3, 3): (0.4, 1.0)}
+        assert signals["joy"].counts == {}
+        assert signals["fear"].counts == {date(2020, 3, 3): (0.3, 1.0)}
 
     def test_missing_emotion_ignored(self, tmp_path):
         p = self._score_file(
@@ -184,7 +209,7 @@ class TestScores:
                 {"id": "b", "date": "2020-03-03", "scores": {"sad": 0.4}},
             ],
         )
-        sig = daily_mean_score(stream_scores(p, StreamCounts()), "sad")
+        sig = daily_mean_scores(stream_scores(p), ["sad"])["sad"]
         assert date(2020, 3, 2) not in sig.values
         assert sig.values[date(2020, 3, 3)] == pytest.approx(0.4)
 

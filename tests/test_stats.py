@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from emoscope.errors import StatError
 from emoscope.stats import (
-    chi2_sf,
     chi2_two_proportions,
     correlate,
     correlation_p,
@@ -20,15 +19,12 @@ from emoscope.stats import (
     kpss_lag,
     lagged_regression_hac,
     newey_west_lag,
-    normal_cdf,
-    normal_quantile,
     pearson,
     percent_difference,
     permutation_test,
     roc_auc,
     roc_curve,
     significance_marker,
-    t_cdf,
 )
 
 # Published weekly-correlation table: six signal pairs, historical period
@@ -692,28 +688,6 @@ class TestRocAuc:
         fpr, tpr, thresholds = roc_curve([0, 1, 0, 1], [0.5, 0.5, 0.5, 0.5])
         assert len(fpr) == 2
         assert fpr[-1] == 1.0 and tpr[-1] == 1.0
-
-
-class TestDistributionWrappers:
-    def test_normal_frozen_points(self):
-        assert normal_cdf(0.0) == pytest.approx(0.5)
-        assert normal_cdf(1.959963984540054) == pytest.approx(0.975, abs=1e-12)
-        assert normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-12)
-
-    def test_quantile_inverts_cdf(self):
-        for p in (0.01, 0.1, 0.5, 0.9, 0.99):
-            assert normal_cdf(normal_quantile(p)) == pytest.approx(p, abs=1e-12)
-
-    def test_t_approaches_normal(self):
-        assert t_cdf(1.0, 10**7) == pytest.approx(normal_cdf(1.0), abs=1e-6)
-
-    def test_t_frozen_point(self):
-        # t(1) is Cauchy: CDF(1) = 3/4
-        assert t_cdf(1.0, 1) == pytest.approx(0.75, abs=1e-12)
-
-    def test_chi2_frozen_point(self):
-        # chi2(2) survival at x is exp(-x/2)
-        assert chi2_sf(3.0, 2) == pytest.approx(math.exp(-1.5), abs=1e-12)
 
 
 class TestSignificanceMarker:

@@ -12,7 +12,7 @@ import pytest
 from emoscope.corpus import FilterConfig, StreamCounts, stream_posts
 from emoscope.errors import ConfigError
 from emoscope.lexicon import MultiLexiconMatcher, demo_lexicon, tokenize
-from emoscope.signals import daily_fraction, lexicon_predicate, load_survey
+from emoscope.signals import load_survey
 from emoscope.synth import (
     GroundTruth,
     SynthConfig,
@@ -21,6 +21,8 @@ from emoscope.synth import (
     generate_survey,
     weekly_anchors,
 )
+
+from oracles import daily_fraction, lexicon_predicate
 
 SMALL = SynthConfig(days=10, posts_per_day=200, seed=7)
 
