@@ -8,6 +8,7 @@ import zlib
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -28,6 +29,12 @@ def _coerce_gender(value) -> Gender:
     return Gender.UNKNOWN
 
 
+@lru_cache(maxsize=None)
+def _minutes(n: int) -> timedelta:
+    # one object per offset: building a timedelta costs ten times adding it
+    return timedelta(minutes=n)
+
+
 @dataclass(frozen=True)
 class Post:
     """One social-media message, timestamp normalized to UTC (second resolution)."""
@@ -41,9 +48,7 @@ class Post:
 
     def day(self, tz_offset_minutes: int = 0) -> date:
         """Calendar-day bucket; a fixed minute offset shifts the day boundary."""
-        if tz_offset_minutes:
-            return (self.timestamp + timedelta(minutes=tz_offset_minutes)).date()
-        return self.timestamp.date()
+        return (self.timestamp + _minutes(tz_offset_minutes)).date()
 
 
 @dataclass(frozen=True)

@@ -98,21 +98,23 @@ def scan_corpus(
     report_matcher: ExplicitReportMatcher | None = None,
     pronouns: PronounList | None = None,
     on_error: Callable[[RecordError], None] | None = None,
-) -> tuple[StreamCounts, dict[tuple[date, int, int], int]]:
+) -> tuple[StreamCounts, dict[tuple[date, int, int], int], tuple[str, ...], int]:
     """The one pass over the filtered corpus: kept posts per (day, gender
     index, match mask), with gender index 1 male, 2 female, 0 unknown.
 
-    Mask bit i is lexicon i of `matcher`; the report emotions of
-    `report_matcher` take the next bits in order, and the bit after them
-    marks a third-person pronoun from `pronouns`. A matcher left None is
-    never run and sets no bits.
+    The lexicons of `matcher` take the low mask bits, the report emotions
+    of `report_matcher` (as report_<emotion>) the next ones, and the bit
+    after them marks a third-person pronoun from `pronouns`. A matcher
+    left None is never run and sets no bits. Returns (counts, table, signal
+    name of each mask bit, index of the pronoun bit).
     """
-    n_lex = 0 if matcher is None else len(matcher.names)
+    signals = () if matcher is None else tuple(matcher.names)
     report_bits = (
         {} if report_matcher is None
-        else {e: 1 << (n_lex + i) for i, e in enumerate(report_matcher.emotions)}
+        else {e: 1 << (len(signals) + i) for i, e in enumerate(report_matcher.emotions)}
     )
-    pronoun_bit = 1 << (n_lex + len(report_bits))
+    signals += tuple(f"report_{e}" for e in report_bits)
+    pronoun_bit = len(signals)
     tz = cfg.tz_offset_minutes
     counts = StreamCounts()
     table: dict[tuple[date, int, int], int] = {}
@@ -123,14 +125,14 @@ def scan_corpus(
             for emotion in report_matcher.match(tokens):
                 mask |= report_bits[emotion]
         if pronouns is not None and contains_third_person(tokens, pronouns):
-            mask |= pronoun_bit
+            mask |= 1 << pronoun_bit
         gender = post.author_gender
         gi = 1 if gender is Gender.MALE else 2 if gender is Gender.FEMALE else 0
         key = (post.day(tz), gi, mask)
         table[key] = table.get(key, 0) + 1
     if counts.kept == 0:
         raise SignalError("no posts left after filtering")
-    return counts, table
+    return counts, table, signals, pronoun_bit
 
 
 def build_signals(cfg: PipelineConfig) -> SignalBundle:
@@ -156,13 +158,13 @@ def build_signals(cfg: PipelineConfig) -> SignalBundle:
     daily: dict[tuple[str, str], DailySignal] = {}
     matched: dict[str, int] = {}
     if corpus_signals:
-        counts, table = scan_corpus(cfg, matcher, report_matcher, on_error=on_error)
+        counts, table, names, _ = scan_corpus(cfg, matcher, report_matcher, on_error=on_error)
         # per day: posts per gender index, then the same three per signal bit
         agg: dict[date, list[int]] = {}
         for (d, gi, mask), n in table.items():
             row = agg.get(d)
             if row is None:
-                row = agg[d] = [0] * (3 + 3 * len(corpus_signals))
+                row = agg[d] = [0] * (3 + 3 * len(names))
             row[0] += n
             if gi:
                 row[gi] += n
@@ -173,7 +175,7 @@ def build_signals(cfg: PipelineConfig) -> SignalBundle:
                 row[base] += n
                 if gi:
                     row[base + gi] += n
-        for idx, name in enumerate(corpus_signals):
+        for idx, name in enumerate(names):
             base = 3 + 3 * idx
             for gi, stratum in enumerate(GENDER_STRATA):
                 per_day = {d: (row[base + gi], row[gi]) for d, row in agg.items() if row[gi] > 0}
@@ -602,11 +604,10 @@ def thirdperson_rows(
     """
     if not cfg.lexicons:
         raise ConfigError("thirdperson needs at least one lexicon")
-    lexicons = _load_lexicons(cfg)
-    vocab = pronouns if pronouns is not None else PronounList()
-    counts, table = scan_corpus(cfg, MultiLexiconMatcher(lexicons), pronouns=vocab)
-    pronoun_bit = len(lexicons)
-    cells = [[0, 0, 0, 0] for _ in lexicons]  # with_k, with_n, without_k, without_n
+    matcher = MultiLexiconMatcher(_load_lexicons(cfg))
+    pronouns = pronouns or PronounList()
+    counts, table, names, pronoun_bit = scan_corpus(cfg, matcher, pronouns=pronouns)
+    cells = [[0, 0, 0, 0] for _ in names]  # with_k, with_n, without_k, without_n
     base_k = 0
     for (_, _, mask), n in table.items():
         k = n if mask >> pronoun_bit & 1 else 0
@@ -619,9 +620,9 @@ def thirdperson_rows(
     baseline.frac_with = base_k / counts.kept
     rows = [
         finalize_proportion_row(
-            ProportionRow(label=lex.name, with_k=c[0], with_n=c[1], without_k=c[2], without_n=c[3])
+            ProportionRow(label=name, with_k=c[0], with_n=c[1], without_k=c[2], without_n=c[3])
         )
-        for lex, c in zip(lexicons, cells)
+        for name, c in zip(names, cells)
     ]
     return counts, baseline, rows
 

@@ -202,46 +202,53 @@ class TestMultiLexiconMatcher:
 TEMPLATES = ReportTemplateSet()
 
 
+def reports(tokens, templates, emotion):
+    """The reference's answer, after checking ExplicitReportMatcher agrees."""
+    expected = matches_explicit_report(tokens, templates, emotion)
+    assert (emotion in ExplicitReportMatcher(templates, (emotion,)).match(tokens)) == expected
+    return expected
+
+
 class TestExplicitReports:
     def test_default_instance_uses_default_strings(self):
         assert TEMPLATES.templates == DEFAULT_TEMPLATES
         assert TEMPLATES.max_slot_gap == 1
 
     def test_first_person_positive(self):
-        assert matches_explicit_report(tokenize("I am sad today"), TEMPLATES, "sad")
+        assert reports(tokenize("I am sad today"), TEMPLATES, "sad")
 
     def test_third_person_not_matched(self):
-        assert not matches_explicit_report(tokenize("she is sad"), TEMPLATES, "sad")
+        assert not reports(tokenize("she is sad"), TEMPLATES, "sad")
 
     def test_no_negation_handling(self):
-        assert matches_explicit_report(tokenize("I am not sad"), TEMPLATES, "sad")
+        assert reports(tokenize("I am not sad"), TEMPLATES, "sad")
 
     def test_gap_zero_is_contiguous(self):
         strict = ReportTemplateSet(
             TEMPLATES.templates, TEMPLATES.emotion_terms, max_slot_gap=0
         )
-        assert matches_explicit_report(tokenize("I am sad"), strict, "sad")
-        assert not matches_explicit_report(tokenize("I am not sad"), strict, "sad")
+        assert reports(tokenize("I am sad"), strict, "sad")
+        assert not reports(tokenize("I am not sad"), strict, "sad")
 
     def test_gap_bounded(self):
-        assert not matches_explicit_report(
-            tokenize("I am not very sad"), TEMPLATES, "sad"
-        )
+        assert not reports(tokenize("I am not very sad"), TEMPLATES, "sad")
 
     def test_contraction_template(self):
-        assert matches_explicit_report(tokenize("honestly i'm bored"), TEMPLATES, "bored")
+        assert reports(tokenize("honestly i'm bored"), TEMPLATES, "bored")
 
     def test_feeling_template(self):
-        assert matches_explicit_report(tokenize("feeling lonely tonight"), TEMPLATES, "lonely")
+        assert reports(tokenize("feeling lonely tonight"), TEMPLATES, "lonely")
 
     def test_unknown_emotion(self):
         with pytest.raises(LexiconError):
             matches_explicit_report(["i", "am", "sad"], TEMPLATES, "melancholy")
+        with pytest.raises(LexiconError):
+            ExplicitReportMatcher(TEMPLATES, ("melancholy",))
 
     def test_suffix_template(self):
         custom = ReportTemplateSet(("so _ today",), {"sad": ("sad",)})
-        assert matches_explicit_report(tokenize("been so sad today"), custom, "sad")
-        assert not matches_explicit_report(tokenize("so sad about today"), custom, "sad")
+        assert reports(tokenize("been so sad today"), custom, "sad")
+        assert not reports(tokenize("so sad about today"), custom, "sad")
 
     def test_multiple_emotions_share_scan(self):
         matcher = ExplicitReportMatcher(TEMPLATES, ("sad", "happy"))
@@ -259,10 +266,26 @@ class TestExplicitReports:
         with pytest.raises(LexiconError):
             ReportTemplateSet(("_ and _",), {"sad": ("sad",)})
 
+    def test_agrees_with_reference_on_randomized_instances(self):
+        vocab = ["i", "am", "so", "sad", "glad", "today", "not", "feel", "x"]
+        shapes = ["_", "i am _", "so _ today", "i _ today", "feel so _", "_ today", "am _ x"]
+        rnd = random.Random(7)
+        for _ in range(300):
+            templates = ReportTemplateSet(
+                tuple(rnd.sample(shapes, rnd.randint(1, 3))),
+                {"sad": ("sad",), "glad": ("glad", "so")},
+                max_slot_gap=rnd.randint(0, 2),
+            )
+            matcher = ExplicitReportMatcher(templates)
+            for _ in range(50):
+                tokens = rnd.choices(vocab, k=rnd.randint(0, 8))
+                expected = {
+                    e for e in ("sad", "glad") if matches_explicit_report(tokens, templates, e)
+                }
+                assert matcher.match(tokens) == expected, (templates, tokens)
+
     def test_prefix_must_be_contiguous(self):
-        assert not matches_explicit_report(
-            tokenize("i really am sad"), TEMPLATES, "sad"
-        )
+        assert not reports(tokenize("i really am sad"), TEMPLATES, "sad")
 
 
 class TestThirdPerson:
