@@ -32,9 +32,8 @@ from .pipeline import (
     write_report_csv,
     write_signal_outputs,
 )
-from .signals import stream_scores
+from .signals import ScoreCounts, stream_scores
 from .stats import roc_auc, roc_curve
-from .corpus import StreamCounts
 from .synth import SynthConfig, generate_corpus, generate_scores, generate_survey, weekly_anchors
 
 
@@ -273,12 +272,18 @@ def cmd_auc(args) -> int:
     if unknown:
         raise ConfigError(f"no labels for emotions {unknown}; have {sorted(labels)}")
     scores: dict[str, dict[str, float]] = {e: {} for e in emotions}
-    counts = StreamCounts()
+    counts = ScoreCounts()
     for rec in stream_scores(args.scores, counts):
         for emotion in emotions:
             value = rec.scores.get(emotion)
-            if value is not None:
-                scores[emotion][rec.id] = value
+            if value is None:
+                continue
+            if not 0.0 <= value <= 1.0:
+                counts.rejected_values += 1
+                continue
+            scores[emotion][rec.id] = value
+    print(f"records={counts.records} parsed={counts.parsed} malformed={counts.malformed} "
+          f"rejected_values={counts.rejected_values}")
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     summary = []

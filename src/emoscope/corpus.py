@@ -10,9 +10,11 @@ from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import ConfigError, RecordError
+
+T = TypeVar("T")
 
 
 class Gender(Enum):
@@ -82,7 +84,26 @@ def _parse_timestamp(raw, line_no, source) -> datetime:
         raise RecordError(f"unparseable created_at {raw!r}", line_no, source) from None
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)  # zone-less inputs are taken as UTC
-    return ts.astimezone(timezone.utc).replace(microsecond=0)
+    try:
+        ts = ts.astimezone(timezone.utc)
+    except OverflowError:  # year 1 or 9999 pushed past the calendar by its offset
+        raise RecordError(f"created_at {raw!r} is out of range in UTC", line_no, source) from None
+    return ts.replace(microsecond=0)
+
+
+def load_json_object(line: str, line_no: int | None = None, source: str | None = None) -> dict:
+    """Decode one NDJSON line that must hold a JSON object."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise RecordError(f"invalid JSON ({err.msg})", line_no, source) from None
+    except RecursionError:
+        raise RecordError("invalid JSON (nesting too deep)", line_no, source) from None
+    except ValueError:  # an integer beyond sys.get_int_max_str_digits()
+        raise RecordError("invalid JSON (integer too long)", line_no, source) from None
+    if not isinstance(rec, dict):
+        raise RecordError("record is not a JSON object", line_no, source)
+    return rec
 
 
 def parse_post_record(line: str, line_no: int | None = None, source: str | None = None) -> Post:
@@ -91,12 +112,7 @@ def parse_post_record(line: str, line_no: int | None = None, source: str | None 
     A missing author_gender maps to unknown and a missing is_retweet to
     False; anything else absent or mistyped raises RecordError.
     """
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise RecordError(f"invalid JSON ({err.msg})", line_no, source) from None
-    if not isinstance(rec, dict):
-        raise RecordError("record is not a JSON object", line_no, source)
+    rec = load_json_object(line, line_no, source)
 
     post_id = rec.get("id")
     if post_id is None:
@@ -185,11 +201,12 @@ class StreamCounts:
 
 
 def open_ndjson(path):
-    """Open an NDJSON input for reading, transparently decompressing .gz files."""
+    """Open an NDJSON input for binary reading, transparently decompressing
+    .gz files; lines are decoded one at a time by read_ndjson."""
     path = Path(path)
     if path.suffix == ".gz":
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+        return gzip.open(path, "rb")
+    return open(path, "rb")
 
 
 # What reading a damaged .gz raises: truncation, bad header or CRC, bad data.
@@ -199,6 +216,54 @@ GZIP_ERRORS = (EOFError, gzip.BadGzipFile, zlib.error)
 def damaged_stream(err: Exception, line_no: int, source: str) -> RecordError:
     """The data error for a .gz that breaks off after line `line_no`."""
     return RecordError(f"corrupt or truncated gzip stream ({err})", line_no + 1, source)
+
+
+def read_ndjson(
+    paths: Iterable,
+    parse: Callable[[str, int, str], T],
+    counts: StreamCounts,
+    on_error: Callable[[RecordError], None] | None = None,
+    keep: Callable[[T], bool] | None = None,
+) -> Iterator[T]:
+    """Yield parse(line, line_no, source) for every non-blank line of the
+    NDJSON files in order, and those records only that keep accepts.
+
+    A line that is not valid UTF-8 or that parse rejects is counted as
+    malformed (and passed to on_error) without aborting the stream. A
+    damaged .gz input raises RecordError naming the file and the line
+    where it breaks off.
+    """
+    for path in paths:
+        name = str(path)
+        line_no = 0
+        with open_ndjson(path) as fh:
+            try:
+                for line_no, raw in enumerate(fh, 1):
+                    try:
+                        line = raw.decode("utf-8")
+                        if line.isspace():
+                            continue
+                        counts.records += 1
+                        rec = parse(line, line_no, name)
+                    except UnicodeDecodeError as err:
+                        counts.records += 1
+                        error = RecordError(
+                            f"invalid UTF-8 at byte {err.start} ({err.reason})", line_no, name
+                        )
+                    except RecordError as err:
+                        error = err
+                    else:
+                        if keep is not None and not keep(rec):
+                            counts.dropped += 1
+                            continue
+                        counts.kept += 1
+                        yield rec
+                        continue
+                    counts.malformed += 1
+                    if on_error is not None:
+                        on_error(error)
+            except GZIP_ERRORS as err:
+                raise damaged_stream(err, line_no, name) from None
 
 
 def stream_posts(
@@ -215,26 +280,6 @@ def stream_posts(
     """
     if counts is None:
         counts = StreamCounts()
-    for path in paths:
-        name = str(path)
-        line_no = 0
-        with open_ndjson(path) as fh:
-            try:
-                for line_no, line in enumerate(fh, 1):
-                    if not line or line.isspace():
-                        continue
-                    counts.records += 1
-                    try:
-                        post = parse_post_record(line, line_no=line_no, source=name)
-                    except RecordError as err:
-                        counts.malformed += 1
-                        if on_error is not None:
-                            on_error(err)
-                        continue
-                    if filter_config is not None and not filter_post(post, filter_config):
-                        counts.dropped += 1
-                        continue
-                    counts.kept += 1
-                    yield post
-            except GZIP_ERRORS as err:
-                raise damaged_stream(err, line_no, name) from None
+    # a keyword partial would cost a kwargs merge per post; a closure does not
+    keep = None if filter_config is None else (lambda post: filter_post(post, filter_config))
+    return read_ndjson(paths, parse_post_record, counts, on_error, keep)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-import json
+import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import GZIP_ERRORS, StreamCounts, damaged_stream, open_ndjson
+from .corpus import StreamCounts, load_json_object, read_ndjson
 from .errors import RecordError, SignalError, SurveyError
 
 GENDER_STRATA = ("all", "male", "female")
@@ -71,12 +71,7 @@ class ScoreRecord:
 
 
 def parse_score_record(line: str, line_no: int | None = None, source: str | None = None) -> ScoreRecord:
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise RecordError(f"invalid JSON ({err.msg})", line_no, source) from None
-    if not isinstance(rec, dict):
-        raise RecordError("record is not a JSON object", line_no, source)
+    rec = load_json_object(line, line_no, source)
     rid = rec.get("id")
     if rid is None:
         raise RecordError("missing id", line_no, source)
@@ -94,7 +89,10 @@ def parse_score_record(line: str, line_no: int | None = None, source: str | None
     for key, value in scores.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise RecordError(f"score {key!r} is not a number", line_no, source)
-        clean[key] = float(value)
+        try:
+            clean[key] = float(value)
+        except OverflowError:  # an integer past float range: out of [0, 1] like any other
+            clean[key] = math.inf if value > 0 else -math.inf
     return ScoreRecord(id=str(rid), day=day, scores=clean)
 
 
@@ -118,25 +116,7 @@ def stream_scores(
     counted and skipped, like stream_posts."""
     if counts is None:
         counts = StreamCounts()
-    name = str(path)
-    line_no = 0
-    with open_ndjson(path) as fh:
-        try:
-            for line_no, line in enumerate(fh, 1):
-                if not line or line.isspace():
-                    continue
-                counts.records += 1
-                try:
-                    rec = parse_score_record(line, line_no=line_no, source=name)
-                except RecordError as err:
-                    counts.malformed += 1
-                    if on_error is not None:
-                        on_error(err)
-                    continue
-                counts.kept += 1
-                yield rec
-        except GZIP_ERRORS as err:
-            raise damaged_stream(err, line_no, name) from None
+    return read_ndjson((path,), parse_score_record, counts, on_error)
 
 
 def daily_mean_scores(

@@ -1,6 +1,9 @@
 """Validation statistics: correlation inference, permutation tests,
 detrended cross-correlation, HAC-robust lagged regression, KPSS
-stationarity, two-proportion comparison, and ROC analysis."""
+stationarity, two-proportion comparison, and ROC analysis.
+
+scipy is imported inside the functions that use it, so the scan commands,
+which need none of them, never load it."""
 
 from __future__ import annotations
 
@@ -10,8 +13,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special
-from scipy.stats import rankdata
 
 from .errors import StatError
 
@@ -49,6 +50,8 @@ def fisher_ci(r: float, n: int, level: float = 0.95) -> tuple[float, float]:
         raise StatError(f"interval needs n >= 4, have {n}")
     if abs(r) >= 1.0:
         raise StatError(f"interval undefined at |r| >= 1 (r={r})")
+    from scipy import special
+
     z = math.atanh(r)
     half = float(special.ndtri(0.5 + level / 2.0)) / math.sqrt(n - 3)
     return math.tanh(z - half), math.tanh(z + half)
@@ -60,6 +63,8 @@ def correlation_p(r: float, n: int) -> float:
         raise StatError(f"p-value needs n >= 4, have {n}")
     if abs(r) >= 1.0:
         raise StatError(f"p-value undefined at |r| >= 1 (r={r})")
+    from scipy import special
+
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
     return float(2.0 * special.stdtr(n - 2, -abs(t)))
 
@@ -371,6 +376,8 @@ def lagged_regression_hac(y, x, lag: int | None = None) -> RegressionFit:
     se = np.sqrt(np.diag(cov))
     alpha, beta, gamma = (float(c) for c in coef)
     if se[1] > 0.0:
+        from scipy import special
+
         p_beta = float(2.0 * special.stdtr(nobs - 3, -abs(beta / se[1])))
     else:
         p_beta = 1.0 if beta == 0.0 else 0.0
@@ -462,6 +469,8 @@ def chi2_two_proportions(k1: int, n1: int, k2: int, n2: int) -> tuple[float, flo
     total = n1 + n2
     delta = k1 * (n2 - k2) - k2 * (n1 - k1)
     statistic = total * delta * delta / (n1 * n2 * successes * failures)
+    from scipy import special
+
     return float(statistic), float(special.chdtrc(1, statistic))
 
 
@@ -496,6 +505,8 @@ def roc_auc(labels, scores) -> float:
     nneg = len(labels) - npos
     if npos == 0 or nneg == 0:
         raise StatError("need at least one positive and one negative label")
+    from scipy.stats import rankdata
+
     ranks = rankdata(scores)
     return float((ranks[labels].sum() - npos * (npos + 1) / 2.0) / (npos * nneg))
 

@@ -309,6 +309,29 @@ class TestExitCodes:
         assert f"{corpus}:" in err
         assert "truncated gzip stream" in err
 
+    def _damaged_line_run(self, tmp_path, capsys, bad: bytes):
+        """Insert `bad` as line 6 of a small synth corpus and run `signal`."""
+        ws = tmp_path / "ws"
+        assert main(["synth", "--out", str(ws), "--days", "20", "--posts-per-day", "50"]) == 0
+        corpus = ws / "corpus.ndjson"
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        lines.insert(5, bad + b"\n")
+        corpus.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(["signal", "--config", str(ws / "pipeline.ini")]) == 0
+        assert "records=1001 parsed=1000 malformed=1 " in capsys.readouterr().out
+        manifest = json.loads((ws / "out" / "manifest.json").read_text(encoding="utf-8"))
+        return corpus, manifest["error_samples"]
+
+    def test_invalid_utf8_line_is_one_malformed_record(self, tmp_path, capsys):
+        bad = b'{"id": "x", "text": "caf\xff"}'
+        corpus, samples = self._damaged_line_run(tmp_path, capsys, bad)
+        assert samples == [f"{corpus}:6: invalid UTF-8 at byte 24 (invalid start byte)"]
+
+    def test_deeply_nested_json_is_one_malformed_record(self, tmp_path, capsys):
+        corpus, samples = self._damaged_line_run(tmp_path, capsys, b"[" * 200_000)
+        assert samples == [f"{corpus}:6: invalid JSON (nesting too deep)"]
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
@@ -359,6 +382,33 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "--posts-per-day" in proc.stdout
+
+
+class TestStartup:
+    def test_scan_commands_never_load_scipy(self, tmp_path):
+        """Only the statistics need scipy: importing the CLI and running
+        `signal` load none of it, and `validate` loads no scipy.stats."""
+        ws = tmp_path / "ws"
+        assert main(["synth", "--out", str(ws), "--days", "60", "--posts-per-day", "20"]) == 0
+        script = (
+            "import sys\n"
+            "from emoscope.cli import main\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')[:3]\n"
+            "assert loaded() == [], ('import', loaded())\n"
+            "assert main(['signal', '--config', sys.argv[1]]) == 0\n"
+            "assert loaded() == [], ('signal', loaded())\n"
+            "assert main(['validate', '--config', sys.argv[1]]) == 0\n"
+            "assert 'scipy.special' in sys.modules, loaded()\n"
+            "assert 'scipy.stats' not in sys.modules, ('validate', loaded())\n"
+        )
+        env = dict(os.environ)
+        package_root = str(Path(emoscope.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(ws / "pipeline.ini")],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestThirdPerson:
@@ -454,6 +504,30 @@ class TestAuc:
         curve = (out / "roc_sad.csv").read_text().splitlines()
         assert curve[0] == "fpr,tpr,threshold"
         assert len(curve) > 2
+
+    def test_score_bookkeeping(self, tmp_path, capsys):
+        # one broken line and one score outside [0, 1]: both are counted,
+        # and the out-of-range score is not ranked
+        scores = tmp_path / "s.ndjson"
+        scores.write_text(
+            '{"id": "a", "date": "2020-01-01", "scores": {"sad": 0.2}}\n'
+            '{"id": "b", "date": "2020-01-01", "scores": {"sad": 0.9}}\n'
+            '{"id": "c", "date": "2020-01-01", "scores": {"sad": 7}}\n'
+            '{"id": "d", "date": \n',
+            encoding="utf-8",
+        )
+        labels = tmp_path / "l.csv"
+        labels.write_text("id,emotion,label\na,sad,0\nb,sad,1\nc,sad,1\n", encoding="utf-8")
+        out = tmp_path / "auc"
+        assert main(
+            ["auc", "--scores", str(scores), "--labels", str(labels), "--output", str(out)]
+        ) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[0] == "records=4 parsed=3 malformed=1 rejected_values=1"
+        assert stdout[1] == "sad: AUC = 1.0000 (n=2, missing scores=1)"
+        with open(out / "auc.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert (row["n"], row["missing_scores"]) == ("2", "1")
 
     def test_synth_scores_detect_high_days(self, workspace, tmp_path):
         # label each day by whether the planted sadness truth is above its

@@ -19,6 +19,7 @@ from emoscope.corpus import (
     stream_posts,
 )
 from emoscope.errors import ConfigError, RecordError
+from emoscope.signals import parse_score_record
 
 VALID = json.dumps(
     {
@@ -109,6 +110,12 @@ class TestParsePostRecord:
         with pytest.raises(RecordError):
             parse_post_record(json.dumps(rec))
 
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:30:00+01:00", "9999-12-31T23:00:00-02:00"])
+    def test_timestamp_out_of_range_in_utc(self, stamp):
+        rec = dict(json.loads(VALID), created_at=stamp)
+        with pytest.raises(RecordError, match="out of range in UTC"):
+            parse_post_record(json.dumps(rec))
+
     @pytest.mark.parametrize("followers", ["many", -5, True, 1.5])
     def test_bad_followers(self, followers):
         rec = json.loads(VALID)
@@ -121,6 +128,15 @@ class TestParsePostRecord:
         rec["text"] = 7
         with pytest.raises(RecordError):
             parse_post_record(json.dumps(rec))
+
+    @pytest.mark.parametrize("parse", [parse_post_record, parse_score_record])
+    @pytest.mark.parametrize(
+        "line, reason",
+        [("[" * 200_000, "nesting too deep"), ('{"id": ' + "7" * 5_000 + "}", "integer too long")],
+    )
+    def test_decoder_limits_are_record_errors(self, parse, line, reason):
+        with pytest.raises(RecordError, match=rf"^x\.ndjson:2: invalid JSON \({reason}\)$"):
+            parse(line, 2, "x.ndjson")
 
     def test_error_names_source_and_line(self):
         with pytest.raises(RecordError, match=r"posts\.ndjson:3"):

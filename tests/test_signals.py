@@ -178,6 +178,20 @@ class TestScores:
         assert counts.malformed == 0
         assert counts.rejected_values == 1
 
+    def test_integer_beyond_float_range_is_a_rejected_value(self, tmp_path):
+        p = self._score_file(
+            tmp_path,
+            [
+                {"id": "a", "date": "2020-03-02", "scores": {"sad": 10**400}},
+                {"id": "b", "date": "2020-03-02", "scores": {"sad": -(10**400)}},
+                {"id": "c", "date": "2020-03-02", "scores": {"sad": 0.5}},
+            ],
+        )
+        counts = ScoreCounts()
+        sig = daily_mean_scores(stream_scores(p, counts), ["sad"], counts)["sad"]
+        assert sig.counts == {date(2020, 3, 2): (0.5, 1.0)}
+        assert (counts.malformed, counts.rejected_values) == (0, 2)
+
     def test_rejected_values_keep_line_counts(self, tmp_path):
         # 4 records, 3 emotions, 9 values outside [0, 1]: every line parses
         p = self._score_file(
