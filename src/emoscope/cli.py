@@ -273,6 +273,7 @@ def cmd_auc(args) -> int:
         raise ConfigError(f"no labels for emotions {unknown}; have {sorted(labels)}")
     scores: dict[str, dict[str, float]] = {e: {} for e in emotions}
     counts = ScoreCounts()
+    duplicates = 0  # scores for an (emotion, id) that already had one; the last wins
     for rec in stream_scores(args.scores, counts):
         for emotion in emotions:
             value = rec.scores.get(emotion)
@@ -281,9 +282,10 @@ def cmd_auc(args) -> int:
             if not 0.0 <= value <= 1.0:
                 counts.rejected_values += 1
                 continue
+            duplicates += rec.id in scores[emotion]
             scores[emotion][rec.id] = value
     print(f"records={counts.records} parsed={counts.parsed} malformed={counts.malformed} "
-          f"rejected_values={counts.rejected_values}")
+          f"rejected_values={counts.rejected_values} duplicate_ids={duplicates}")
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     summary = []

@@ -50,6 +50,11 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.gender_mode not in GENDER_MODES:
             raise ConfigError(f"gender_mode must be one of {GENDER_MODES}, got {self.gender_mode!r}")
+        # a day at most: parsing keeps posts a day clear of the calendar's ends
+        if not -1440 <= self.tz_offset_minutes <= 1440:
+            raise ConfigError(
+                f"tz_offset_minutes must be within -1440..1440, got {self.tz_offset_minutes}"
+            )
         if self.week_length < 1:
             raise ConfigError(f"week_length must be >= 1, got {self.week_length}")
         if self.week_offset < 0:

@@ -10,7 +10,7 @@ from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import ConfigError, RecordError
 
@@ -23,12 +23,12 @@ class Gender(Enum):
     UNKNOWN = "unknown"
 
 
+_GENDERS = {"male": Gender.MALE, "female": Gender.FEMALE}
+
+
 def _coerce_gender(value) -> Gender:
-    if value == "male":
-        return Gender.MALE
-    if value == "female":
-        return Gender.FEMALE
-    return Gender.UNKNOWN
+    # a JSON list or object is unhashable: only a str is looked up
+    return _GENDERS.get(value, Gender.UNKNOWN) if type(value) is str else Gender.UNKNOWN
 
 
 @lru_cache(maxsize=None)
@@ -37,9 +37,9 @@ def _minutes(n: int) -> timedelta:
     return timedelta(minutes=n)
 
 
-@dataclass(frozen=True)
-class Post:
-    """One social-media message, timestamp normalized to UTC (second resolution)."""
+class Post(NamedTuple):
+    """One social-media message, timestamp normalized to UTC (second
+    resolution). Immutable, hashable and equal by value, like a tuple."""
 
     id: str
     timestamp: datetime
@@ -50,6 +50,8 @@ class Post:
 
     def day(self, tz_offset_minutes: int = 0) -> date:
         """Calendar-day bucket; a fixed minute offset shifts the day boundary."""
+        if not tz_offset_minutes:
+            return self.timestamp.date()
         return (self.timestamp + _minutes(tz_offset_minutes)).date()
 
 
@@ -71,9 +73,23 @@ class FilterConfig:
             )
 
 
+# Instants kept: a day clear of either end of the calendar, so that a
+# tz_offset_minutes within +-1440 cannot push Post.day off it.
+_EARLIEST = datetime(1, 1, 2, tzinfo=timezone.utc)
+_LATEST = datetime(9999, 12, 31, tzinfo=timezone.utc)
+
+
 def _parse_timestamp(raw, line_no, source) -> datetime:
     if not isinstance(raw, str):
         raise RecordError("created_at is not a string", line_no, source)
+    # fast path: a UTC stamp with whole seconds needs no normalizing
+    try:
+        ts = datetime.fromisoformat(raw)
+    except ValueError:
+        pass
+    else:
+        if ts.tzinfo is timezone.utc and not ts.microsecond and _EARLIEST <= ts < _LATEST:
+            return ts
     s = raw.strip()
     # Python 3.10 fromisoformat rejects the Z suffix.
     if s.endswith(("Z", "z")):
@@ -87,12 +103,30 @@ def _parse_timestamp(raw, line_no, source) -> datetime:
     try:
         ts = ts.astimezone(timezone.utc)
     except OverflowError:  # year 1 or 9999 pushed past the calendar by its offset
-        raise RecordError(f"created_at {raw!r} is out of range in UTC", line_no, source) from None
-    return ts.replace(microsecond=0)
+        pass
+    else:
+        if _EARLIEST <= ts < _LATEST:
+            return ts.replace(microsecond=0)
+    raise RecordError(f"created_at {raw!r} is out of range in UTC", line_no, source)
+
+
+# The C scanner behind json.loads, minus its whitespace and BOM handling.
+_scan_json = json.JSONDecoder().scan_once
+_JSON_WHITESPACE = " \t\n\r"
 
 
 def load_json_object(line: str, line_no: int | None = None, source: str | None = None) -> dict:
     """Decode one NDJSON line that must hold a JSON object."""
+    if line.startswith("{"):
+        # fast path; whatever it does not accept json.loads reads again,
+        # so every error and its message are json.loads's own
+        try:
+            rec, end = _scan_json(line, 0)
+        except (ValueError, RecursionError, StopIteration):
+            pass
+        else:
+            if not line[end:].strip(_JSON_WHITESPACE):
+                return rec
     try:
         rec = json.loads(line)
     except json.JSONDecodeError as err:
@@ -113,11 +147,12 @@ def parse_post_record(line: str, line_no: int | None = None, source: str | None 
     False; anything else absent or mistyped raises RecordError.
     """
     rec = load_json_object(line, line_no, source)
+    # JSON decodes to exact types, so each check tests the type itself
 
     post_id = rec.get("id")
-    if post_id is None:
-        raise RecordError("missing id", line_no, source)
-    if not isinstance(post_id, str):
+    if type(post_id) is not str:
+        if post_id is None:
+            raise RecordError("missing id", line_no, source)
         post_id = str(post_id)
 
     if "created_at" not in rec:
@@ -125,15 +160,15 @@ def parse_post_record(line: str, line_no: int | None = None, source: str | None 
     ts = _parse_timestamp(rec["created_at"], line_no, source)
 
     text = rec.get("text")
-    if not isinstance(text, str):
+    if type(text) is not str:
         raise RecordError("missing or non-string text", line_no, source)
 
     followers = rec.get("author_followers")
-    if followers is None:
-        raise RecordError("missing author_followers", line_no, source)
-    if isinstance(followers, bool) or not isinstance(followers, (int, float)):
-        raise RecordError("author_followers is not a number", line_no, source)
-    if isinstance(followers, float):
+    if type(followers) is not int:
+        if followers is None:
+            raise RecordError("missing author_followers", line_no, source)
+        if type(followers) is not float:
+            raise RecordError("author_followers is not a number", line_no, source)
         if not followers.is_integer():
             raise RecordError("author_followers is not an integer", line_no, source)
         followers = int(followers)
@@ -141,17 +176,10 @@ def parse_post_record(line: str, line_no: int | None = None, source: str | None 
         raise RecordError("author_followers is negative", line_no, source)
 
     retweet = rec.get("is_retweet", False)
-    if not isinstance(retweet, bool):
+    if type(retweet) is not bool:
         raise RecordError("is_retweet is not a boolean", line_no, source)
 
-    return Post(
-        id=post_id,
-        timestamp=ts,
-        text=text,
-        author_gender=_coerce_gender(rec.get("author_gender")),
-        author_followers=followers,
-        is_retweet=retweet,
-    )
+    return Post(post_id, ts, text, _coerce_gender(rec.get("author_gender")), followers, retweet)
 
 
 def post_record(post: Post) -> dict:
@@ -170,11 +198,19 @@ def serialize_post(post: Post) -> str:
     return json.dumps(post_record(post), ensure_ascii=False)
 
 
+def _post_filter(cfg: FilterConfig) -> Callable[[Post], bool]:
+    """filter_post under cfg, with the bounds read once."""
+    low, high, drop_retweets = cfg.min_followers, cfg.max_followers, cfg.exclude_retweets
+
+    def keep(post: Post) -> bool:
+        return not (drop_retweets and post.is_retweet) and low <= post.author_followers <= high
+
+    return keep
+
+
 def filter_post(post: Post, cfg: FilterConfig) -> bool:
     """Keep/drop decision; follower bounds are inclusive on both ends."""
-    if post.is_retweet and cfg.exclude_retweets:
-        return False
-    return cfg.min_followers <= post.author_followers <= cfg.max_followers
+    return _post_filter(cfg)(post)
 
 
 @dataclass
@@ -280,6 +316,5 @@ def stream_posts(
     """
     if counts is None:
         counts = StreamCounts()
-    # a keyword partial would cost a kwargs merge per post; a closure does not
-    keep = None if filter_config is None else (lambda post: filter_post(post, filter_config))
+    keep = None if filter_config is None else _post_filter(filter_config)
     return read_ndjson(paths, parse_post_record, counts, on_error, keep)

@@ -55,6 +55,7 @@ from .stats import (
 )
 
 _MAX_ERROR_SAMPLES = 20
+_GENDER_INDEX = {Gender.UNKNOWN: 0, Gender.MALE: 1, Gender.FEMALE: 2}
 
 
 @dataclass
@@ -126,9 +127,7 @@ def scan_corpus(
                 mask |= report_bits[emotion]
         if pronouns is not None and contains_third_person(tokens, pronouns):
             mask |= 1 << pronoun_bit
-        gender = post.author_gender
-        gi = 1 if gender is Gender.MALE else 2 if gender is Gender.FEMALE else 0
-        key = (post.day(tz), gi, mask)
+        key = (post.day(tz), _GENDER_INDEX[post.author_gender], mask)
         table[key] = table.get(key, 0) + 1
     if counts.kept == 0:
         raise SignalError("no posts left after filtering")

@@ -8,6 +8,7 @@ which need none of them, never load it."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -468,10 +469,25 @@ def chi2_two_proportions(k1: int, n1: int, k2: int, n2: int) -> tuple[float, flo
         raise StatError("degenerate table: every outcome identical across both groups")
     total = n1 + n2
     delta = k1 * (n2 - k2) - k2 * (n1 - k1)
-    statistic = total * delta * delta / (n1 * n2 * successes * failures)
-    from scipy import special
+    statistic = float(total * delta * delta / (n1 * n2 * successes * failures))
+    return statistic, _chi2_sf_1df(statistic)
 
-    return float(statistic), float(special.chdtrc(1, statistic))
+
+# log(DBL_MAX), and lgamma(1/2): the terms of Cephes' igamc underflow test
+_MAX_LOG = math.log(sys.float_info.max)
+_LGAMMA_HALF = math.lgamma(0.5)
+
+
+def _chi2_sf_1df(s: float) -> float:
+    """Upper tail of chi-square with 1 df: P(X > s) = erfc(sqrt(s/2)).
+
+    Flushed to 0.0 exactly where the Cephes igamc(1/2, s/2) behind
+    scipy.special.chdtrc underflows, so that printed p-values match it.
+    """
+    x = s / 2.0
+    if x > 0 and 0.5 * math.log(x) - x - _LGAMMA_HALF < -_MAX_LOG:
+        return 0.0
+    return math.erfc(math.sqrt(x))
 
 
 def percent_difference(p_with: float, p_without: float) -> float:

@@ -3,13 +3,54 @@ fused, faster forms against."""
 
 from __future__ import annotations
 
-from datetime import date
+import json
+from datetime import date, datetime, timedelta, timezone
 from typing import Callable, Iterable, Sequence
 
 from emoscope.corpus import Post
-from emoscope.errors import LexiconError, SignalError
+from emoscope.errors import LexiconError, RecordError, SignalError
 from emoscope.lexicon import Lexicon, PronounList, ReportTemplateSet, contains_third_person, tokenize
 from emoscope.signals import GENDER_STRATA, DailySignal
+
+
+def load_json_object(line: str, line_no=None, source=None) -> dict:
+    """json.loads, with each way it can fail turned into a RecordError."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise RecordError(f"invalid JSON ({err.msg})", line_no, source) from None
+    except RecursionError:
+        raise RecordError("invalid JSON (nesting too deep)", line_no, source) from None
+    except ValueError:  # an integer beyond sys.get_int_max_str_digits()
+        raise RecordError("invalid JSON (integer too long)", line_no, source) from None
+    if not isinstance(rec, dict):
+        raise RecordError("record is not a JSON object", line_no, source)
+    return rec
+
+
+def parse_timestamp(raw, line_no=None, source=None) -> datetime:
+    """created_at by one path: normalize any ISO-8601 form to UTC, then
+    keep only instants at least 24 h from either end of the calendar."""
+    if not isinstance(raw, str):
+        raise RecordError("created_at is not a string", line_no, source)
+    s = raw.strip()
+    if s.endswith(("Z", "z")):
+        s = s[:-1] + "+00:00"
+    try:
+        ts = datetime.fromisoformat(s)
+    except ValueError:
+        raise RecordError(f"unparseable created_at {raw!r}", line_no, source) from None
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    out_of_range = RecordError(f"created_at {raw!r} is out of range in UTC", line_no, source)
+    try:
+        ts = ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise out_of_range from None
+    naive = ts.replace(tzinfo=None)
+    if naive - datetime.min < timedelta(days=1) or datetime.max - naive < timedelta(days=1):
+        raise out_of_range
+    return ts.replace(microsecond=0)
 
 
 def matches_lexicon(tokens: Sequence[str], lexicon: Lexicon) -> bool:

@@ -277,6 +277,12 @@ class TestValidateDegenerate:
         assert "too short" in row["notes"]
 
 
+def _set_tz_offset(ini: Path, minutes: int) -> None:
+    """Set tz_offset_minutes in the [corpus] section of a synth pipeline.ini."""
+    text = ini.read_text(encoding="utf-8")
+    ini.write_text(text.replace("[corpus]\n", f"[corpus]\ntz_offset_minutes = {minutes}\n"))
+
+
 class TestExitCodes:
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -309,7 +315,7 @@ class TestExitCodes:
         assert f"{corpus}:" in err
         assert "truncated gzip stream" in err
 
-    def _damaged_line_run(self, tmp_path, capsys, bad: bytes):
+    def _damaged_line_run(self, tmp_path, capsys, bad: bytes, tz_offset_minutes=0):
         """Insert `bad` as line 6 of a small synth corpus and run `signal`."""
         ws = tmp_path / "ws"
         assert main(["synth", "--out", str(ws), "--days", "20", "--posts-per-day", "50"]) == 0
@@ -317,8 +323,10 @@ class TestExitCodes:
         lines = corpus.read_bytes().splitlines(keepends=True)
         lines.insert(5, bad + b"\n")
         corpus.write_bytes(b"".join(lines))
+        ini = ws / "pipeline.ini"
+        _set_tz_offset(ini, tz_offset_minutes)
         capsys.readouterr()
-        assert main(["signal", "--config", str(ws / "pipeline.ini")]) == 0
+        assert main(["signal", "--config", str(ini)]) == 0
         assert "records=1001 parsed=1000 malformed=1 " in capsys.readouterr().out
         manifest = json.loads((ws / "out" / "manifest.json").read_text(encoding="utf-8"))
         return corpus, manifest["error_samples"]
@@ -331,6 +339,29 @@ class TestExitCodes:
     def test_deeply_nested_json_is_one_malformed_record(self, tmp_path, capsys):
         corpus, samples = self._damaged_line_run(tmp_path, capsys, b"[" * 200_000)
         assert samples == [f"{corpus}:6: invalid JSON (nesting too deep)"]
+
+    @pytest.mark.parametrize(
+        "stamp, tz", [("9999-12-31T23:00:00Z", 330), ("0001-01-01T23:59:59Z", -330)]
+    )
+    def test_stamp_a_day_from_the_calendar_end_is_one_malformed_record(
+        self, tmp_path, capsys, stamp, tz
+    ):
+        # shifted by the offset, such a post would fall off the calendar
+        bad = json.dumps(
+            {"id": "x", "created_at": stamp, "text": "sad", "author_followers": 500}
+        ).encode()
+        corpus, samples = self._damaged_line_run(tmp_path, capsys, bad, tz)
+        assert samples == [f"{corpus}:6: created_at {stamp!r} is out of range in UTC"]
+        assert main(["thirdperson", "--config", str(tmp_path / "ws" / "pipeline.ini")]) == 0
+
+    def test_tz_offset_beyond_a_day_is_config_error(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        assert main(["synth", "--out", str(ws), "--days", "20", "--posts-per-day", "50"]) == 0
+        ini = ws / "pipeline.ini"
+        _set_tz_offset(ini, 10**9)
+        capsys.readouterr()
+        assert main(["signal", "--config", str(ini)]) == 1
+        assert "tz_offset_minutes must be within -1440..1440" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
@@ -387,7 +418,8 @@ class TestExitCodes:
 class TestStartup:
     def test_scan_commands_never_load_scipy(self, tmp_path):
         """Only the statistics need scipy: importing the CLI and running
-        `signal` load none of it, and `validate` loads no scipy.stats."""
+        `signal` or `thirdperson` load none of it, and `validate` loads no
+        scipy.stats."""
         ws = tmp_path / "ws"
         assert main(["synth", "--out", str(ws), "--days", "60", "--posts-per-day", "20"]) == 0
         script = (
@@ -397,6 +429,8 @@ class TestStartup:
             "assert loaded() == [], ('import', loaded())\n"
             "assert main(['signal', '--config', sys.argv[1]]) == 0\n"
             "assert loaded() == [], ('signal', loaded())\n"
+            "assert main(['thirdperson', '--config', sys.argv[1]]) == 0\n"
+            "assert loaded() == [], ('thirdperson', loaded())\n"
             "assert main(['validate', '--config', sys.argv[1]]) == 0\n"
             "assert 'scipy.special' in sys.modules, loaded()\n"
             "assert 'scipy.stats' not in sys.modules, ('validate', loaded())\n"
@@ -523,11 +557,30 @@ class TestAuc:
             ["auc", "--scores", str(scores), "--labels", str(labels), "--output", str(out)]
         ) == 0
         stdout = capsys.readouterr().out.splitlines()
-        assert stdout[0] == "records=4 parsed=3 malformed=1 rejected_values=1"
+        assert stdout[0] == "records=4 parsed=3 malformed=1 rejected_values=1 duplicate_ids=0"
         assert stdout[1] == "sad: AUC = 1.0000 (n=2, missing scores=1)"
         with open(out / "auc.csv", newline="") as fh:
             row = next(csv.DictReader(fh))
         assert (row["n"], row["missing_scores"]) == ("2", "1")
+
+    def test_duplicate_ids_are_counted(self, tmp_path, capsys):
+        # id a is scored twice: the repeat is counted and the last score ranks
+        scores = tmp_path / "s.ndjson"
+        scores.write_text(
+            '{"id": "a", "date": "2020-01-01", "scores": {"sad": 0.9}}\n'
+            '{"id": "b", "date": "2020-01-01", "scores": {"sad": 0.5}}\n'
+            '{"id": "a", "date": "2020-01-02", "scores": {"sad": 0.1}}\n',
+            encoding="utf-8",
+        )
+        labels = tmp_path / "l.csv"
+        labels.write_text("id,emotion,label\na,sad,1\nb,sad,0\n", encoding="utf-8")
+        assert main(
+            ["auc", "--scores", str(scores), "--labels", str(labels),
+             "--output", str(tmp_path / "auc")]
+        ) == 0
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[0] == "records=3 parsed=3 malformed=0 rejected_values=0 duplicate_ids=1"
+        assert stdout[1] == "sad: AUC = 0.0000 (n=2, missing scores=0)"
 
     def test_synth_scores_detect_high_days(self, workspace, tmp_path):
         # label each day by whether the planted sadness truth is above its

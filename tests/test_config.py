@@ -182,6 +182,8 @@ class TestPipelineConfigValidate:
             {"week_offset": -1},
             {"permutations": 0},
             {"dcca_window": 3},
+            {"tz_offset_minutes": 1441},
+            {"tz_offset_minutes": -1441},
             {"lexicons": (("a", "x"), ("a", "y"))},
             {"score_emotions": ("sad",)},
             {"pairs": (("sad", "ghost"),)},
@@ -190,6 +192,10 @@ class TestPipelineConfigValidate:
     def test_rejections(self, kwargs):
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("offset", [-1440, 0, 1440])
+    def test_tz_offset_up_to_a_day(self, offset):
+        PipelineConfig(tz_offset_minutes=offset).validate()
 
     def test_signal_names(self):
         cfg = PipelineConfig(

@@ -5,15 +5,18 @@ import json
 from datetime import date, datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from emoscope.corpus import (
     FilterConfig,
     Gender,
     Post,
     StreamCounts,
+    _parse_timestamp,
     filter_post,
+    load_json_object,
     parse_post_record,
     serialize_post,
     stream_posts,
@@ -79,9 +82,10 @@ class TestParsePostRecord:
         del rec["author_gender"]
         assert parse_post_record(json.dumps(rec)).author_gender is Gender.UNKNOWN
 
-    def test_unrecognized_gender_is_unknown(self):
+    @pytest.mark.parametrize("gender", ["org", "Male", None, 1, ["male"], {"male": 1}])
+    def test_unrecognized_gender_is_unknown(self, gender):
         rec = json.loads(VALID)
-        rec["author_gender"] = "org"
+        rec["author_gender"] = gender
         assert parse_post_record(json.dumps(rec)).author_gender is Gender.UNKNOWN
 
     def test_retweet_defaults_false(self):
@@ -162,6 +166,130 @@ class TestParsePostRecord:
             is_retweet=retweet,
         )
         assert parse_post_record(serialize_post(post)) == post
+
+
+def _outcome(fn, *args):
+    """What fn returns (by repr, so NaN equals NaN) or the RecordError it raises."""
+    try:
+        return "ok", repr(fn(*args))
+    except RecordError as err:
+        return "error", str(err)
+
+
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+JSON_OBJECT = st.dictionaries(st.text(max_size=4), JSON_VALUE, max_size=4)
+JSON_LINE = st.builds(
+    lambda head, body, tail: head + body + tail,
+    st.one_of(st.just(""), st.sampled_from(["\ufeff", " ", "\t", "\n", "\r", "\x0b", "\xa0"])),
+    st.one_of(
+        st.builds(json.dumps, JSON_OBJECT),
+        st.builds(json.dumps, JSON_VALUE),
+        st.builds(lambda v: json.dumps(v, indent=1), JSON_OBJECT),
+        st.sampled_from(['{"a": NaN}', '{"a": -Infinity}', '{"a": 1', '{"a" 1}', "{", "{}{}"]),
+        st.text(max_size=12),
+    ),
+    st.one_of(
+        st.sampled_from(["", "\n"]),
+        st.sampled_from([" \n", "\r\n", "\t", "\x0b", "\xa0", "\u3000", " x", "{}", "]", "\x0c"]),
+    ),
+)
+STAMP = st.builds(
+    lambda *parts: "".join(parts),
+    st.sampled_from(["", "", " ", "\t", "\u3000"]),
+    st.one_of(
+        st.builds(
+            "{:04d}-{:02d}-{:02d}".format,
+            st.one_of(st.sampled_from([1, 2, 2020, 9998, 9999]), st.integers(1, 9999)),
+            st.integers(1, 12),
+            st.integers(1, 31),
+        ),
+        st.sampled_from(["20200301", "2020-3-01", "0001-01-01", "0001-01-02", "9999-12-31"]),
+    ),
+    st.sampled_from(["T", "T", " ", "t", "x"]),
+    st.one_of(
+        st.builds(
+            "{:02d}:{:02d}:{:02d}".format,
+            st.integers(0, 24), st.integers(0, 59), st.integers(0, 60),
+        ),
+        st.sampled_from(["000000", "23:59", "12", "00:00:00", "23:59:59"]),
+    ),
+    st.sampled_from(["", "", ".5", ".250", ".000", ".123456", ",5", ".1234567"]),
+    st.sampled_from(
+        ["", "Z", "z", "+00:00", "-00:00", "+0000", "+02:00", "-05:30", "+14:00", "+23:59",
+         "-23:59", "+24:00", "Zz"]
+    ),
+    st.sampled_from(["", "", " ", "\n", "\u3000"]),
+)
+
+
+class TestDecoderDifferential:
+    """The fast paths of the post decoder against one-path references."""
+
+    @settings(max_examples=300)
+    @given(JSON_LINE)
+    @example("[1, 2]\n")
+    @example('{"a":' * 50_000)
+    @example("[" * 200_000)
+    @example("{" + '"a":[' * 5_000 + "]" * 5_000 + "}")
+    @example('{"id": ' + "7" * 5_000 + "}")
+    @example('\ufeff{"id": 1}')
+    @example('{"id": 1}\x0b')
+    @example('{"id": 1}\xa0\n')
+    @example('{"id": 1} {"id": 2}\n')
+    def test_load_json_object_matches_json_loads(self, line):
+        got = _outcome(load_json_object, line, 4, "f.ndjson")
+        assert got == _outcome(oracles.load_json_object, line, 4, "f.ndjson")
+
+    @settings(max_examples=300)
+    @given(st.one_of(STAMP, st.text(max_size=30), st.integers(), st.none(), st.lists(st.none())))
+    @example("2020-03-01T12:30:45Z")
+    @example("2020-03-01T12:30:45z")
+    @example("2020-03-01T12:30:45.999999Z")
+    @example("2020-03-01 12:30:45")
+    @example("20200301T123045+0100")
+    @example(" 2020-03-01T12:30:45+00:00 ")
+    @example("0001-01-01T23:59:59Z")
+    @example("0001-01-02T00:00:00Z")
+    @example("0001-01-02T00:30:00+01:00")
+    @example("9999-12-30T23:59:59.999999Z")
+    @example("9999-12-31T00:00:00Z")
+    @example("9999-12-31T01:00:00+02:00")
+    @example("9999-12-31T23:59:59-01:00")
+    def test_parse_timestamp_matches_one_path_reference(self, raw):
+        got = _outcome(_parse_timestamp, raw, 3, "f")
+        assert got == _outcome(oracles.parse_timestamp, raw, 3, "f")
+        if got[0] == "ok":
+            assert _parse_timestamp(raw, 3, "f").tzinfo is timezone.utc
+
+
+class TestPost:
+    POST = Post("a", datetime(2021, 5, 4, 3, 2, 1, tzinfo=timezone.utc), "hi", Gender.MALE, 5, True)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.POST.text = "changed"
+
+    def test_equal_and_hashed_by_value(self):
+        twin = Post(**self.POST._asdict())
+        assert twin == self.POST and hash(twin) == hash(self.POST)
+        assert len({self.POST, twin}) == 1
+        assert self.POST._replace(author_followers=6) != self.POST
+
+    def test_defaults(self):
+        post = Post("b", self.POST.timestamp, "x")
+        assert post[3:] == (Gender.UNKNOWN, 0, False)
+
+    @pytest.mark.parametrize(
+        "offset, day", [(0, date(2021, 5, 4)), (-183, date(2021, 5, 3)), (1440, date(2021, 5, 5))]
+    )
+    def test_day(self, offset, day):
+        assert self.POST.day(offset) == day
+
 
 
 class TestFilterPost:

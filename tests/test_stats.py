@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from emoscope.errors import StatError
 from emoscope.stats import (
+    _chi2_sf_1df,
     chi2_two_proportions,
     correlate,
     correlation_p,
@@ -597,6 +598,20 @@ class TestChi2TwoProportions:
                 e = n * margin / (n1 + n2)
                 expected += (obs - e) ** 2 / e
         assert stat == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    def test_p_matches_scipy_chdtrc(self):
+        """erfc(sqrt(s/2)) against scipy's chdtrc(1, s), up to and across
+        the point near s=1425 where scipy's igamc underflows to 0."""
+        special = pytest.importorskip("scipy.special")
+        grid = np.concatenate([np.geomspace(1e-12, 1e3, 2001), np.linspace(1420, 1430, 2001)])
+        zeros = 0
+        for s in grid.tolist():
+            got, want = _chi2_sf_1df(s), float(special.chdtrc(1, s))
+            assert (got == 0.0) == (want == 0.0), s
+            zeros += want == 0.0
+            assert abs(got - want) <= 1e-12 * want, s
+            assert format(got, ".4g") == format(want, ".4g"), s
+        assert 0 < zeros < 2001  # the grid crosses the underflow edge
 
 
 class TestPercentDifference:
