@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import gzip
 import json
+import os
+import pickle
+import sys
 import zlib
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, TypeVar
 
 from .errors import ConfigError, RecordError
 
@@ -226,6 +229,13 @@ class StreamCounts:
     def parsed(self) -> int:
         return self.records - self.malformed
 
+    def add(self, other: StreamCounts) -> None:
+        """Count another pass's records in too."""
+        self.records += other.records
+        self.malformed += other.malformed
+        self.dropped += other.dropped
+        self.kept += other.kept
+
     def as_dict(self) -> dict:
         return {
             "records": self.records,
@@ -254,6 +264,98 @@ def damaged_stream(err: Exception, line_no: int, source: str) -> RecordError:
     return RecordError(f"corrupt or truncated gzip stream ({err})", line_no + 1, source)
 
 
+@dataclass(frozen=True)
+class Shard:
+    """The lines of `path` that start in bytes [start, stop), numbered
+    from `first_line`; stop None reads to the end. A plain file can be cut
+    after any newline, a .gz file is read whole. As an os.PathLike it
+    stands for its file."""
+
+    path: str | os.PathLike
+    start: int = 0
+    stop: int | None = None
+    first_line: int = 1
+
+    def __fspath__(self) -> str:
+        return os.fspath(self.path)
+
+
+# Input bytes per group of shards, at least. A forked scan pays about 10 ms
+# for the fork, its copy-on-write page faults and the merge. Two processes
+# against one, scanning synth NDJSON on 2 CPUs: x0.77 on 128 KiB in all,
+# x1.01 on 256 KiB, x1.27 on 512 KiB, x1.51 on 1 MiB.
+_MIN_SHARD_BYTES = 1 << 18
+
+
+def _cut_after_newline(fh, offset: int) -> int:
+    """The first line start at or after `offset` in the open binary file."""
+    fh.seek(offset - 1)
+    fh.readline()
+    return fh.tell()
+
+
+def _newlines(fh, start: int, stop: int) -> int:
+    """Newline bytes in [start, stop) of the open binary file."""
+    # one small buffer, read into again and again: fresh 1 MiB reads left
+    # about 2 MB more resident in the process
+    buf = bytearray(1 << 16)
+    fh.seek(start)
+    count = 0
+    while start < stop:
+        n = fh.readinto(buf)
+        if not n:
+            break
+        n = min(n, stop - start)
+        count += buf.count(b"\n", 0, n)
+        start += n
+    return count
+
+
+def shard_groups(paths: Iterable, parts: int) -> list[list[Shard]]:
+    """The inputs, in order, as at most `parts` groups of contiguous shards
+    holding about equal bytes; no more groups than _MIN_SHARD_BYTES fit
+    into the inputs' total size.
+
+    Cuts fall after a newline of a plain file or at an edge of a .gz file,
+    so a line is never split and each shard numbers its lines as a whole
+    read of the file would.
+    """
+    paths = list(paths)
+    sizes = [os.path.getsize(p) for p in paths]
+    total = sum(sizes)
+    parts = max(1, min(parts, total // _MIN_SHARD_BYTES))
+    if parts == 1:
+        return [[Shard(p) for p in paths]]
+    groups: list[list[Shard]] = [[]]
+    base = 0  # bytes of the inputs before this file
+    target = 1  # the next of the parts-1 cuts, at byte total*target/parts
+    for path, size in zip(paths, sizes):
+        if Path(path).suffix == ".gz":
+            while target < parts and total * target // parts <= base + size // 2:
+                target += 1
+                groups.append([])
+            groups[-1].append(Shard(path))
+            while target < parts and total * target // parts <= base + size:
+                target += 1
+                groups.append([])
+        else:
+            with open(path, "rb") as fh:
+                start, first_line = 0, 1
+                while target < parts and total * target // parts < base + size:
+                    offset = total * target // parts - base
+                    cut = _cut_after_newline(fh, offset) if offset > 0 else 0
+                    if cut > start:
+                        groups[-1].append(Shard(path, start, cut, first_line))
+                        first_line += _newlines(fh, start, cut)
+                        start = cut
+                    target += 1
+                    groups.append([])
+                if start < size:
+                    groups[-1].append(Shard(path, start, None, first_line))
+        base += size
+    return [group for group in groups if group]
+
+
 def read_ndjson(
     paths: Iterable,
     parse: Callable[[str, int, str], T],
@@ -262,7 +364,8 @@ def read_ndjson(
     keep: Callable[[T], bool] | None = None,
 ) -> Iterator[T]:
     """Yield parse(line, line_no, source) for every non-blank line of the
-    NDJSON files in order, and those records only that keep accepts.
+    NDJSON files (or Shards of them) in order, and those records only that
+    keep accepts.
 
     A line that is not valid UTF-8 or that parse rejects is counted as
     malformed (and passed to on_error) without aborting the stream. A
@@ -270,11 +373,18 @@ def read_ndjson(
     where it breaks off.
     """
     for path in paths:
-        name = str(path)
-        line_no = 0
-        with open_ndjson(path) as fh:
+        shard = path if isinstance(path, Shard) else Shard(path)
+        name = os.fspath(shard)
+        line_no = shard.first_line - 1
+        pos = shard.start  # where the next line starts
+        stop = sys.maxsize if shard.stop is None else shard.stop
+        with open_ndjson(name) as fh:
             try:
-                for line_no, raw in enumerate(fh, 1):
+                fh.seek(pos)
+                for line_no, raw in enumerate(fh, shard.first_line):
+                    if pos >= stop:
+                        break
+                    pos += len(raw)
                     try:
                         line = raw.decode("utf-8")
                         if line.isspace():
@@ -318,3 +428,99 @@ def stream_posts(
         counts = StreamCounts()
     keep = None if filter_config is None else _post_filter(filter_config)
     return read_ndjson(paths, parse_post_record, counts, on_error, keep)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 off Linux, which alone can tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else len(affinity(0))
+
+
+def _scan_child(scan, group, fd: int, max_errors: int | None) -> NoReturn:
+    """In a forked child: pickle (scan result, first RecordErrors) or the
+    exception that ended the scan into fd, then end the process."""
+    code = 1
+    try:
+        errors: list[RecordError] = []
+
+        def sample(err):
+            if len(errors) < max_errors:
+                errors.append(err)
+
+        try:
+            outcome = scan(group, None if max_errors is None else sample), errors
+        except Exception as err:
+            outcome = err
+        with open(fd, "wb") as fh:
+            pickle.dump(outcome, fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def scan_shards(
+    paths: Iterable,
+    scan: Callable[[list[Shard], Callable[[RecordError], None] | None], T],
+    on_error: Callable[[RecordError], None] | None,
+    max_errors: int,
+) -> list[T]:
+    """scan(group, on_error) of each group of shard_groups(paths, k), in
+    input order, k being the number of usable CPUs (1 off Linux).
+
+    This process scans the first group and a forked child each other one,
+    which sends its result back through a pipe as a pickle; k = 1 forks
+    nothing. Every RecordError of the first group reaches on_error, then
+    at most max_errors of each later group, in input order. An exception
+    that ends a group's scan is raised only once every group before it
+    succeeded: a one-process scan would have met it first.
+    """
+    groups = shard_groups(paths, _usable_cpus())
+    if len(groups) > 1:
+        # a child must not write out again what this process buffered
+        sys.stdout.flush()
+        sys.stderr.flush()
+    # A child runs the pure-Python scan only, so it never needs the BLAS
+    # threads of numpy, which fork does not copy.
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    payloads: list[bytes] = []
+    statuses: list[int] = []
+    try:
+        for group in groups[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _scan_child(scan, group, w, None if on_error is None else max_errors)
+            except OSError:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            children.append((pid, r))
+        results = [scan(groups[0], on_error)]
+        for _, r in children:
+            with open(r, "rb", closefd=False) as fh:
+                payloads.append(fh.read())
+    finally:
+        for pid, r in children:
+            os.close(r)
+            if len(payloads) < len(children):  # this process's scan failed
+                from signal import SIGKILL  # POSIX only, as fork is
+
+                os.kill(pid, SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for (pid, _), payload, status in zip(children, payloads, statuses):
+        if status or not payload:
+            raise ChildProcessError(
+                f"corpus scan process {pid} ended without a result "
+                f"(exit status {os.waitstatus_to_exitcode(status)})"
+            )
+        outcome = pickle.loads(payload)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        result, errors = outcome
+        if on_error is not None:
+            for err in errors:
+                on_error(err)
+        results.append(result)
+    return results

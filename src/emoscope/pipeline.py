@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable
 
 from .config import PipelineConfig, expand_inputs
-from .corpus import Gender, StreamCounts, stream_posts
+from .corpus import Gender, StreamCounts, scan_shards, stream_posts
 from .errors import ConfigError, RecordError, SignalError, StatError
 from .lexicon import (
     ExplicitReportMatcher,
@@ -55,7 +55,6 @@ from .stats import (
 )
 
 _MAX_ERROR_SAMPLES = 20
-_GENDER_INDEX = {Gender.UNKNOWN: 0, Gender.MALE: 1, Gender.FEMALE: 2}
 
 
 @dataclass
@@ -108,6 +107,13 @@ def scan_corpus(
     after them marks a third-person pronoun from `pronouns`. A matcher
     left None is never run and sets no bits. Returns (counts, table, signal
     name of each mask bit, index of the pronoun bit).
+
+    The inputs are scanned by corpus.scan_shards, in up to one process per
+    usable CPU. Counts and tables are summed in input order, so the result
+    equals a one-process scan's, key order included. Every malformed record
+    of the first shard group reaches on_error, then at most
+    _MAX_ERROR_SAMPLES of each later group: the first _MAX_ERROR_SAMPLES
+    calls are a one-process scan's.
     """
     signals = () if matcher is None else tuple(matcher.names)
     report_bits = (
@@ -117,18 +123,30 @@ def scan_corpus(
     signals += tuple(f"report_{e}" for e in report_bits)
     pronoun_bit = len(signals)
     tz = cfg.tz_offset_minutes
-    counts = StreamCounts()
-    table: dict[tuple[date, int, int], int] = {}
-    for post in stream_posts(expand_inputs(cfg), cfg.filter, counts, on_error):
-        tokens = tokenize(post.text)
-        mask = 0 if matcher is None else matcher.match_mask(tokens)
-        if report_matcher is not None:
-            for emotion in report_matcher.match(tokens):
-                mask |= report_bits[emotion]
-        if pronouns is not None and contains_third_person(tokens, pronouns):
-            mask |= 1 << pronoun_bit
-        key = (post.day(tz), _GENDER_INDEX[post.author_gender], mask)
-        table[key] = table.get(key, 0) + 1
+    male, female = Gender.MALE, Gender.FEMALE
+
+    def scan(group, on_error):
+        counts = StreamCounts()
+        table: dict[tuple[date, int, int], int] = {}
+        for post in stream_posts(group, cfg.filter, counts, on_error):
+            tokens = tokenize(post.text)
+            mask = 0 if matcher is None else matcher.match_mask(tokens)
+            if report_matcher is not None:
+                for emotion in report_matcher.match(tokens):
+                    mask |= report_bits[emotion]
+            if pronouns is not None and contains_third_person(tokens, pronouns):
+                mask |= 1 << pronoun_bit
+            # identity tests: hashing an Enum member is a Python-level call
+            gender = post.author_gender
+            key = (post.day(tz), 1 if gender is male else 2 if gender is female else 0, mask)
+            table[key] = table.get(key, 0) + 1
+        return counts, table
+
+    (counts, table), *rest = scan_shards(expand_inputs(cfg), scan, on_error, _MAX_ERROR_SAMPLES)
+    for part_counts, part_table in rest:
+        counts.add(part_counts)
+        for key, n in part_table.items():
+            table[key] = table.get(key, 0) + n
     if counts.kept == 0:
         raise SignalError("no posts left after filtering")
     return counts, table, signals, pronoun_bit

@@ -111,6 +111,9 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.nda
     def rows(X: np.ndarray) -> np.ndarray:
         return ((X - mu) @ yc) / scale
 
+    # the rounding error of r scales with the terms of its sum, not with r,
+    # which is 0 when they cancel
+    rows.magnitude = float(np.abs(x - mu) @ np.abs(yc)) / scale
     return rows
 
 
@@ -152,8 +155,9 @@ def permutation_test(
     same seeded shuffles: for a given seed, n and block, Pearson and DCCA
     p-values come from identical permutations. p = (1 + hits) / (n_perm + 1),
     the add-one estimator, so p is never exactly zero. A permutation is a hit
-    when |stat| >= |obs| up to a relative 100 machine epsilons, so
-    near-equal statistics (ties up to rounding) count as hits.
+    when |stat| >= |obs| up to 100 machine epsilons relative to |obs|, or,
+    for Pearson, to sum |xc_i yc_i| / (|xc| |yc|), so near-equal
+    statistics (ties up to rounding) count as hits.
 
     A statistic with a `rows` attribute (`pearson`, `dcca_statistic`) is
     evaluated in batches: `statistic.rows(x, y)` returns a kernel mapping a
@@ -184,7 +188,7 @@ def permutation_test(
             return np.array([statistic(row, y) for row in X], dtype=float)
 
     obs = abs(rows(x[None, :])[0])
-    bar = obs - _TIE_RTOL * obs
+    bar = obs - _TIE_RTOL * getattr(rows, "magnitude", obs)
     rng = np.random.default_rng(seed)
     hits = 0
     for idx in _index_chunks(rng, n, block, n_perm):

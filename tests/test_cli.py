@@ -419,18 +419,25 @@ class TestStartup:
     def test_scan_commands_never_load_scipy(self, tmp_path):
         """Only the statistics need scipy: importing the CLI and running
         `signal` or `thirdperson` load none of it, and `validate` loads no
-        scipy.stats."""
+        scipy.stats. The scan, in shards here, loads no process pool
+        either: multiprocessing alone costs more peak memory than the
+        benchmark's bound allows."""
         ws = tmp_path / "ws"
         assert main(["synth", "--out", str(ws), "--days", "60", "--posts-per-day", "20"]) == 0
         script = (
             "import sys\n"
+            "from emoscope import corpus\n"
             "from emoscope.cli import main\n"
+            "corpus._MIN_SHARD_BYTES = 1\n"
             "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')[:3]\n"
+            "def pools(): return [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]\n"
             "assert loaded() == [], ('import', loaded())\n"
             "assert main(['signal', '--config', sys.argv[1]]) == 0\n"
             "assert loaded() == [], ('signal', loaded())\n"
+            "assert pools() == [], ('signal', pools())\n"
             "assert main(['thirdperson', '--config', sys.argv[1]]) == 0\n"
             "assert loaded() == [], ('thirdperson', loaded())\n"
+            "assert pools() == [], ('thirdperson', pools())\n"
             "assert main(['validate', '--config', sys.argv[1]]) == 0\n"
             "assert 'scipy.special' in sys.modules, loaded()\n"
             "assert 'scipy.stats' not in sys.modules, ('validate', loaded())\n"

@@ -2,22 +2,31 @@
 
 import gzip
 import json
+import os
+import pickle
+import tempfile
+import time
 from datetime import date, datetime, timezone
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from emoscope import corpus
 from emoscope.corpus import (
     FilterConfig,
     Gender,
     Post,
     StreamCounts,
     _parse_timestamp,
+    damaged_stream,
     filter_post,
     load_json_object,
     parse_post_record,
+    read_ndjson,
     serialize_post,
     stream_posts,
 )
@@ -390,3 +399,185 @@ class TestStreamPosts:
             "filtered": 1,
             "kept": 3,
         }
+
+
+class TestRecordErrorPickle:
+    """A RecordError crosses a process boundary as a pickle."""
+
+    @pytest.mark.parametrize(
+        "err",
+        [
+            RecordError("bad line", 7, "a.ndjson"),
+            RecordError("no place"),
+            RecordError("no line", source="b.ndjson"),
+            damaged_stream(EOFError("Compressed file ended"), 41, "c.ndjson.gz"),
+        ],
+        ids=["located", "bare", "source-only", "damaged-stream"],
+    )
+    def test_round_trip(self, err):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is RecordError
+        assert (str(back), back.line_no, back.source) == (str(err), err.line_no, err.source)
+
+
+def _read_all(paths):
+    """Every (line number, source, line) and error read_ndjson meets."""
+    counts = StreamCounts()
+    errors = []
+
+    def parse(line, line_no, source):
+        if not line.startswith("{"):
+            raise RecordError("not an object", line_no, source)
+        return line_no, source, line
+
+    records = list(read_ndjson(paths, parse, counts, errors.append))
+    return records, [str(e) for e in errors], counts.as_dict()
+
+
+SHARD_LINE = st.one_of(
+    st.sampled_from([b"{}", b"{ok}", b"x", b"", b"  ", b"\r", b"{\xff}", b"\xc3"]),
+    st.binary(max_size=30),
+)
+
+
+class TestShards:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        files=st.lists(
+            st.tuples(st.lists(st.tuples(SHARD_LINE, st.sampled_from([b"\n", b"\r\n", b""]))),
+                      st.booleans()),
+            min_size=1,
+            max_size=3,
+        ),
+        parts=st.integers(1, 6),
+        min_bytes=st.integers(1, 64),
+    )
+    def test_groups_read_as_the_whole_files(self, files, parts, min_bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, (lines, gz) in enumerate(files):
+                data = b"".join(line + end for line, end in lines)
+                path = Path(tmp) / (f"in-{i}.ndjson" + (".gz" if gz else ""))
+                path.write_bytes(gzip.compress(data, mtime=0) if gz else data)
+                paths.append(path)
+            with mock.patch.object(corpus, "_MIN_SHARD_BYTES", min_bytes):
+                groups = corpus.shard_groups(paths, parts)
+            total = sum(p.stat().st_size for p in paths)
+            assert 1 <= len(groups) <= max(1, min(parts, total // min_bytes))
+            shards = [shard for group in groups for shard in group]
+            for shard in shards:
+                assert shard.path.suffix != ".gz" or (shard.start, shard.stop) == (0, None)
+            # each group alone, then all of them in order, read as the files do
+            whole = _read_all(paths)
+            pieces = [_read_all(group) for group in groups]
+            assert [r for recs, _, _ in pieces for r in recs] == whole[0]
+            assert [e for _, errs, _ in pieces for e in errs] == whole[1]
+            assert _read_all(shards) == whole
+
+    def test_cut_after_newline_numbers_lines_on(self, tmp_path):
+        path = tmp_path / "in.ndjson"
+        path.write_bytes(b"".join(b"{%03d}\n" % i for i in range(1, 101)))  # 6 bytes a line
+        with mock.patch.object(corpus, "_MIN_SHARD_BYTES", 1):
+            (first,), (second,), (third,) = corpus.shard_groups([path], 3)
+        # the cuts at bytes 200 and 400 move on to the ends of lines 34 and 67
+        assert (first.start, first.stop, first.first_line) == (0, 204, 1)
+        assert (second.start, second.stop, second.first_line) == (204, 402, 35)
+        assert (third.start, third.stop, third.first_line) == (402, None, 68)
+
+    def test_too_few_bytes_make_one_group(self, tmp_path):
+        path = tmp_path / "in.ndjson"
+        path.write_bytes(b"{}\n" * 100)
+        with mock.patch.object(corpus, "_MIN_SHARD_BYTES", 151):
+            assert corpus.shard_groups([path], 8) == [[corpus.Shard(path)]]
+        with mock.patch.object(corpus, "_MIN_SHARD_BYTES", 150):
+            assert len(corpus.shard_groups([path], 8)) == 2
+
+    def test_a_shard_stands_for_its_file(self, tmp_path):
+        path = tmp_path / "in.ndjson"
+        path.write_bytes(b"{}\n" * 10)
+        shard = corpus.Shard(path, 6, 12, 3)
+        assert isinstance(shard, os.PathLike)
+        assert os.fspath(shard) == str(path)
+        assert os.path.getsize(shard) == 30
+
+
+def _scan_names(group, on_error):
+    """A scan for scan_shards: the shard files, and three errors per group."""
+    if on_error is not None:
+        for line_no in (1, 2, 3):
+            on_error(RecordError("seen", line_no, os.fspath(group[0])))
+    return [os.path.basename(shard) for shard in group]
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestScanShards:
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus, "_MIN_SHARD_BYTES", 1)
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: 3)
+        paths = []
+        for name in "abc":
+            path = tmp_path / f"{name}.ndjson.gz"
+            path.write_bytes(gzip.compress(b"{}\n" * 100, mtime=0))
+            paths.append(path)
+        return paths
+
+    def test_results_and_errors_in_input_order(self, inputs):
+        errors = []
+        results = corpus.scan_shards(inputs, _scan_names, errors.append, 2)
+        assert results == [["a.ndjson.gz"], ["b.ndjson.gz"], ["c.ndjson.gz"]]
+        # all of this process's errors, then at most 2 of each child's
+        a, b, c = map(str, inputs)
+        assert [(e.source, e.line_no) for e in errors] == [
+            (a, 1), (a, 2), (a, 3), (b, 1), (b, 2), (c, 1), (c, 2)
+        ]
+        _no_children_left()
+
+    def test_one_group_forks_nothing(self, inputs, monkeypatch):
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", None)
+        results = corpus.scan_shards(inputs, _scan_names, None, 20)
+        assert results == [["a.ndjson.gz", "b.ndjson.gz", "c.ndjson.gz"]]
+
+    def test_first_failing_group_raises(self, inputs):
+        def scan(group, on_error):
+            if os.path.basename(group[0]) != "a.ndjson.gz":
+                raise RecordError("broken", 9, os.fspath(group[0]))
+            return _scan_names(group, on_error)
+
+        errors = []
+        with pytest.raises(RecordError) as info:
+            corpus.scan_shards(inputs, scan, errors.append, 20)
+        assert (info.value.line_no, info.value.source) == (9, str(inputs[1]))
+        assert [e.source for e in errors] == [str(inputs[0])] * 3
+        _no_children_left()
+
+    def test_own_group_failing_kills_the_others(self, inputs):
+        parent = os.getpid()
+
+        def scan(group, on_error):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            corpus.scan_shards(inputs, scan, None, 20)
+        assert time.monotonic() - started < 30
+        _no_children_left()
+
+    def test_child_ending_without_a_result(self, inputs):
+        parent = os.getpid()
+
+        def scan(group, on_error):
+            if os.getpid() != parent:
+                os._exit(3)
+            return []
+
+        with pytest.raises(ChildProcessError, match="exit status 3"):
+            corpus.scan_shards(inputs, scan, None, 20)
+        _no_children_left()

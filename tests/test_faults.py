@@ -2,14 +2,21 @@
 holds, reading it ends as counted malformed lines or as a RecordError that
 names the file and the line. Nothing else may escape."""
 
+import contextlib
 import gzip
+import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emoscope import corpus
+from emoscope.cli import main
+from emoscope.config import expand_inputs, load_config
 from emoscope.corpus import FilterConfig, StreamCounts, stream_posts
 from emoscope.errors import RecordError
 from emoscope.signals import ScoreCounts, stream_scores
@@ -137,3 +144,142 @@ def test_any_bytes_end_as_malformed_lines_or_a_located_record_error(lines, gz, d
         assert str(err).startswith(f"{path}:{err.line_no}: ")
     if not gz or damage is None:
         assert counts.records == _records(data)
+
+
+# The whole CLI on such bytes: `signal` over one to three corpus files, its
+# scan forced into shards (one process per shard group) and again in one
+# process. Both runs must end alike, byte for byte.
+
+
+@pytest.fixture(scope="module")
+def lexicon_workspace(tmp_path_factory):
+    """Lexicons, scores and survey of a tiny synth run; corpora come per test."""
+    ws = tmp_path_factory.mktemp("lexicons")
+    args = ["synth", "--out", str(ws), "--days", "7", "--posts-per-day", "2",
+            "--scores-per-day", "2"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0
+    return ws
+
+
+def _signal_ini(ws: Path, corpus_dir: Path) -> Path:
+    """The synth pipeline.ini, reading corpus_dir/corpus-* and ws's other files."""
+    text = (ws / "pipeline.ini").read_text(encoding="utf-8")
+    text = text.replace("input = corpus.ndjson", f"input = {corpus_dir / 'corpus-*'}")
+    for name in ("lexicons/", "scores.ndjson", "survey.csv"):
+        text = text.replace(f" {name}", f" {ws}/{name}")
+    ini = corpus_dir / "pipeline.ini"
+    ini.write_text(text, encoding="utf-8")
+    return ini
+
+
+def _write_corpus(corpus_dir: Path, files) -> None:
+    for i, (lines, gz, damage) in enumerate(files):
+        data = b"".join(line + end for line, end in lines)
+        path = corpus_dir / (f"corpus-{i}.ndjson" + (".gz" if gz else ""))
+        path.write_bytes(_damage(gzip.compress(data, mtime=0), damage) if gz else data)
+
+
+def _signal_run(ini: Path, out: Path, sharded: bool):
+    """(exit code, stderr, {file name: bytes}) of `signal`, its scan
+    split into up to three shard groups or kept in one process."""
+    with mock.patch.object(corpus, "_MIN_SHARD_BYTES", 1 if sharded else 1 << 62), \
+            mock.patch.object(corpus, "_usable_cpus", lambda: 3), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["signal", "--config", str(ini), "--output", str(out)])
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+    return code, err.getvalue(), files
+
+
+def _assert_same_signal_runs(ini: Path, tmp: Path):
+    sharded = _signal_run(ini, tmp / "sharded", sharded=True)
+    single = _signal_run(ini, tmp / "single", sharded=False)
+    assert sharded == single
+    code, _, files = single
+    assert code in (0, 1, 2)
+    if code == 0:
+        counts = json.loads(files["manifest.json"])["counts"]
+        assert counts["records"] == counts["parsed"] + counts["malformed"]
+        assert counts["parsed"] == counts["kept"] + counts["filtered"]
+    return single
+
+
+def _post_line(i: int) -> bytes:
+    """A post that the filter keeps, without its newline."""
+    return json.dumps({"id": str(i), "created_at": f"2020-06-0{1 + i % 7}T12:00:00Z",
+                       "text": "so sad and lonely" if i % 3 else "a fine day",
+                       "author_gender": "male" if i % 2 else "female",
+                       "author_followers": 500}).encode()
+
+
+def _posts(ids) -> bytes:
+    return b"".join(_post_line(i) + b"\n" for i in ids)
+
+
+# half the lines are posts that the filter keeps, so that runs get past it
+ENDING = st.sampled_from([b"\n", b"\r\n", b""])
+CORPUS_FILE = st.tuples(
+    st.lists(st.tuples(st.one_of(st.builds(_post_line, st.integers(0, 99)), LINE), ENDING),
+             max_size=12),
+    st.booleans(),  # gzip
+    st.one_of(st.none(), DAMAGE),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(files=st.lists(CORPUS_FILE, min_size=1, max_size=3))
+def test_signal_in_shards_ends_as_in_one_process(lexicon_workspace, files):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        _write_corpus(tmp, files)
+        _assert_same_signal_runs(_signal_ini(lexicon_workspace, tmp), tmp)
+
+
+def _groups(ini: Path) -> int:
+    with mock.patch.object(corpus, "_MIN_SHARD_BYTES", 1), \
+            mock.patch.object(corpus, "_usable_cpus", lambda: 3):
+        return len(corpus.shard_groups(expand_inputs(load_config(ini)), 3))
+
+
+class TestShardedSignal:
+    """Deterministic cases of the property above, at the shard edges."""
+
+    def test_invalid_utf8_line_across_a_cut(self, lexicon_workspace, tmp_path):
+        bad = b'{"id": "x", "text": "' + b"\xff" * 3000 + b'"}\n'
+        data = _posts(range(20)) + bad + _posts(range(10))
+        (tmp_path / "corpus-0.ndjson").write_bytes(data)
+        ini = _signal_ini(lexicon_workspace, tmp_path)
+        assert _groups(ini) == 3  # the second cut falls inside the invalid line ...
+        code, _, files = _assert_same_signal_runs(ini, tmp_path)
+        assert code == 0
+        manifest = json.loads(files["manifest.json"])
+        assert manifest["counts"]["malformed"] == 1
+        # ... which is read once, under its own line number
+        assert manifest["error_samples"] == [
+            f"{tmp_path / 'corpus-0.ndjson'}:21: invalid UTF-8 at byte 21 (invalid start byte)"
+        ]
+
+    def test_damaged_gz_in_a_later_shard(self, lexicon_workspace, tmp_path):
+        (tmp_path / "corpus-0.ndjson").write_bytes(_posts(range(60)))
+        data = gzip.compress(_posts(range(30)), mtime=0)
+        (tmp_path / "corpus-1.ndjson.gz").write_bytes(data[: len(data) // 2])
+        ini = _signal_ini(lexicon_workspace, tmp_path)
+        assert _groups(ini) == 3
+        code, stderr, _ = _assert_same_signal_runs(ini, tmp_path)
+        assert code == 2
+        assert stderr.startswith(f"error: {tmp_path / 'corpus-1.ndjson.gz'}:")
+        assert "corrupt or truncated gzip stream" in stderr
+
+    def test_error_samples_spread_over_shards(self, lexicon_workspace, tmp_path):
+        lines = [_post_line(i) + b"\n" if i % 3 else b"{broken %d\n" % i for i in range(90)]
+        (tmp_path / "corpus-0.ndjson").write_bytes(b"".join(lines))
+        ini = _signal_ini(lexicon_workspace, tmp_path)
+        assert _groups(ini) == 3
+        code, _, files = _assert_same_signal_runs(ini, tmp_path)
+        assert code == 0
+        manifest = json.loads(files["manifest.json"])
+        assert manifest["counts"]["malformed"] == 30
+        samples = manifest["error_samples"]
+        assert len(samples) == 20
+        assert [s.split(":")[1] for s in samples] == [str(1 + 3 * i) for i in range(20)]

@@ -249,7 +249,11 @@ def _loop_permutation_p(x, y, statistic, n_perm, seed, block=1):
     y = np.asarray(y, float)
     rng = np.random.default_rng(seed)
     obs = abs(statistic(x, y))
-    bar = obs - 100 * np.finfo(float).eps * obs
+    magnitude = obs
+    if statistic is pearson:  # Pearson ties are measured against its terms
+        xc, yc = x - x.mean(), y - y.mean()
+        magnitude = np.abs(xc) @ np.abs(yc) / math.sqrt((xc @ xc) * (yc @ yc))
+    bar = obs - 100 * np.finfo(float).eps * magnitude
     blocks = [x[i : i + block] for i in range(0, len(x), block)]
     hits = 0
     for _ in range(n_perm):
@@ -312,6 +316,18 @@ class TestPermutationEngine:
             rng = np.random.default_rng(seed)
             hits = sum(set(rng.permutation(6)[3:].tolist()) in extremes for _ in range(999))
             assert permutation_test(x, y, n_perm=999, seed=seed) == (1 + hits) / 1000
+
+    def test_integer_series_ties_match_scalar_loop(self):
+        # r_obs is 0 in exact arithmetic on some of these, so a tolerance
+        # relative to |r_obs| alone loses ties that rounding splits
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            x = rng.integers(0, 3, 12).astype(float)
+            y = rng.integers(0, 3, 12).astype(float)
+            if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+                continue
+            got = permutation_test(x, y, n_perm=999, seed=seed)
+            assert got == _loop_permutation_p(x, y, pearson, 999, seed), seed
 
     @given(
         st.integers(0, 2**32 - 1),
