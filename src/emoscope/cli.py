@@ -190,6 +190,11 @@ def _apply_overrides(cfg, args) -> None:
     cfg.validate()
 
 
+def _print_counts(c) -> None:
+    print(f"records={c.records} parsed={c.parsed} malformed={c.malformed} "
+          f"filtered={c.dropped} kept={c.kept}")
+
+
 def cmd_signal(args) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
@@ -198,9 +203,7 @@ def cmd_signal(args) -> int:
     bundle = build_signals(cfg)
     written = write_signal_outputs(cfg, bundle, out)
     write_manifest(cfg, bundle, written, out / "manifest.json")
-    c = bundle.counts
-    print(f"records={c.records} parsed={c.parsed} malformed={c.malformed} "
-          f"filtered={c.dropped} kept={c.kept}")
+    _print_counts(bundle.counts)
     for name in bundle.signal_names:
         print(f"matched[{name}] = {bundle.matched[name]}")
     print(f"wrote {len(written)} signal files + manifest.json to {out}")
@@ -215,6 +218,7 @@ def cmd_validate(args) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle = build_signals(cfg)
+    _print_counts(bundle.counts)
     rows = run_validation(cfg, bundle, extra_stratified=args.stratified)
     write_report_csv(rows, out / "report.csv")
     table = format_report_table(rows)

@@ -14,6 +14,8 @@ from datetime import date
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from .config import PipelineConfig, expand_inputs
 from .corpus import Gender, StreamCounts, scan_shards, stream_posts
 from .errors import ConfigError, RecordError, SignalError, StatError
@@ -49,6 +51,7 @@ from .stats import (
     kpss,
     lagged_regression_hac,
     percent_difference,
+    permutation_pair,
     permutation_test,
     chi2_two_proportions,
     significance_marker,
@@ -279,15 +282,19 @@ class ValidationRow:
 
 def validate_pair(
     survey: SurveySeries, weekly: WeeklySeries, stratum: str, cfg: PipelineConfig
-) -> ValidationRow:
-    """Full battery on one (survey emotion, signal, stratum) combination.
+) -> tuple[ValidationRow, list[tuple[str, np.ndarray, np.ndarray]]]:
+    """Full battery on one (survey emotion, signal, stratum) combination,
+    but for running its permutation tests.
 
     Correlations are split at cfg.split_date; the permutation, DCCA, HAC
     and KPSS statistics use the whole pairwise-complete series. Every
     statistic failing its precondition is skipped with a recorded reason
-    instead of failing the run.
+    instead of failing the run. Returns the row and, for each permutation
+    p-value field (perm_p, dcca_p) whose test is defined, that field with
+    the pairs to test; `run_validation` runs the tests of all rows at once.
     """
     row = ValidationRow(survey_emotion=survey.emotion, signal=weekly.name, stratum=stratum)
+    tests = []
 
     def guard(label, fn):
         try:
@@ -319,23 +326,16 @@ def validate_pair(
             else:
                 row.r2, row.r2_lo, row.r2_hi, row.r2_p = res.r, res.ci_low, res.ci_high, res.p
 
-    row.perm_p = guard(
-        "permutation",
-        lambda: permutation_test(x, y, n_perm=cfg.permutations, seed=cfg.seed),
-    )
+    def permutation(label, field):
+        pair = guard(label, lambda: permutation_pair(x, y))
+        if pair is not None:
+            tests.append((field, *pair))
+
+    permutation("permutation", "perm_p")
     dcca_result = guard("dcca", lambda: dcca(x, y, window=cfg.dcca_window))
     if dcca_result is not None:
         row.dcca_rho = dcca_result.rho
-        row.dcca_p = guard(
-            "dcca permutation",
-            lambda: permutation_test(
-                x,
-                y,
-                statistic=dcca_statistic(cfg.dcca_window),
-                n_perm=cfg.permutations,
-                seed=cfg.seed,
-            ),
-        )
+        permutation("dcca permutation", "dcca_p")
     fit = guard("regression", lambda: lagged_regression_hac(y, x))
     if fit is not None:
         row.beta = fit.beta
@@ -344,18 +344,23 @@ def validate_pair(
         if kp is not None:
             row.kpss_stat = kp.statistic
             row.kpss_band = kp.verdict_band
-    return row
+    return row, tests
 
 
 def run_validation(
     cfg: PipelineConfig, bundle: SignalBundle | None = None, extra_stratified: bool = False
 ) -> list[ValidationRow]:
+    """`validate_pair` for every configured pair and stratum, then all
+    their permutation tests: one `permutation_test` call per statistic and
+    number of pairs n, so the rows of a call share one draw of the
+    shuffles."""
     if not cfg.pairs:
         raise ConfigError("no survey/signal pairs configured ([survey] pairs)")
     surveys = load_survey_map(cfg)
     if bundle is None:
         bundle = build_signals(cfg)
     rows: list[ValidationRow] = []
+    calls: dict[tuple[str, int], list[tuple[ValidationRow, np.ndarray, np.ndarray]]] = {}
     for survey_emotion, signal in cfg.pairs:
         if survey_emotion not in surveys:
             raise ConfigError(
@@ -371,7 +376,21 @@ def run_validation(
                 offset_days=cfg.week_offset,
                 name=signal,
             )
-            rows.append(validate_pair(survey, weekly, stratum, cfg))
+            row, tests = validate_pair(survey, weekly, stratum, cfg)
+            rows.append(row)
+            for field, x, y in tests:
+                calls.setdefault((field, len(x)), []).append((row, x, y))
+    statistics = {"perm_p": None, "dcca_p": dcca_statistic(cfg.dcca_window)}
+    for (field, _), members in calls.items():
+        p_values = permutation_test(
+            [x for _, x, _ in members],
+            [y for _, _, y in members],
+            statistics[field],
+            n_perm=cfg.permutations,
+            seed=cfg.seed,
+        )
+        for (row, _, _), p in zip(members, p_values):
+            setattr(row, field, p)
     return rows
 
 

@@ -2,8 +2,11 @@
 detrended cross-correlation, HAC-robust lagged regression, KPSS
 stationarity, two-proportion comparison, and ROC analysis.
 
-scipy is imported inside the functions that use it, so the scan commands,
-which need none of them, never load it."""
+numpy and the standard library only: the normal quantile is
+statistics.NormalDist, the Student t tail comes from `special`, the
+chi-square tail is math.erfc and the AUC ranks are numpy average ranks.
+`statistics` and `special` are imported inside the functions that use
+them, so the scan commands, which need none of them, never load them."""
 
 from __future__ import annotations
 
@@ -51,10 +54,10 @@ def fisher_ci(r: float, n: int, level: float = 0.95) -> tuple[float, float]:
         raise StatError(f"interval needs n >= 4, have {n}")
     if abs(r) >= 1.0:
         raise StatError(f"interval undefined at |r| >= 1 (r={r})")
-    from scipy import special
+    from statistics import NormalDist  # not loaded by the scan commands
 
     z = math.atanh(r)
-    half = float(special.ndtri(0.5 + level / 2.0)) / math.sqrt(n - 3)
+    half = NormalDist().inv_cdf(0.5 + level / 2.0) / math.sqrt(n - 3)
     return math.tanh(z - half), math.tanh(z + half)
 
 
@@ -64,10 +67,10 @@ def correlation_p(r: float, n: int) -> float:
         raise StatError(f"p-value needs n >= 4, have {n}")
     if abs(r) >= 1.0:
         raise StatError(f"p-value undefined at |r| >= 1 (r={r})")
-    from scipy import special
+    from .special import student_t_p  # not loaded by the scan commands
 
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return float(2.0 * special.stdtr(n - 2, -abs(t)))
+    return student_t_p(n - 2, t)
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,30 @@ def _index_chunks(rng: np.random.Generator, n: int, block: int, n_perm: int):
             yield flat[flat < n].reshape(k, n)
 
 
+def permutation_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The observations a permutation test of x against y runs on: the
+    pairwise-complete values. Raises StatError where the test is
+    undefined, for fewer than 3 pairs or a constant series."""
+    x, y = _clean_pair(x, y)
+    n = len(x)
+    if n < 3:
+        raise StatError(f"need at least 3 paired observations, have {n}")
+    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+        raise StatError("permutation test undefined for a constant series")
+    return x, y
+
+
+def _row_kernel(statistic, x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    kernel = getattr(statistic, "rows", None)
+    if kernel is not None:
+        return kernel(x, y)
+
+    def rows(X):
+        return np.array([statistic(row, y) for row in X], dtype=float)
+
+    return rows
+
+
 def permutation_test(
     x,
     y,
@@ -148,7 +175,7 @@ def permutation_test(
     n_perm: int = 10_000,
     seed: int | None = None,
     block: int = 1,
-) -> float:
+) -> float | list[float]:
     """Two-sided permutation p-value, shuffling x while y stays fixed.
 
     `statistic` defaults to the Pearson correlation. Any statistic sees the
@@ -165,6 +192,12 @@ def permutation_test(
     once per permutation. `block` > 1 permutes consecutive blocks of that
     length instead of single observations, an option for autocorrelated
     series. A seed is mandatory: an unseeded test is not reproducible.
+
+    x and y may also be 2-D, one series per row: row i of x is tested
+    against row i of y and a list of p-values is returned. Each chunk of
+    shuffles is then drawn once for all rows with the same n (pairs left
+    after dropping non-finite ones) and applied to each of them, so every
+    p-value equals that of the row's own one-pair call.
     """
     if seed is None:
         raise StatError("seed is required for a reproducible permutation test")
@@ -172,28 +205,28 @@ def permutation_test(
         raise StatError(f"n_perm must be >= 1, got {n_perm}")
     if block < 1:
         raise StatError(f"block must be >= 1, got {block}")
-    x, y = _clean_pair(x, y)
-    n = len(x)
-    if n < 3:
-        raise StatError(f"need at least 3 paired observations, have {n}")
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        raise StatError("permutation test undefined for a constant series")
     if statistic is None:
         statistic = pearson
-    kernel = getattr(statistic, "rows", None)
-    if kernel is not None:
-        rows = kernel(x, y)
-    else:
-        def rows(X):
-            return np.array([statistic(row, y) for row in X], dtype=float)
+    batch = np.ndim(x) == 2
+    if batch and np.shape(x) != np.shape(y):
+        raise StatError("x and y must hold equally many series of equal length")
+    pairs = [permutation_pair(a, b) for a, b in zip(x, y)] if batch else [permutation_pair(x, y)]
 
-    obs = abs(rows(x[None, :])[0])
-    bar = obs - _TIE_RTOL * getattr(rows, "magnitude", obs)
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for idx in _index_chunks(rng, n, block, n_perm):
-        hits += int(np.count_nonzero(np.abs(rows(x[idx])) >= bar))
-    return (1 + hits) / (n_perm + 1)
+    tests = []
+    by_n: dict[int, list[int]] = {}
+    for i, (a, b) in enumerate(pairs):
+        rows = _row_kernel(statistic, a, b)
+        obs = abs(rows(a[None, :])[0])
+        tests.append((a, rows, obs - _TIE_RTOL * getattr(rows, "magnitude", obs)))
+        by_n.setdefault(len(a), []).append(i)
+    hits = [0] * len(tests)
+    for n, members in by_n.items():
+        for idx in _index_chunks(np.random.default_rng(seed), n, block, n_perm):
+            for i in members:
+                a, rows, bar = tests[i]
+                hits[i] += int(np.count_nonzero(np.abs(rows(a[idx])) >= bar))
+    p_values = [(1 + h) / (n_perm + 1) for h in hits]
+    return p_values if batch else p_values[0]
 
 
 @dataclass(frozen=True)
@@ -381,9 +414,9 @@ def lagged_regression_hac(y, x, lag: int | None = None) -> RegressionFit:
     se = np.sqrt(np.diag(cov))
     alpha, beta, gamma = (float(c) for c in coef)
     if se[1] > 0.0:
-        from scipy import special
+        from .special import student_t_p
 
-        p_beta = float(2.0 * special.stdtr(nobs - 3, -abs(beta / se[1])))
+        p_beta = student_t_p(nobs - 3, beta / float(se[1]))
     else:
         p_beta = 1.0 if beta == 0.0 else 0.0
     raw_beta = beta * sy / sx
@@ -525,10 +558,20 @@ def roc_auc(labels, scores) -> float:
     nneg = len(labels) - npos
     if npos == 0 or nneg == 0:
         raise StatError("need at least one positive and one negative label")
-    from scipy.stats import rankdata
-
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     return float((ranks[labels].sum() - npos * (npos + 1) / 2.0) / (npos * nneg))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n, each tie group given the mean of the ranks it spans."""
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    group = np.cumsum(starts) - 1
+    bounds = np.r_[np.nonzero(starts)[0], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
+    return ranks
 
 
 def roc_curve(labels, scores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -30,6 +30,6 @@ def test_every_exported_name_imports():
 def test_test_only_code_is_not_exported():
     assert TEST_ONLY.isdisjoint(emoscope.__all__)
     assert not any(hasattr(emoscope, name) for name in TEST_ONLY)
-    for module in ("corpus", "lexicon", "signals", "stats", "pipeline"):
+    for module in ("corpus", "lexicon", "signals", "stats", "special", "pipeline"):
         leaked = TEST_ONLY & set(vars(importlib.import_module(f"emoscope.{module}")))
         assert leaked == set(), module

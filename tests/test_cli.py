@@ -250,6 +250,19 @@ class TestValidateDegenerate:
         )
         return tmp_path
 
+    def test_first_line_counts_records_as_signal_does(self, tmp_path, capsys):
+        ws = self._make_workspace(tmp_path)
+        with open(ws / "c.ndjson", "ab") as fh:
+            fh.write(b'{"id": "broken"\n')
+        ini = str(ws / "pipeline.ini")
+        firsts = []
+        for command in ("signal", "validate"):
+            capsys.readouterr()
+            assert main([command, "--config", ini]) == 0
+            firsts.append(capsys.readouterr().out.splitlines()[0])
+        assert firsts[0] == "records=141 parsed=140 malformed=1 filtered=0 kept=140"
+        assert firsts[1] == firsts[0]
+
     def test_constant_signal_is_skipped_not_fatal(self, tmp_path, capsys):
         ws = self._make_workspace(tmp_path)  # every post matches -> fraction 1.0
         code = main(["validate", "--config", str(ws / "pipeline.ini")])
@@ -417,11 +430,10 @@ class TestExitCodes:
 
 class TestStartup:
     def test_scan_commands_never_load_scipy(self, tmp_path):
-        """Only the statistics need scipy: importing the CLI and running
-        `signal` or `thirdperson` load none of it, and `validate` loads no
-        scipy.stats. The scan, in shards here, loads no process pool
-        either: multiprocessing alone costs more peak memory than the
-        benchmark's bound allows."""
+        """No command loads scipy: importing the CLI and running `signal`,
+        `thirdperson`, `validate` and `auc` load none of it. The scan, in
+        shards here, loads no process pool either: multiprocessing alone
+        costs more peak memory than the benchmark's bound allows."""
         ws = tmp_path / "ws"
         assert main(["synth", "--out", str(ws), "--days", "60", "--posts-per-day", "20"]) == 0
         script = (
@@ -439,14 +451,24 @@ class TestStartup:
             "assert loaded() == [], ('thirdperson', loaded())\n"
             "assert pools() == [], ('thirdperson', pools())\n"
             "assert main(['validate', '--config', sys.argv[1]]) == 0\n"
-            "assert 'scipy.special' in sys.modules, loaded()\n"
-            "assert 'scipy.stats' not in sys.modules, ('validate', loaded())\n"
+            "assert loaded() == [], ('validate', loaded())\n"
+            "assert main(['auc', '--scores', sys.argv[2], '--labels', sys.argv[3],\n"
+            "             '--output', sys.argv[4]]) == 0\n"
+            "assert loaded() == [], ('auc', loaded())\n"
+        )
+        labels = tmp_path / "labels.csv"
+        with open(ws / "scores.ndjson", encoding="utf-8") as fh:
+            ids = [json.loads(line)["id"] for line in fh][:40]
+        labels.write_text(
+            "id,emotion,label\n" + "".join(f"{i},sadness,{k % 2}\n" for k, i in enumerate(ids)),
+            encoding="utf-8",
         )
         env = dict(os.environ)
         package_root = str(Path(emoscope.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(ws / "pipeline.ini")],
+            [sys.executable, "-c", script, str(ws / "pipeline.ini"), str(ws / "scores.ndjson"),
+             str(labels), str(tmp_path / "auc")],
             capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,8 @@
 """The one corpus scan behind `signal` and `thirdperson`, checked against
-brute-force counts over the same filtered posts."""
+brute-force counts over the same filtered posts, and the shared
+permutation calls behind `validate`, checked against one call per test."""
 
+import dataclasses
 import json
 
 import pytest
@@ -15,9 +17,14 @@ from emoscope.pipeline import (
     build_signals,
     format_proportions_table,
     format_report_table,
+    load_survey_map,
+    run_validation,
+    strata_for,
     thirdperson_rows,
+    validate_pair,
 )
-from emoscope.signals import GENDER_STRATA
+from emoscope.signals import GENDER_STRATA, paired_values, weekly_align
+from emoscope.stats import dcca_statistic, permutation_test
 
 from oracles import daily_fraction, lexicon_predicate, matches_explicit_report, matches_lexicon
 
@@ -192,3 +199,51 @@ def test_tables_share_one_layout():
         "---------  ---------------------  ------------------------  ------------  ------\n"
         "all_posts  0.2500\n"
     )
+
+
+def test_run_permutation_p_equals_per_row_calls(tmp_path):
+    """run_validation runs the permutation tests of all rows together; each
+    p equals its own permutation_test call, and the rest of each row is
+    validate_pair's, including a row that skips both tests."""
+    ws = tmp_path / "weak"
+    assert main(["synth", "--out", str(ws), "--days", "200", "--posts-per-day", "15",
+                 "--seed", "2", "--survey-seed", "2", "--score-seed", "2"]) == 0
+    survey_csv = ws / "survey.csv"
+    anchors = sorted({line.split(",")[0] for line in survey_csv.read_text().splitlines()[1:]})
+    with open(survey_csv, "a", encoding="utf-8") as fh:
+        fh.write("".join(f"{a},flat,10\n" for a in anchors))  # a survey that never moves
+        # a survey with fewer weeks, so its rows are tested at a smaller n
+        fh.write("".join(f"{a},short,{10 + i * 7 % 5}\n" for i, a in enumerate(anchors[:20])))
+    cfg = load_config(ws / "pipeline.ini")
+    cfg.permutations = 2000
+    cfg.pairs = cfg.pairs + (("flat", "sadness"), ("short", "anxiety"))
+    bundle = build_signals(cfg)
+    rows = run_validation(cfg, bundle, extra_stratified=True)
+
+    surveys = load_survey_map(cfg)
+    combos = [
+        (surveys[emotion], signal, stratum)
+        for emotion, signal in cfg.pairs
+        for stratum in strata_for(cfg, signal, extra_stratified=True)
+    ]
+    assert len(rows) == len(combos) == 18
+    p_values, sizes = [], set()
+    for row, (survey, signal, stratum) in zip(rows, combos):
+        weekly = weekly_align(bundle.stratum_signal(signal, stratum), survey.anchors,
+                              window_days=cfg.week_length, offset_days=cfg.week_offset,
+                              name=signal)
+        alone, tests = validate_pair(survey, weekly, stratum, cfg)
+        assert dataclasses.replace(row, perm_p=None, dcca_p=None) == alone
+        if survey.emotion == "flat":
+            assert tests == [] and row.perm_p is None and row.dcca_p is None
+            assert any(note.startswith("permutation skipped:") for note in row.notes)
+            continue
+        assert [field for field, _, _ in tests] == ["perm_p", "dcca_p"]
+        x, y, _ = paired_values(weekly, survey)
+        sizes.add(len(x))
+        kw = {"n_perm": cfg.permutations, "seed": cfg.seed}
+        assert row.perm_p == permutation_test(x, y, **kw)
+        assert row.dcca_p == permutation_test(x, y, dcca_statistic(cfg.dcca_window), **kw)
+        p_values += [row.perm_p, row.dcca_p]
+    assert sizes == {20, 28}
+    assert sum(p > 20 / (cfg.permutations + 1) for p in p_values) >= 10, p_values

@@ -1,6 +1,8 @@
 """Statistics battery: frozen oracle values first, then invariants."""
 
 import math
+import sys
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emoscope.errors import StatError
+from emoscope.special import betainc, student_t_p
 from emoscope.stats import (
+    _average_ranks,
     _chi2_sf_1df,
     chi2_two_proportions,
     correlate,
@@ -175,6 +179,66 @@ class TestCorrelationP:
     @given(st.floats(0.0, 0.9), st.integers(5, 100))
     def test_monotone_in_magnitude(self, r, n):
         assert correlation_p(r + 0.05, n) <= correlation_p(r, n) + 1e-12
+
+
+class TestScipyReplacements:
+    """The stdlib and numpy forms that stand in for scipy.special.stdtr,
+    scipy.special.ndtri and scipy.stats.rankdata, against scipy itself."""
+
+    def test_student_t_matches_stdtr(self):
+        special = pytest.importorskip("scipy.special")
+        ts = np.geomspace(1e-4, 1e3, 61)
+        for df in list(range(1, 101)) + list(range(101, 2001, 19)) + [2000]:
+            want = 2.0 * special.stdtr(df, -ts)
+            for t, w in zip(ts.tolist(), want.tolist()):
+                got = student_t_p(df, t)
+                assert student_t_p(df, -t) == got
+                if w < sys.float_info.min:  # scipy's tail has underflowed
+                    assert got == 0.0, (df, t, w)
+                else:
+                    assert abs(got - w) <= 1e-11 * w, (df, t, got, w)
+
+    @pytest.mark.parametrize("df, central", [
+        (1, lambda t: 2.0 / math.pi * math.atan(t)),
+        (2, lambda t: t / math.sqrt(2.0 + t * t)),
+    ], ids=["df1", "df2"])
+    def test_student_t_closed_forms_below_1e4(self, df, central):
+        # scipy itself strays from the closed form here (3e-9 at df=1)
+        for t in np.geomspace(1e-12, 1e-4, 41).tolist():
+            t2 = t * t
+            mass = betainc(0.5, df / 2.0, t2 / (df + t2), df / (df + t2))
+            assert mass == pytest.approx(central(t), rel=1e-11, abs=0)
+            assert student_t_p(df, t) == pytest.approx(1.0 - central(t), rel=1e-15)
+
+    def test_student_t_edges(self):
+        assert student_t_p(5, 0.0) == 1.0
+        assert student_t_p(5, math.inf) == 0.0
+        assert student_t_p(5, 1e200) == 0.0
+        assert math.isnan(student_t_p(5, math.nan))
+
+    def test_normal_quantile_matches_ndtri(self):
+        special = pytest.importorskip("scipy.special")
+        for p in np.linspace(0.5005, 0.9999, 2001).tolist():
+            want = float(special.ndtri(p))
+            assert NormalDist().inv_cdf(p) == pytest.approx(want, rel=4e-15)
+            level = 2.0 * p - 1.0
+            half = want / math.sqrt(47)
+            expected = (math.tanh(math.atanh(0.3) - half), math.tanh(math.atanh(0.3) + half))
+            assert fisher_ci(0.3, 50, level) == pytest.approx(expected, rel=1e-13)
+
+    def test_average_ranks_match_rankdata(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            n = int(rng.integers(1, 80))
+            values = rng.integers(0, int(rng.integers(1, 40)), size=n) * rng.choice([1.0, 0.25])
+            assert np.array_equal(_average_ranks(values), stats.rankdata(values))
+            labels = rng.integers(0, 2, size=n)
+            if 0 < labels.sum() < n:
+                ranks = stats.rankdata(values)
+                npos = int(labels.sum())
+                want = (ranks[labels == 1].sum() - npos * (npos + 1) / 2.0) / (npos * (n - npos))
+                assert roc_auc(labels, values) == want
 
 
 class TestCorrelate:
@@ -350,6 +414,74 @@ class TestPermutationEngine:
         X = np.stack([x] + [rng.permutation(x) for _ in range(4)])
         for got, row in zip(rows(X), X):
             assert abs(got - dcca(row, y, window=window).rho) <= 1e-10
+
+
+def _weak_pair(seed, n, nan_at=()):
+    """An AR(1) signal and a survey that follows it only weakly, with NaN
+    weeks at `nan_at` in the signal (dropped as incomplete pairs)."""
+    x, _ = _ar1_pair(seed, n)
+    y = 0.1 * x + np.random.default_rng(seed + 1000).normal(size=n)
+    x[list(nan_at)] = np.nan
+    return x, y
+
+
+class TestPermutationBatch:
+    """Many pairs in one `permutation_test` call against one call per
+    pair: equal p, bit for bit."""
+
+    N_PERM = 1999
+
+    def _assert_batch_equals_calls(self, pairs, statistic, seed=7, block=1, n_perm=N_PERM):
+        xs = [x for x, _ in pairs]
+        ys = [y for _, y in pairs]
+        kw = {"n_perm": n_perm, "seed": seed, "block": block}
+        calls = [permutation_test(x, y, statistic, **kw) for x, y in pairs]
+        assert permutation_test(xs, ys, statistic, **kw) == calls
+        assert permutation_test(np.array(xs), np.array(ys), statistic, **kw) == calls
+        return calls
+
+    def test_weak_signals_above_the_floor(self):
+        pairs = [_weak_pair(seed, 60) for seed in range(6)]
+        p = []
+        for statistic in (None, dcca_statistic(12)):
+            p += self._assert_batch_equals_calls(pairs, statistic)
+        assert sum(v > 20 / (self.N_PERM + 1) for v in p) >= 8, p
+
+    def test_mixed_n_in_one_call(self):
+        nan_weeks = [(), (3,), (0, 17, 40), (5, 6, 7, 8, 59), (), (3,)]
+        pairs = [_weak_pair(seed, 60, nan_at) for seed, nan_at in enumerate(nan_weeks)]
+        for statistic in (None, dcca_statistic(12)):
+            self._assert_batch_equals_calls(pairs, statistic)
+
+    @pytest.mark.parametrize("block", [1, 4, 7])
+    def test_blocks(self, block):
+        pairs = [_weak_pair(seed, 50, (seed * 9,) if seed else ()) for seed in range(3)]
+        for statistic in (None, dcca_statistic(12)):
+            self._assert_batch_equals_calls(pairs, statistic, seed=11, block=block)
+
+    def test_plain_callable(self):
+        pairs = [_weak_pair(seed, 40) for seed in range(3)]
+        p = self._assert_batch_equals_calls(pairs, _covariance, seed=3, n_perm=499)
+        # covariance and r order the shuffles alike
+        assert p == self._assert_batch_equals_calls(pairs, None, seed=3, n_perm=499)
+
+    def test_one_row_and_no_rows(self):
+        x, y = _weak_pair(1, 30)
+        assert permutation_test([x], [y], seed=1, n_perm=99) == [
+            permutation_test(x, y, seed=1, n_perm=99)
+        ]
+        assert permutation_test(np.empty((0, 30)), np.empty((0, 30)), seed=1) == []
+
+    def test_batch_raises_what_a_call_raises(self):
+        good = np.arange(6.0)
+        for bad in ([1.0] * 6, [1.0, 2.0] + [np.nan] * 4):
+            with pytest.raises(StatError) as called:
+                permutation_test(bad, good, seed=1, n_perm=10)
+            with pytest.raises(StatError) as batched:
+                permutation_test([good, bad], [good, good], seed=1, n_perm=10)
+            assert str(batched.value) == str(called.value)
+        with pytest.raises(StatError, match="equally many"):
+            permutation_test([good, good], [good], seed=1, n_perm=10)
 
 
 def _dcca_reference(x, y, window):
