@@ -5,140 +5,45 @@ matches, explicit first-person reports, classifier scores), aligns them to
 weekly survey anchors, and runs a correlation/stationarity validation
 battery against the survey. Includes a synthetic-corpus generator with
 planted ground truth for end-to-end checks.
+
+The names below are the API the README's "Python API" section lists;
+everything else is reached through its submodule (emoscope.stats, ...).
 """
 
 from .config import PipelineConfig, load_config
-from .corpus import (
-    FilterConfig,
-    Gender,
-    Post,
-    StreamCounts,
-    filter_post,
-    parse_post_record,
-    serialize_post,
-    stream_posts,
-)
-from .errors import (
-    ConfigError,
-    EmoscopeError,
-    LexiconError,
-    RecordError,
-    SignalError,
-    StatError,
-    SurveyError,
-)
-from .lexicon import (
-    DEFAULT_TEMPLATES,
-    THIRD_PERSON_PRONOUNS,
-    YOUGOV_EMOTIONS,
-    ExplicitReportMatcher,
-    Lexicon,
-    MultiLexiconMatcher,
-    PronounList,
-    ReportTemplateSet,
-    contains_third_person,
-    demo_lexicon,
-    load_lexicon,
-    tokenize,
-)
-from .signals import (
-    DailySignal,
-    SurveySeries,
-    WeeklySeries,
-    daily_mean_scores,
-    gender_rescale,
-    load_survey,
-    paired_values,
-    split_periods,
-    stream_scores,
-    weekly_align,
-)
-from .stats import (
-    chi2_two_proportions,
-    correlate,
-    correlation_p,
-    dcca,
-    fisher_ci,
-    kpss,
-    lagged_regression_hac,
-    newey_west_lag,
-    pearson,
-    percent_difference,
-    permutation_test,
-    roc_auc,
-    roc_curve,
-    significance_marker,
-)
-from .synth import (
-    GroundTruth,
-    SynthConfig,
-    generate_corpus,
-    generate_scores,
-    generate_survey,
-    weekly_anchors,
-)
+from .corpus import FilterConfig, Post, StreamCounts, stream_posts
+from .errors import ConfigError, EmoscopeError
+from .lexicon import load_lexicon, tokenize
+from .pipeline import build_signals, run_validation, thirdperson_rows
+from .signals import load_survey, weekly_align
+from .stats import correlate, dcca, kpss, lagged_regression_hac, permutation_test, roc_auc
+from .synth import SynthConfig, generate_corpus
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "DailySignal",
-    "DEFAULT_TEMPLATES",
     "EmoscopeError",
-    "ExplicitReportMatcher",
     "FilterConfig",
-    "Gender",
-    "GroundTruth",
-    "Lexicon",
-    "LexiconError",
-    "MultiLexiconMatcher",
     "PipelineConfig",
     "Post",
-    "PronounList",
-    "RecordError",
-    "ReportTemplateSet",
-    "SignalError",
-    "StatError",
     "StreamCounts",
-    "SurveyError",
-    "SurveySeries",
     "SynthConfig",
-    "THIRD_PERSON_PRONOUNS",
-    "WeeklySeries",
-    "YOUGOV_EMOTIONS",
-    "chi2_two_proportions",
-    "contains_third_person",
+    "build_signals",
     "correlate",
-    "correlation_p",
-    "daily_mean_scores",
     "dcca",
-    "demo_lexicon",
-    "fisher_ci",
-    "filter_post",
-    "gender_rescale",
     "generate_corpus",
-    "generate_scores",
-    "generate_survey",
     "kpss",
     "lagged_regression_hac",
     "load_config",
     "load_lexicon",
     "load_survey",
-    "newey_west_lag",
-    "paired_values",
-    "parse_post_record",
-    "pearson",
-    "percent_difference",
     "permutation_test",
     "roc_auc",
-    "roc_curve",
-    "serialize_post",
-    "significance_marker",
-    "split_periods",
+    "run_validation",
     "stream_posts",
-    "stream_scores",
+    "thirdperson_rows",
     "tokenize",
     "weekly_align",
-    "weekly_anchors",
     "__version__",
 ]

@@ -12,12 +12,7 @@ from datetime import date
 from importlib import resources
 from pathlib import Path
 
-from .config import (
-    DEFAULT_DCCA_WINDOW,
-    DEFAULT_PERMUTATIONS,
-    GENDER_MODES,
-    load_config,
-)
+from .config import SCHEMA, PipelineConfig, config_text, format_ini, load_config
 from .errors import ConfigError, EmoscopeError, StatError
 from .pipeline import (
     build_signals,
@@ -78,40 +73,10 @@ def _parse_step_spec(items) -> tuple[tuple[str, int, float], ...]:
     return tuple(steps)
 
 
-_PIPELINE_INI = """\
+_PIPELINE_HEADER = """\
 # Generated alongside the synthetic corpus; `emoscope validate --config
 # pipeline.ini` runs the full battery against the planted survey.
 
-[corpus]
-input = {corpus}
-min_followers = 100
-max_followers = 100000
-exclude_retweets = true
-
-[lexicons]
-{lexicon_lines}
-
-[scores]
-path = scores.ndjson
-emotions = {emotion_list}
-
-[survey]
-path = survey.csv
-pairs = {pairs}
-
-[signals]
-gender_mode = rescaled
-week_length = 7
-week_offset = 0
-
-[validate]
-split_date = {split_date}
-permutations = 1000
-seed = 1
-dcca_window = 12
-
-[output]
-dir = out
 """
 
 
@@ -157,16 +122,19 @@ def cmd_synth(args) -> int:
 
     n = len(anchors)
     split_idx = min(max(round(0.67 * n), 8), n - 8) if n >= 16 else n // 2
-    pairs = ", ".join(f"{e}:{e}" for e in emotions)
-    pairs += ", " + ", ".join(f"{e}:score_{e}" for e in emotions)
-    ini = _PIPELINE_INI.format(
-        corpus=corpus_name,
-        lexicon_lines="\n".join(f"{e} = lexicons/{e}.txt" for e in emotions),
-        emotion_list=", ".join(emotions),
-        pairs=pairs,
-        split_date=anchors[split_idx].isoformat(),
+    pipeline = PipelineConfig(
+        inputs=(corpus_name,),
+        lexicons=tuple((e, f"lexicons/{e}.txt") for e in emotions),
+        score_path="scores.ndjson",
+        score_emotions=tuple(emotions),
+        survey_path="survey.csv",
+        pairs=tuple((e, e) for e in emotions) + tuple((e, f"score_{e}") for e in emotions),
+        split_date=anchors[split_idx],
+        permutations=1000,
     )
-    (out / "pipeline.ini").write_text(ini, encoding="utf-8")
+    sections = ("corpus", "lexicons", "scores", "survey", "signals", "validate", "output")
+    ini = format_ini(config_text(pipeline, sections))
+    (out / "pipeline.ini").write_text(_PIPELINE_HEADER + ini, encoding="utf-8")
 
     total = cfg.days * cfg.posts_per_day
     print(f"wrote {total} posts over {cfg.days} days to {out / corpus_name}")
@@ -174,20 +142,31 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _apply_overrides(cfg, args) -> None:
-    if getattr(args, "output", None):
-        cfg.output_dir = args.output
-    if getattr(args, "gender_mode", None):
-        cfg.gender_mode = args.gender_mode
-    if getattr(args, "permutations", None) is not None:
-        cfg.permutations = args.permutations
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "split_date", None) is not None:
-        cfg.split_date = args.split_date
-    if getattr(args, "dcca_window", None) is not None:
-        cfg.dcca_window = args.dcca_window
-    cfg.validate()
+_OVERRIDES = {row.flag: row for row in SCHEMA if row.flag}
+
+
+def _add_overrides(parser, *flags) -> None:
+    """--<flag> options that override config keys, typed and bounded as in the file."""
+    for flag in flags:
+        row = _OVERRIDES[flag]
+
+        def parse(raw, row=row):
+            try:
+                return row.kind.parse(raw, None)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"must be {row.kind.noun}, got {raw!r}") from None
+
+        default = row.kind.format(row.default)
+        parser.add_argument(f"--{flag}", type=parse, choices=row.choices,
+                            help=f"override [{row.section}] {row.key}, the {row.help} "
+                                 f"(config default {default})")
+
+
+def _load_config(args):
+    """load_config with the command line's overrides."""
+    overrides = {row.attr: getattr(args, flag.replace("-", "_"), None)
+                 for flag, row in _OVERRIDES.items()}
+    return load_config(args.config, {a: v for a, v in overrides.items() if v is not None})
 
 
 def _print_counts(c) -> None:
@@ -196,8 +175,7 @@ def _print_counts(c) -> None:
 
 
 def cmd_signal(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _load_config(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle = build_signals(cfg)
@@ -211,10 +189,7 @@ def cmd_signal(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
-    if cfg.permutations < 1000:
-        raise ConfigError(f"validation runs need permutations >= 1000, got {cfg.permutations}")
+    cfg = _load_config(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     bundle = build_signals(cfg)
@@ -238,9 +213,7 @@ def cmd_thirdperson(args) -> int:
         baseline = None
         out = Path(args.output or ".")
     else:
-        cfg = load_config(args.config)
-        if args.output:
-            cfg.output_dir = args.output
+        cfg = _load_config(args)
         counts, baseline, rows = thirdperson_rows(cfg)
         out = Path(cfg.output_dir)
         print(f"records={counts.records} malformed={counts.malformed} "
@@ -372,23 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("signal", help="build daily/weekly signal CSVs", formatter_class=fmt)
     p.add_argument("--config", required=True, help="pipeline INI file")
-    p.add_argument("--output", default=None, help="override [output] dir")
-    p.add_argument("--gender-mode", choices=GENDER_MODES, default=None,
-                   help="override [signals] gender_mode")
+    _add_overrides(p, "output", "gender-mode")
     p.set_defaults(func=cmd_signal)
 
     p = sub.add_parser("validate", help="run the full validation battery", formatter_class=fmt)
     p.add_argument("--config", required=True, help="pipeline INI file")
-    p.add_argument("--output", default=None, help="override [output] dir")
-    p.add_argument("--gender-mode", choices=GENDER_MODES, default=None,
-                   help="override [signals] gender_mode")
-    p.add_argument("--permutations", type=int, default=None,
-                   help=f"override permutation count (config default {DEFAULT_PERMUTATIONS})")
-    p.add_argument("--seed", type=int, default=None, help="override permutation seed")
-    p.add_argument("--split-date", type=_date_arg, default=None,
-                   help="override historical/prediction split (config default 2020-11-01)")
-    p.add_argument("--dcca-window", type=int, default=None,
-                   help=f"override DCCA window (config default {DEFAULT_DCCA_WINDOW})")
+    _add_overrides(p, "output", "gender-mode", "permutations", "seed", "split-date", "dcca-window")
     p.add_argument("--stratified", action="store_true",
                    help="add per-gender rows to the report")
     p.add_argument("--plot-data", action="store_true",
@@ -400,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="pipeline INI file (corpus mode)")
     p.add_argument("--counts", default=None,
                    help="CSV label,with_k,with_n,without_k,without_n (precomputed-counts mode)")
-    p.add_argument("--output", default=None, help="output directory")
+    _add_overrides(p, "output")
     p.set_defaults(func=cmd_thirdperson)
 
     p = sub.add_parser("auc", help="ROC/AUC of a score file against binary labels",

@@ -3,25 +3,27 @@
 The config file is the run's provenance: everything that affects output
 lives here, and relative paths resolve against the file's own directory
 so a run directory can be archived and replayed as a unit.
+
+SCHEMA is the file's one description. Parsing, the bounds that `validate`
+checks, the CLI's override flags, the pipeline.ini that `synth` writes and
+the effective config in the manifest all read it.
 """
 
 from __future__ import annotations
 
 import configparser
 import glob as globlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable, Mapping, NamedTuple
 
 from .corpus import FilterConfig
 from .errors import ConfigError, LexiconError
-from .lexicon import DEFAULT_TEMPLATES, ReportTemplateSet, YOUGOV_EMOTIONS
+from .lexicon import ReportTemplateSet
 
 GENDER_MODES = ("agnostic", "stratified", "rescaled")
-
-DEFAULT_SPLIT_DATE = date(2020, 11, 1)
-DEFAULT_PERMUTATIONS = 10_000
-DEFAULT_DCCA_WINDOW = 12
 
 
 @dataclass
@@ -36,36 +38,27 @@ class PipelineConfig:
     score_emotions: tuple[str, ...] = ()
     survey_path: str | None = None
     pairs: tuple[tuple[str, str], ...] = ()  # (survey emotion, signal name)
-    split_date: date = DEFAULT_SPLIT_DATE
+    split_date: date = date(2020, 11, 1)
     gender_mode: str = "rescaled"
     filter: FilterConfig = field(default_factory=FilterConfig)
     tz_offset_minutes: int = 0
     week_length: int = 7
     week_offset: int = 0
-    permutations: int = DEFAULT_PERMUTATIONS
+    permutations: int = 10_000
     seed: int = 1
-    dcca_window: int = DEFAULT_DCCA_WINDOW
+    dcca_window: int = 12
     output_dir: str = "out"
 
     def validate(self) -> None:
-        if self.gender_mode not in GENDER_MODES:
-            raise ConfigError(f"gender_mode must be one of {GENDER_MODES}, got {self.gender_mode!r}")
-        # a day at most: parsing keeps posts a day clear of the calendar's ends
-        if not -1440 <= self.tz_offset_minutes <= 1440:
-            raise ConfigError(
-                f"tz_offset_minutes must be within -1440..1440, got {self.tz_offset_minutes}"
-            )
-        if self.week_length < 1:
-            raise ConfigError(f"week_length must be >= 1, got {self.week_length}")
-        if self.week_offset < 0:
-            raise ConfigError(f"week_offset must be >= 0, got {self.week_offset}")
-        if self.permutations < 1:
-            raise ConfigError(f"permutations must be >= 1, got {self.permutations}")
-        if self.dcca_window < 4:
-            raise ConfigError(f"dcca_window must be >= 4, got {self.dcca_window}")
+        """The bounds of every SCHEMA row, then the checks across fields."""
+        for row in SCHEMA:
+            row.check(attrgetter(row.attr)(self))
         names = [name for name, _ in self.lexicons]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate lexicon signal names: {names}")
+        unknown = [e for e in self.report_emotions if e not in self.templates.emotion_terms]
+        if unknown:
+            raise ConfigError(f"[reports] emotions {unknown} have no adjectives")
         if self.score_emotions and self.score_path is None:
             raise ConfigError("score emotions given but no score path")
         known = set(self.signal_names())
@@ -85,57 +78,150 @@ class PipelineConfig:
         return names
 
 
-_KNOWN_KEYS = {
-    "corpus": {"input", "min_followers", "max_followers", "exclude_retweets", "tz_offset_minutes"},
-    "lexicons": None,  # free-form: name = path
-    "reports": {"emotions", "templates", "slot_gap"},
-    "report_adjectives": None,  # free-form: emotion = adjective list
-    "scores": {"path", "emotions"},
-    "survey": {"path", "pairs"},
-    "signals": {"gender_mode", "week_length", "week_offset"},
-    "validate": {"split_date", "permutations", "seed", "dcca_window"},
-    "output": {"dir"},
-}
+class Kind(NamedTuple):
+    """How a value is read from INI text and written back as it.
+
+    parse(raw, base) raises ValueError on bad text and resolves relative
+    paths against base (kept as given when base is None); a None result
+    reads the default instead. A free-form section is parsed and
+    formatted as a whole, as a {name: text} dict of its entries.
+    """
+
+    noun: str  # completes "[section] key must be ..."
+    parse: Callable[[object, Path | None], object]
+    format: Callable[[object], object] = str
 
 
 def _split_list(raw: str) -> list[str]:
-    return [part.strip() for part in raw.replace(",", " ").split() if part.strip()]
+    return raw.replace(",", " ").split()
 
 
-def _get_int(section, key: str, default: int) -> int:
-    raw = section.get(key)
-    if raw is None:
-        return default
+def _path(raw: str, base: Path | None) -> str:
+    raw = raw.strip()
+    return raw if base is None or Path(raw).is_absolute() else str((base / raw).resolve())
+
+
+def _bool(raw: str, base) -> bool:
     try:
-        return int(raw.strip())
-    except ValueError:
-        raise ConfigError(f"[{section.name}] {key} must be an integer, got {raw!r}") from None
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(raw) from None
 
 
-def _get_bool(section, key: str, default: bool) -> bool:
-    raw = section.get(key)
-    if raw is None:
-        return default
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"[{section.name}] {key} must be a boolean, got {raw!r}")
+def _pairs(raw: str, base) -> tuple[tuple[str, str], ...]:
+    pairs = []
+    for item in (p.strip() for p in raw.split(",")):
+        if item:
+            survey_emotion, colon, signal = item.partition(":")
+            if not colon:
+                raise ValueError(item)
+            pairs.append((survey_emotion.strip(), signal.strip()))
+    return tuple(pairs)
 
 
-def _get_date(section, key: str, default: date) -> date:
-    raw = section.get(key)
-    if raw is None:
-        return default
+INT = Kind("an integer", lambda raw, base: int(raw))
+BOOL = Kind("a boolean", _bool, lambda v: "true" if v else "false")
+DATE = Kind("an ISO date", lambda raw, base: date.fromisoformat(raw.strip()), date.isoformat)
+TEXT = Kind("text", lambda raw, base: raw.strip())
+NAMES = Kind("a list of names", lambda raw, base: tuple(_split_list(raw)), ", ".join)
+PATH = Kind("a path", lambda raw, base: _path(raw, base) if raw.strip() else None, lambda v: v or "")
+PATHS = Kind(
+    "a list of paths", lambda raw, base: tuple(_path(p, base) for p in _split_list(raw)), ", ".join
+)
+PAIRS = Kind("a list of survey_emotion:signal", _pairs, lambda v: ", ".join(f"{a}:{b}" for a, b in v))
+TEMPLATES = Kind(
+    "a comma-separated list of templates",
+    lambda raw, base: tuple(t.strip() for t in raw.split(",") if t.strip()) or None,
+    ", ".join,
+)
+LEXICON_PATHS = Kind(
+    "name = path",
+    lambda entries, base: tuple((name, _path(raw, base)) for name, raw in entries.items()),
+    dict,
+)
+ADJECTIVES = Kind(
+    "emotion = adjective list",
+    lambda entries, base: {e: tuple(_split_list(raw)) for e, raw in entries.items()},
+    lambda v: {e: ", ".join(adjectives) for e, adjectives in v.items()},
+)
+
+
+class Key(NamedTuple):
+    """One row of SCHEMA: a config key and the PipelineConfig attribute it
+    sets (filter.* and templates.* reach into those objects)."""
+
+    section: str
+    key: str | None  # None: a free-form section of `name = value` entries
+    attr: str
+    kind: Kind
+    help: str
+    lo: int | None = None  # inclusive bounds; hi only together with lo
+    hi: int | None = None
+    choices: tuple[str, ...] | None = None
+    flag: str | None = None  # the command-line override, --<flag>
+
+    @property
+    def default(self):
+        return attrgetter(self.attr)(_DEFAULTS)
+
+    def check(self, value) -> None:
+        if self.choices is not None and value not in self.choices:
+            raise ConfigError(f"{self.key} must be one of {self.choices}, got {value!r}")
+        if self.hi is not None and not self.lo <= value <= self.hi:
+            raise ConfigError(f"{self.key} must be within {self.lo}..{self.hi}, got {value}")
+        if self.lo is not None and value < self.lo:
+            raise ConfigError(f"{self.key} must be >= {self.lo}, got {value}")
+
+
+# Sections in file order, keys in section order. FilterConfig and
+# ReportTemplateSet check their own values when they are built.
+SCHEMA = (
+    Key("corpus", "input", "inputs", PATHS, "comma-separated corpus paths or globs"),
+    Key("corpus", "min_followers", "filter.min_followers", INT, "lowest author_followers kept"),
+    Key("corpus", "max_followers", "filter.max_followers", INT, "highest author_followers kept"),
+    Key("corpus", "exclude_retweets", "filter.exclude_retweets", BOOL, "drop retweets"),
+    # a day at most: parsing keeps posts a day clear of the calendar's ends
+    Key("corpus", "tz_offset_minutes", "tz_offset_minutes", INT,
+        "minutes added to UTC before assigning posts to days", lo=-1440, hi=1440),
+    Key("lexicons", None, "lexicons", LEXICON_PATHS, "one lexicon signal per name = path"),
+    Key("reports", "emotions", "report_emotions", NAMES, "explicit-report signals to build"),
+    Key("reports", "templates", "templates.templates", TEMPLATES, "report templates, one _ slot each"),
+    Key("reports", "slot_gap", "templates.max_slot_gap", INT, "filler words allowed before the adjective"),
+    Key("report_adjectives", None, "templates.emotion_terms", ADJECTIVES, "adjectives per report emotion"),
+    Key("scores", "path", "score_path", PATH, "classifier score file"),
+    Key("scores", "emotions", "score_emotions", NAMES, "score signals to build"),
+    Key("survey", "path", "survey_path", PATH, "weekly survey CSV"),
+    Key("survey", "pairs", "pairs", PAIRS, "survey_emotion:signal pairs to validate"),
+    Key("signals", "gender_mode", "gender_mode", TEXT, "strata of each signal",
+        choices=GENDER_MODES, flag="gender-mode"),
+    Key("signals", "week_length", "week_length", INT, "days in the window ending at an anchor", lo=1),
+    Key("signals", "week_offset", "week_offset", INT, "days the window ends before its anchor", lo=0),
+    Key("validate", "split_date", "split_date", DATE, "first anchor of the prediction period",
+        flag="split-date"),
+    Key("validate", "permutations", "permutations", INT, "permutation count", lo=1000,
+        flag="permutations"),
+    Key("validate", "seed", "seed", INT, "permutation seed", lo=0, flag="seed"),
+    Key("validate", "dcca_window", "dcca_window", INT, "DCCA box size", lo=4, flag="dcca-window"),
+    Key("output", "dir", "output_dir", PATH, "output directory", flag="output"),
+)
+
+_DEFAULTS = PipelineConfig()
+
+
+def _parse(row: Key, raw, base: Path | None):
     try:
-        return date.fromisoformat(raw.strip())
+        return row.kind.parse(raw, base)
     except ValueError:
-        raise ConfigError(f"[{section.name}] {key} must be an ISO date, got {raw!r}") from None
+        key = row.key or "entries"
+        raise ConfigError(f"[{row.section}] {key} must be {row.kind.noun}, got {raw!r}") from None
 
 
-def load_config(path) -> PipelineConfig:
-    """Parse and validate one INI config file (see README for the schema)."""
+def load_config(path, overrides: Mapping[str, object] | None = None) -> PipelineConfig:
+    """Parse and validate one INI config file (see README for the schema).
+
+    overrides maps PipelineConfig attributes (SCHEMA's attr, as parsed
+    values) to values that replace the file's before validation.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -145,106 +231,68 @@ def load_config(path) -> PipelineConfig:
             parser.read_file(fh)
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err.reason})") from None
 
+    known: dict[str, set[str | None]] = {}
+    for row in SCHEMA:
+        known.setdefault(row.section, set()).add(row.key)
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigError(f"{path}: unknown section [{section}]; have {sorted(_KNOWN_KEYS)}")
-        allowed = _KNOWN_KEYS[section]
-        if allowed is not None:
-            for key in parser[section]:
-                if key not in allowed:
-                    raise ConfigError(
-                        f"{path}: unknown key {key!r} in [{section}]; have {sorted(allowed)}"
-                    )
+        if section not in known:
+            raise ConfigError(f"{path}: unknown section [{section}]; have {sorted(known)}")
+        allowed = known[section]
+        for key in parser[section]:
+            if None not in allowed and key not in allowed:
+                raise ConfigError(
+                    f"{path}: unknown key {key!r} in [{section}]; have {sorted(allowed)}"
+                )
 
     base = path.parent
+    values: dict[str, object] = {}
+    for row in SCHEMA:
+        # a key left out reads as its default's text, so a default path
+        # (the output dir) resolves next to the config file like a given one
+        default = row.kind.format(row.default)
+        if row.key is None:  # the file's entries add to or replace the default's
+            section = parser[row.section] if parser.has_section(row.section) else {}
+            raw = {**default, **section}
+        else:
+            raw = parser.get(row.section, row.key, fallback=default)
+        value = _parse(row, raw, base)
+        values[row.attr] = _parse(row, default, base) if value is None else value
+    values.update(overrides or {})
 
-    def resolve(p: str) -> str:
-        return str((base / p).resolve()) if not Path(p).is_absolute() else p
-
-    cfg = PipelineConfig()
-
-    if parser.has_section("corpus"):
-        sec = parser["corpus"]
-        raw_inputs = sec.get("input", "")
-        cfg.inputs = tuple(resolve(p) for p in _split_list(raw_inputs))
-        cfg.filter = FilterConfig(
-            min_followers=_get_int(sec, "min_followers", cfg.filter.min_followers),
-            max_followers=_get_int(sec, "max_followers", cfg.filter.max_followers),
-            exclude_retweets=_get_bool(sec, "exclude_retweets", cfg.filter.exclude_retweets),
+    nested: dict[str, dict[str, object]] = {}  # filter.* and templates.*
+    for attr in [a for a in values if "." in a]:
+        head, _, tail = attr.partition(".")
+        nested.setdefault(head, {})[tail] = values.pop(attr)
+    try:
+        cfg = PipelineConfig(
+            **values, **{head: replace(getattr(_DEFAULTS, head), **kw) for head, kw in nested.items()}
         )
-        cfg.tz_offset_minutes = _get_int(sec, "tz_offset_minutes", 0)
-
-    if parser.has_section("lexicons"):
-        cfg.lexicons = tuple(
-            (name, resolve(value.strip())) for name, value in parser["lexicons"].items()
-        )
-
-    if parser.has_section("reports"):
-        sec = parser["reports"]
-        emotions = tuple(_split_list(sec.get("emotions", "")))
-        raw_templates = sec.get("templates")
-        templates = (
-            tuple(t.strip() for t in raw_templates.split(",") if t.strip())
-            if raw_templates
-            else DEFAULT_TEMPLATES
-        )
-        adjectives = {name: (name,) for name in YOUGOV_EMOTIONS}
-        if parser.has_section("report_adjectives"):
-            for emotion, value in parser["report_adjectives"].items():
-                adjectives[emotion] = tuple(_split_list(value))
-        try:
-            cfg.templates = ReportTemplateSet(
-                templates=templates,
-                emotion_terms=adjectives,
-                max_slot_gap=_get_int(sec, "slot_gap", 1),
-            )
-        except LexiconError as err:
-            raise ConfigError(f"{path}: [reports] {err}") from None
-        unknown = [e for e in emotions if e not in adjectives]
-        if unknown:
-            raise ConfigError(f"{path}: [reports] emotions {unknown} have no adjectives")
-        cfg.report_emotions = emotions
-
-    if parser.has_section("scores"):
-        sec = parser["scores"]
-        raw_path = sec.get("path")
-        cfg.score_path = resolve(raw_path.strip()) if raw_path else None
-        cfg.score_emotions = tuple(_split_list(sec.get("emotions", "")))
-
-    if parser.has_section("survey"):
-        sec = parser["survey"]
-        raw_path = sec.get("path")
-        cfg.survey_path = resolve(raw_path.strip()) if raw_path else None
-        pairs = []
-        for item in [p.strip() for p in sec.get("pairs", "").split(",") if p.strip()]:
-            if ":" not in item:
-                raise ConfigError(
-                    f"{path}: [survey] pairs entries are survey_emotion:signal, got {item!r}"
-                )
-            survey_emotion, _, signal = item.partition(":")
-            pairs.append((survey_emotion.strip(), signal.strip()))
-        cfg.pairs = tuple(pairs)
-
-    if parser.has_section("signals"):
-        sec = parser["signals"]
-        cfg.gender_mode = sec.get("gender_mode", cfg.gender_mode).strip()
-        cfg.week_length = _get_int(sec, "week_length", cfg.week_length)
-        cfg.week_offset = _get_int(sec, "week_offset", cfg.week_offset)
-
-    if parser.has_section("validate"):
-        sec = parser["validate"]
-        cfg.split_date = _get_date(sec, "split_date", cfg.split_date)
-        cfg.permutations = _get_int(sec, "permutations", cfg.permutations)
-        cfg.seed = _get_int(sec, "seed", cfg.seed)
-        cfg.dcca_window = _get_int(sec, "dcca_window", cfg.dcca_window)
-
-    raw_dir = parser["output"].get("dir") if parser.has_section("output") else None
-    # the default lands next to the config file, not in the process cwd
-    cfg.output_dir = resolve((raw_dir or cfg.output_dir).strip())
-
+    except LexiconError as err:
+        raise ConfigError(f"{path}: [reports] {err}") from None
     cfg.validate()
     return cfg
+
+
+def config_text(cfg: PipelineConfig, sections=None) -> dict[str, dict[str, str]]:
+    """cfg's value of every SCHEMA key as INI text, {section: {key: text}}
+    in SCHEMA order; only the named sections when sections is given."""
+    out: dict[str, dict[str, str]] = {}
+    for row in SCHEMA:
+        if sections is None or row.section in sections:
+            text = row.kind.format(attrgetter(row.attr)(cfg))
+            out.setdefault(row.section, {}).update(text if row.key is None else {row.key: text})
+    return out
+
+
+def format_ini(sections: Mapping[str, Mapping[str, str]]) -> str:
+    """INI text of config_text's dict, which load_config reads back."""
+    return "\n".join(
+        f"[{name}]\n" + "".join(f"{key} = {text}\n" for key, text in keys.items())
+        for name, keys in sections.items()
+    )
 
 
 def expand_inputs(cfg: PipelineConfig) -> list[Path]:

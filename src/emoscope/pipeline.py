@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .config import PipelineConfig, expand_inputs
+from .config import PipelineConfig, config_text, expand_inputs
 from .corpus import Gender, StreamCounts, scan_shards, stream_posts
 from .errors import ConfigError, RecordError, SignalError, StatError
 from .lexicon import (
@@ -252,31 +252,38 @@ def strata_for(cfg: PipelineConfig, signal: str, extra_stratified: bool = False)
     return strata
 
 
+def _column(spec: str = ".4g", sig: str | None = None):
+    """A report.csv column with its format spec; sig names a column after
+    it that holds the value's significance marker."""
+    return field(default=None, metadata={"spec": spec, "sig": sig})
+
+
 @dataclass
 class ValidationRow:
-    """One report row; None fields were skipped, with the reason in notes."""
+    """One report row; None fields were skipped, with the reason in notes.
+    The fields are report.csv's columns, in order."""
 
     survey_emotion: str
     signal: str
     stratum: str
-    n1: int | None = None
-    r1: float | None = None
-    r1_lo: float | None = None
-    r1_hi: float | None = None
-    r1_p: float | None = None
-    n2: int | None = None
-    r2: float | None = None
-    r2_lo: float | None = None
-    r2_hi: float | None = None
-    r2_p: float | None = None
-    n_full: int | None = None
-    perm_p: float | None = None
-    dcca_rho: float | None = None
-    dcca_p: float | None = None
-    beta: float | None = None
-    beta_p: float | None = None
-    kpss_stat: float | None = None
-    kpss_band: str | None = None
+    n1: int | None = _column("d")
+    r1: float | None = _column()
+    r1_lo: float | None = _column()
+    r1_hi: float | None = _column()
+    r1_p: float | None = _column(sig="r1_sig")
+    n2: int | None = _column("d")
+    r2: float | None = _column()
+    r2_lo: float | None = _column()
+    r2_hi: float | None = _column()
+    r2_p: float | None = _column(sig="r2_sig")
+    n_full: int | None = _column("d")
+    perm_p: float | None = _column()
+    dcca_rho: float | None = _column()
+    dcca_p: float | None = _column(sig="dcca_sig")
+    beta: float | None = _column()
+    beta_p: float | None = _column(sig="beta_sig")
+    kpss_stat: float | None = _column()
+    kpss_band: str | None = _column("s")
     notes: list[str] = field(default_factory=list)
 
 
@@ -398,48 +405,23 @@ def _fmt(value, spec=".4g") -> str:
     return "" if value is None else format(value, spec)
 
 
-_REPORT_COLUMNS = (
-    "survey_emotion,signal,stratum,n1,r1,r1_lo,r1_hi,r1_p,r1_sig,"
-    "n2,r2,r2_lo,r2_hi,r2_p,r2_sig,n_full,perm_p,dcca_rho,dcca_p,dcca_sig,"
-    "beta,beta_p,beta_sig,kpss_stat,kpss_band,notes"
-).split(",")
-
-
 def write_report_csv(rows, path) -> None:
+    columns = fields(ValidationRow)
+    header = [name for c in columns for name in (c.name, c.metadata.get("sig")) if name]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_REPORT_COLUMNS)
+        writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                [
-                    row.survey_emotion,
-                    row.signal,
-                    row.stratum,
-                    _fmt(row.n1, "d"),
-                    _fmt(row.r1),
-                    _fmt(row.r1_lo),
-                    _fmt(row.r1_hi),
-                    _fmt(row.r1_p),
-                    "" if row.r1_p is None else significance_marker(row.r1_p),
-                    _fmt(row.n2, "d"),
-                    _fmt(row.r2),
-                    _fmt(row.r2_lo),
-                    _fmt(row.r2_hi),
-                    _fmt(row.r2_p),
-                    "" if row.r2_p is None else significance_marker(row.r2_p),
-                    _fmt(row.n_full, "d"),
-                    _fmt(row.perm_p),
-                    _fmt(row.dcca_rho),
-                    _fmt(row.dcca_p),
-                    "" if row.dcca_p is None else significance_marker(row.dcca_p),
-                    _fmt(row.beta),
-                    _fmt(row.beta_p),
-                    "" if row.beta_p is None else significance_marker(row.beta_p),
-                    _fmt(row.kpss_stat),
-                    row.kpss_band or "",
-                    "; ".join(row.notes),
-                ]
-            )
+            cells = []
+            for column in columns:
+                value = getattr(row, column.name)
+                if column.name == "notes":
+                    cells.append("; ".join(value))
+                    continue
+                cells.append(_fmt(value, column.metadata.get("spec", "s")))
+                if column.metadata.get("sig"):
+                    cells.append("" if value is None else significance_marker(value))
+            writer.writerow(cells)
 
 
 def _corr_cell(r, lo, hi, p) -> str:
@@ -571,21 +553,7 @@ def write_manifest(cfg: PipelineConfig, bundle: SignalBundle, written: list[str]
         "matched": dict(sorted(bundle.matched.items())),
         "error_samples": bundle.errors,
         "files": sorted(written),
-        "config": {
-            "inputs": list(cfg.inputs),
-            "lexicons": {name: path for name, path in cfg.lexicons},
-            "report_emotions": list(cfg.report_emotions),
-            "score_emotions": list(cfg.score_emotions),
-            "gender_mode": cfg.gender_mode,
-            "filter": {
-                "min_followers": cfg.filter.min_followers,
-                "max_followers": cfg.filter.max_followers,
-                "exclude_retweets": cfg.filter.exclude_retweets,
-            },
-            "week_length": cfg.week_length,
-            "week_offset": cfg.week_offset,
-            "tz_offset_minutes": cfg.tz_offset_minutes,
-        },
+        "config": config_text(cfg),
     }
     if bundle.score_counts is not None:
         manifest["score_counts"] = bundle.score_counts.as_dict()

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -190,13 +191,15 @@ def weekly_align(
     if offset_days < 0:
         raise SignalError(f"offset_days must be >= 0, got {offset_days}")
     series = WeeklySeries(name=name or daily.name, anchors=tuple(anchors))
+    # days as ordinals: a window may reach past the calendar's start, where
+    # no day has a value, and any length or offset stays plain int arithmetic
+    days = sorted(daily.values)
+    ordinals = [d.toordinal() for d in days]
     for anchor in series.anchors:
-        end = anchor - timedelta(days=offset_days)
-        present = []
-        for k in range(window_days):
-            v = daily.values.get(end - timedelta(days=k))
-            if v is not None:
-                present.append(v)
+        end = anchor.toordinal() - offset_days
+        lo = bisect_left(ordinals, end - window_days + 1)
+        hi = bisect_right(ordinals, end)
+        present = [daily.values[d] for d in reversed(days[lo:hi])]  # newest first
         if not present:
             continue
         series.values[anchor] = sum(present) / len(present)

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -97,7 +98,13 @@ class TestSignal:
                 ["signal", "--config", str(workspace / "pipeline.ini"), "--output", str(out)]
             ) == 0
         for f in sorted(a.iterdir()):
-            assert f.read_bytes() == (b / f.name).read_bytes()
+            if f.name != "manifest.json":
+                assert f.read_bytes() == (b / f.name).read_bytes()
+        # the manifest's effective config names the output dir, and only it differs
+        ma, mb = (json.loads((out / "manifest.json").read_text(encoding="utf-8")) for out in (a, b))
+        assert ma["config"].pop("output") == {"dir": str(a)}
+        assert mb["config"].pop("output") == {"dir": str(b)}
+        assert ma == mb
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +149,14 @@ class TestValidate:
             assert row["kpss_band"] in ("p>0.1", "p>0.05")
             assert row["notes"] == ""
             assert int(row["n1"]) + int(row["n2"]) == int(row["n_full"])
+
+    def test_report_csv_columns(self, report):
+        header = (report / "report.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert header == (
+            "survey_emotion,signal,stratum,n1,r1,r1_lo,r1_hi,r1_p,r1_sig,"
+            "n2,r2,r2_lo,r2_hi,r2_p,r2_sig,n_full,perm_p,dcca_rho,dcca_p,dcca_sig,"
+            "beta,beta_p,beta_sig,kpss_stat,kpss_band,notes"
+        )
 
     def test_report_txt_table(self, report):
         text = (report / "report.txt").read_text()
@@ -293,7 +308,8 @@ class TestValidateDegenerate:
 def _set_tz_offset(ini: Path, minutes: int) -> None:
     """Set tz_offset_minutes in the [corpus] section of a synth pipeline.ini."""
     text = ini.read_text(encoding="utf-8")
-    ini.write_text(text.replace("[corpus]\n", f"[corpus]\ntz_offset_minutes = {minutes}\n"))
+    assert "\ntz_offset_minutes = 0\n" in text
+    ini.write_text(text.replace("\ntz_offset_minutes = 0\n", f"\ntz_offset_minutes = {minutes}\n"))
 
 
 class TestExitCodes:
@@ -375,6 +391,44 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["signal", "--config", str(ini)]) == 1
         assert "tz_offset_minutes must be within -1440..1440" in capsys.readouterr().err
+
+    def test_survey_anchor_at_the_calendar_start_is_missing(self, tmp_path, capsys):
+        ws = tmp_path / "ws"
+        assert main(["synth", "--out", str(ws), "--days", "140", "--posts-per-day", "20"]) == 0
+        survey = ws / "survey.csv"
+        header, *rows = survey.read_text(encoding="utf-8").splitlines()
+        survey.write_text("\n".join([header, "0001-01-02,sadness,5.0", *rows]) + "\n")
+        ini = str(ws / "pipeline.ini")
+        assert main(["signal", "--config", ini]) == 0
+        weekly = (ws / "out" / "weekly_sadness_rescaled.csv").read_text(encoding="utf-8")
+        assert weekly.splitlines()[1] == "0001-01-02,,0"
+        assert main(["validate", "--config", ini]) == 0
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        ini = tmp_path / "pipeline.ini"
+        ini.write_bytes(b"[corpus]\ninput = caf\xe9.ndjson\n")
+        for command in ("signal", "thirdperson", "validate"):
+            assert main([command, "--config", str(ini)]) == 1
+            assert capsys.readouterr().err.startswith(f"config error: {ini}: not UTF-8 text")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", "-1"), ("permutations", "999"), ("week_length", "0"), ("dcca_window", "3")],
+    )
+    def test_bounds_hold_for_every_command_and_flag(self, tmp_path, capsys, key, value):
+        ws = tmp_path / "ws"
+        assert main(["synth", "--out", str(ws), "--days", "20", "--posts-per-day", "5"]) == 0
+        ini = ws / "pipeline.ini"
+        text = ini.read_text(encoding="utf-8")
+        (ws / "bad.ini").write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text))
+        capsys.readouterr()
+        for command in ("signal", "thirdperson", "validate"):
+            assert main([command, "--config", str(ws / "bad.ini")]) == 1
+            assert f"{key} must be " in capsys.readouterr().err
+        flag = f"--{key.replace('_', '-')}"
+        if key != "week_length":  # not a flag
+            assert main(["validate", "--config", str(ini), flag, value]) == 1
+            assert f"{key} must be " in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

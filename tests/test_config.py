@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from emoscope.config import PipelineConfig, expand_inputs, load_config
+from emoscope.config import (
+    SCHEMA,
+    PipelineConfig,
+    config_text,
+    expand_inputs,
+    format_ini,
+    load_config,
+)
 from emoscope.errors import ConfigError
 
 
@@ -141,6 +148,39 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(_write_config(tmp_path, body))
 
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = _write_config(tmp_path, MINIMAL)
+        path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load_config(path)
+
+    def test_overrides_replace_the_file_and_keep_its_bounds(self, tmp_path):
+        path = _write_config(tmp_path, MINIMAL + "\n[validate]\nseed = 3\n")
+        assert load_config(path, {"seed": 4, "output_dir": "elsewhere"}).seed == 4
+        assert load_config(path, {"output_dir": "elsewhere"}).output_dir == "elsewhere"
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            load_config(path, {"seed": -1})
+
+    def test_effective_config_reads_back_equal(self, tmp_path):
+        (tmp_path / "scores.ndjson").write_text("", encoding="utf-8")
+        body = MINIMAL + (
+            "\n[reports]\nemotions = sad\nslot_gap = 2\n"
+            "\n[report_adjectives]\nsad = sad, down\nglum = glum\n"
+            "\n[scores]\npath = scores.ndjson\nemotions = sadness\n"
+            "\n[survey]\npath = survey.csv\npairs = sad:sadness, sad:report_sad\n"
+            "\n[validate]\nsplit_date = 2020-06-01\nseed = 0\n"
+        )
+        cfg = load_config(_write_config(tmp_path, body))
+        text = config_text(cfg)
+        assert [(s, k) for s, keys in text.items() for k in keys][:2] == [
+            ("corpus", "input"), ("corpus", "min_followers")
+        ]
+        assert text["report_adjectives"]["glum"] == "glum"
+        replay = tmp_path / "replay" / "pipeline.ini"
+        replay.parent.mkdir()
+        replay.write_text(format_ini(text), encoding="utf-8")
+        assert load_config(replay) == cfg
+
 
 def test_readme_example_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -170,6 +210,21 @@ def test_readme_example_loads(tmp_path):
     assert cfg.output_dir == str(tmp_path / "out")
 
 
+def test_readme_documents_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    documented, section = set(), None
+    for line in block.splitlines():
+        if line.startswith("["):
+            section = line[1 : line.index("]")]
+        elif "=" in line:
+            documented.add((section, line.partition("=")[0].strip()))
+    free_form = {row.section for row in SCHEMA if row.key is None}
+    assert {(s, k) for s, k in documented if s not in free_form} == {
+        (row.section, row.key) for row in SCHEMA if row.key is not None
+    }
+
+
 class TestPipelineConfigValidate:
     def test_defaults_pass(self):
         PipelineConfig().validate()
@@ -187,6 +242,9 @@ class TestPipelineConfigValidate:
             {"lexicons": (("a", "x"), ("a", "y"))},
             {"score_emotions": ("sad",)},
             {"pairs": (("sad", "ghost"),)},
+            {"permutations": 999},
+            {"seed": -1},
+            {"report_emotions": ("glum",)},
         ],
     )
     def test_rejections(self, kwargs):

@@ -6,17 +6,19 @@ import contextlib
 import gzip
 import io
 import json
+import re
+import shutil
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from emoscope import corpus
 from emoscope.cli import main
-from emoscope.config import expand_inputs, load_config
+from emoscope.config import SCHEMA, expand_inputs, load_config
 from emoscope.corpus import FilterConfig, StreamCounts, stream_posts
 from emoscope.errors import RecordError
 from emoscope.signals import ScoreCounts, stream_scores
@@ -193,8 +195,10 @@ def _signal_run(ini: Path, out: Path, sharded: bool):
 
 
 def _assert_same_signal_runs(ini: Path, tmp: Path):
-    sharded = _signal_run(ini, tmp / "sharded", sharded=True)
-    single = _signal_run(ini, tmp / "single", sharded=False)
+    # one output dir for both runs: the manifest's effective config names it
+    sharded = _signal_run(ini, tmp / "out", sharded=True)
+    shutil.rmtree(tmp / "out", ignore_errors=True)
+    single = _signal_run(ini, tmp / "out", sharded=False)
     assert sharded == single
     code, _, files = single
     assert code in (0, 1, 2)
@@ -283,3 +287,94 @@ class TestShardedSignal:
         samples = manifest["error_samples"]
         assert len(samples) == 20
         assert [s.split(":")[1] for s in samples] == [str(1 + 3 * i) for i in range(20)]
+
+
+# Config bytes: `signal`, `thirdperson` and `validate` on a mutated synth
+# pipeline.ini end in exit 0, 1 or 2 with a message, never in a traceback.
+# Outputs go to --output: a mutated [output] dir could name any directory.
+
+
+@pytest.fixture(scope="module")
+def config_workspace(tmp_path_factory):
+    """A synth run with ten survey anchors, enough for validate to test."""
+    ws = tmp_path_factory.mktemp("config")
+    args = ["synth", "--out", str(ws), "--days", "70", "--posts-per-day", "4",
+            "--scores-per-day", "2"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0
+    return ws
+
+
+KEYS = [(row.section, row.key) for row in SCHEMA if row.key is not None]
+VALUE = st.one_of(
+    st.sampled_from([b"", b"-1", b"0", b"10" + b"0" * 19, b"7" * 5_000, b"-" + b"9" * 5_000,
+                     b"0001-01-02", b"9999-12-31", b"off", b"a:b, c", b"\xff\xfe"]),
+    st.integers(-2_000, 2_000).map(lambda n: b"%d" % n),
+    st.text(max_size=8).map(lambda t: t.encode("utf-8")),
+    st.binary(max_size=6),
+)
+EDIT = st.one_of(
+    st.tuples(st.just("value"), st.sampled_from(KEYS), VALUE),  # one key's value
+    st.tuples(st.just("drop"), st.floats(0, 1)),  # one line, a section header included
+    st.tuples(st.just("repeat"), st.floats(0, 1)),  # one line twice: a duplicate key or section
+    st.tuples(st.just("bytes"), st.floats(0, 1), st.integers(0, 3), st.binary(max_size=4)),
+)
+
+
+def _edit(data: bytes, edit) -> bytes:
+    lines = data.split(b"\n")
+    if edit[0] == "value":
+        (section, key), value = edit[1], edit[2]
+        prefix = key.encode() + b" = "
+        for i, line in enumerate(lines):
+            if line.startswith(prefix):
+                lines[i] = prefix + value
+                return b"\n".join(lines)
+        return data + b"\n[%s]\n%s%s\n" % (section.encode(), prefix, value)
+    if edit[0] in ("drop", "repeat"):
+        i = min(int(edit[1] * len(lines)), len(lines) - 1)
+        lines[i:i + 1] = [] if edit[0] == "drop" else [lines[i]] * 2
+        return b"\n".join(lines)
+    at = int(edit[1] * len(data))  # "bytes": replace a few bytes at one position
+    return data[:at] + edit[3] + data[at + edit[2]:]
+
+
+def _small_permutations(data: bytes) -> bytes:
+    """Cap a count above 2,000: a huge permutation count is a long run, not a fault."""
+    def cap(match):
+        try:
+            small = int(match.group(2)) <= 2_000
+        except ValueError:
+            small = True
+        return match.group(0) if small else match.group(1) + b"2000"
+    return re.sub(rb"(?mi)^(permutations\s*[=:]\s*)([^\n]*)", cap, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=st.lists(EDIT, min_size=1, max_size=4))
+@example(edits=[("value", ("validate", "seed"), b"-1")])
+@example(edits=[("value", ("signals", "week_length"), b"1" + b"0" * 20)])
+@example(edits=[("value", ("signals", "week_offset"), b"1" + b"0" * 20)])
+@example(edits=[("bytes", 0.5, 0, b"\xff")])
+def test_any_config_bytes_end_in_an_exit_code(config_workspace, edits):
+    data = (config_workspace / "pipeline.ini").read_bytes()
+    for edit in edits:
+        data = _edit(data, edit)
+    ini = config_workspace / "mutated.ini"
+    ini.write_bytes(_small_permutations(data))
+    try:
+        data.decode("utf-8")
+        utf8 = True
+    except UnicodeDecodeError:
+        utf8 = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for command in ("signal", "thirdperson", "validate"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([command, "--config", str(ini), "--output", tmp])
+            assert code in (0, 1, 2)
+            event(f"{command} exit {code}")
+            if code:
+                assert err.getvalue().startswith("config error: " if code == 1 else "error: ")
+            if not utf8:
+                assert code == 1 and err.getvalue().startswith(f"config error: {ini}: not UTF-8")

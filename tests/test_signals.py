@@ -277,6 +277,36 @@ class TestWeeklyAlign:
         with pytest.raises(SignalError):
             weekly_align(_signal({D0: 1.0}), [D0, D0])
 
+    def test_window_past_the_calendar_start_counts_as_missing(self):
+        days = {date(1, 1, 1): 0.5, date(1, 1, 2): 0.25}
+        anchors = [date(1, 1, 2), date(1, 1, 9)]
+        weekly = weekly_align(_signal(days), anchors)
+        assert weekly.values == {date(1, 1, 2): (0.25 + 0.5) / 2}
+        assert weekly.coverage == {date(1, 1, 2): 2 / 7}
+        # a window of any length or offset is plain arithmetic on day numbers
+        wide = weekly_align(_signal(days), anchors, window_days=10**20)
+        assert wide.values == {a: (0.25 + 0.5) / 2 for a in anchors}
+        assert weekly_align(_signal(days), anchors, offset_days=10**20).values == {}
+
+    @given(
+        st.dictionaries(st.integers(0, 30), st.floats(0, 1), max_size=25),
+        st.integers(1, 10),
+        st.integers(0, 5),
+    )
+    def test_equals_a_walk_back_from_each_anchor(self, values, window, offset):
+        days = {D0 + timedelta(days=k): v for k, v in values.items()}
+        anchors = [D0 + timedelta(days=k) for k in range(0, 40, 3)]
+        weekly = weekly_align(_signal(days), anchors, window_days=window, offset_days=offset)
+        for anchor in anchors:
+            end = anchor - timedelta(days=offset)
+            window_days = (end - timedelta(days=k) for k in range(window))
+            present = [days[d] for d in window_days if d in days]
+            if present:  # summed in the same order, so exactly equal
+                assert weekly.values[anchor] == sum(present) / len(present)
+                assert weekly.coverage[anchor] == len(present) / window
+            else:
+                assert anchor not in weekly.values and anchor not in weekly.coverage
+
     @given(st.floats(0.1, 3.0), st.floats(-2.0, 2.0))
     def test_commutes_with_affine(self, scale, shift):
         start = date(2020, 3, 2)
