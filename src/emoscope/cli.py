@@ -12,7 +12,7 @@ from datetime import date
 from importlib import resources
 from pathlib import Path
 
-from .config import SCHEMA, PipelineConfig, config_text, format_ini, load_config
+from .config import PATH, SCHEMA, PipelineConfig, config_text, format_ini, load_config
 from .errors import ConfigError, EmoscopeError, StatError
 from .pipeline import (
     build_signals,
@@ -163,10 +163,15 @@ def _add_overrides(parser, *flags) -> None:
 
 
 def _load_config(args):
-    """load_config with the command line's overrides."""
-    overrides = {row.attr: getattr(args, flag.replace("-", "_"), None)
-                 for flag, row in _OVERRIDES.items()}
-    return load_config(args.config, {a: v for a, v in overrides.items() if v is not None})
+    """load_config with the command line's overrides. A relative path given
+    there is taken from the working directory, as the file's are from the
+    file's, so the effective config names absolute paths only."""
+    overrides = {}
+    for flag, row in _OVERRIDES.items():
+        value = getattr(args, flag.replace("-", "_"), None)
+        if value is not None:
+            overrides[row.attr] = row.kind.parse(value, Path.cwd()) if row.kind is PATH else value
+    return load_config(args.config, overrides)
 
 
 def _print_counts(c) -> None:

@@ -216,6 +216,21 @@ def _parse(row: Key, raw, base: Path | None):
         raise ConfigError(f"[{row.section}] {key} must be {row.kind.noun}, got {raw!r}") from None
 
 
+def _syntax_error(err: configparser.Error) -> str:
+    """configparser's error, which spans several lines and echoes the
+    input, as `line N: reason` on one line."""
+    if isinstance(err, configparser.DuplicateSectionError):
+        reason = f"section [{err.section}] appears twice"
+    elif isinstance(err, configparser.DuplicateOptionError):
+        reason = f"key {err.option!r} appears twice in [{err.section}]"
+    elif isinstance(err, configparser.MissingSectionHeaderError):
+        reason = "expected a [section] header first"
+    else:
+        reason = "neither a [section] header nor a `key = value` line"
+    lineno = getattr(err, "lineno", None) or err.errors[0][0]
+    return f"line {lineno}: {reason}"
+
+
 def load_config(path, overrides: Mapping[str, object] | None = None) -> PipelineConfig:
     """Parse and validate one INI config file (see README for the schema).
 
@@ -230,7 +245,7 @@ def load_config(path, overrides: Mapping[str, object] | None = None) -> Pipeline
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except configparser.Error as err:
-        raise ConfigError(f"{path}: {err}") from None
+        raise ConfigError(f"{path}: {_syntax_error(err)}") from None
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: not UTF-8 text ({err.reason})") from None
 

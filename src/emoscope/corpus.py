@@ -479,8 +479,10 @@ def scan_shards(
         # a child must not write out again what this process buffered
         sys.stdout.flush()
         sys.stderr.flush()
-    # A child runs the pure-Python scan only, so it never needs the BLAS
-    # threads of numpy, which fork does not copy.
+    # No command has loaded numpy yet: it loads inside the statistics,
+    # after the scan, so no BLAS threads exist at fork time. Where a caller
+    # did load it, a child still runs the pure-Python scan only and never
+    # needs those threads, which fork does not copy.
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     payloads: list[bytes] = []
     statuses: list[int] = []

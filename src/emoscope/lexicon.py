@@ -233,8 +233,10 @@ class ExplicitReportMatcher:
     """Evaluates every requested emotion's report templates in one scan.
 
     Templates sharing a (prefix, suffix) shape are merged into a single
-    adjective table, so the default set costs four prefix searches per
-    post regardless of how many emotions are tracked.
+    adjective table, and the tables are indexed by the first token of their
+    prefix, so a post is only searched where some prefix starts; a post
+    holding no such token costs one set test. A template with an empty
+    prefix can match anywhere and is searched at every position.
     """
 
     def __init__(self, templates: ReportTemplateSet, emotions: Sequence[str] | None = None):
@@ -256,21 +258,33 @@ class ExplicitReportMatcher:
                 adjmap = groups.setdefault(key, {})
                 for adj in templates.emotion_terms[emotion]:
                     adjmap.setdefault(adj, set()).add(emotion)
-        self._groups = tuple((pre, suf, adjmap) for (pre, suf), adjmap in groups.items())
+        self._by_start: dict[str, list[tuple[tuple[str, ...], tuple[str, ...], dict]]] = {}
+        self._anywhere: list[tuple[tuple[str, ...], dict]] = []  # empty prefixes
+        for (pre, suf), adjmap in groups.items():
+            if pre:
+                self._by_start.setdefault(pre[0], []).append((pre, suf, adjmap))
+            else:
+                self._anywhere.append((suf, adjmap))
+        self._starts = frozenset(self._by_start)
 
     def match(self, tokens: Sequence[str]) -> set[str]:
         found: set[str] = set()
         n = len(tokens)
+        for suffix, adjmap in self._anywhere:
+            s = len(suffix)
+            for j in range(n - s):
+                emos = adjmap.get(tokens[j])
+                if emos and tuple(tokens[j + 1 : j + 1 + s]) == suffix:
+                    found |= emos
+        if self._starts.isdisjoint(tokens):
+            return found
         gap = self.gap
-        for prefix, suffix, adjmap in self._groups:
-            p, s = len(prefix), len(suffix)
-            if n < p + s + 1:
-                continue
-            for i in range(n - p + 1):
-                if tuple(tokens[i : i + p]) != prefix:
+        for i, tok in enumerate(tokens):
+            for prefix, suffix, adjmap in self._by_start.get(tok, ()):
+                p, s = len(prefix), len(suffix)
+                if p > 1 and tuple(tokens[i : i + p]) != prefix:
                     continue
-                jmax = min(i + p + gap, n - 1 - s)
-                for j in range(i + p, jmax + 1):
+                for j in range(i + p, min(i + p + gap, n - 1 - s) + 1):
                     emos = adjmap.get(tokens[j])
                     if emos and tuple(tokens[j + 1 : j + 1 + s]) == suffix:
                         found |= emos

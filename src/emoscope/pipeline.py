@@ -12,9 +12,7 @@ import json
 from dataclasses import dataclass, field, fields
 from datetime import date
 from pathlib import Path
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .config import PipelineConfig, config_text, expand_inputs
 from .corpus import Gender, StreamCounts, scan_shards, stream_posts
@@ -56,6 +54,9 @@ from .stats import (
     chi2_two_proportions,
     significance_marker,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAX_ERROR_SAMPLES = 20
 

@@ -8,12 +8,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import StreamCounts, load_json_object, read_ndjson
 from .errors import RecordError, SignalError, SurveyError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GENDER_STRATA = ("all", "male", "female")
 
@@ -316,6 +317,8 @@ def split_periods(
 
 def paired_values(signal: WeeklySeries, survey: SurveySeries) -> tuple[np.ndarray, np.ndarray, list[date]]:
     """Pairwise-complete (signal, survey) arrays over the anchors both cover."""
+    import numpy as np
+
     common = [a for a in survey.anchors if a in survey.percent and a in signal.values]
     x = np.array([signal.values[a] for a in common], dtype=float)
     y = np.array([survey.percent[a] for a in common], dtype=float)

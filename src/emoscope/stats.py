@@ -5,23 +5,25 @@ stationarity, two-proportion comparison, and ROC analysis.
 numpy and the standard library only: the normal quantile is
 statistics.NormalDist, the Student t tail comes from `special`, the
 chi-square tail is math.erfc and the AUC ranks are numpy average ranks.
-`statistics` and `special` are imported inside the functions that use
-them, so the scan commands, which need none of them, never load them."""
+numpy, `statistics` and `special` are imported inside the functions that
+use them, so the scan commands, which need none of them, never load them."""
 
 from __future__ import annotations
 
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import StatError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def _clean_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or y.ndim != 1 or len(x) != len(y):
@@ -101,12 +103,14 @@ _CHUNK_BYTES = 256 << 10
 # observed one (scipy.stats.permutation_test uses the same): arrangements
 # whose statistics are equal in exact arithmetic, such as swaps of tied
 # values, must not fall below the observed value by rounding.
-_TIE_RTOL = 100 * np.finfo(float).eps
+_TIE_RTOL = 100 * sys.float_info.epsilon
 
 
 def _pearson_rows(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Row kernel: Pearson r of every row of X (permutations of x) with y.
     Mean and norm of x do not change under permutation."""
+    import numpy as np
+
     mu = x.mean()
     yc = y - y.mean()
     scale = math.sqrt(((x - mu) ** 2).sum()) * math.sqrt(yc @ yc)
@@ -131,6 +135,8 @@ def _index_chunks(rng: np.random.Generator, n: int, block: int, n_perm: int):
     rng.permutation(n_units) would, so the stream does not depend on the
     chunk size.
     """
+    import numpy as np
+
     n_units = -(-n // block)
     units = np.arange(n_units)
     per_chunk = max(1, _CHUNK_BYTES // (8 * n))
@@ -148,6 +154,8 @@ def permutation_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     """The observations a permutation test of x against y runs on: the
     pairwise-complete values. Raises StatError where the test is
     undefined, for fewer than 3 pairs or a constant series."""
+    import numpy as np
+
     x, y = _clean_pair(x, y)
     n = len(x)
     if n < 3:
@@ -158,6 +166,8 @@ def permutation_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_kernel(statistic, x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    import numpy as np
+
     kernel = getattr(statistic, "rows", None)
     if kernel is not None:
         return kernel(x, y)
@@ -199,6 +209,8 @@ def permutation_test(
     after dropping non-finite ones) and applied to each of them, so every
     p-value equals that of the row's own one-pair call.
     """
+    import numpy as np
+
     if seed is None:
         raise StatError("seed is required for a reproducible permutation test")
     if n_perm < 1:
@@ -236,6 +248,8 @@ class DccaResult:
 
 
 def _box_residuals(profile: np.ndarray, window: int, t: np.ndarray, tt: float) -> np.ndarray:
+    from numpy.lib.stride_tricks import sliding_window_view
+
     boxes = sliding_window_view(profile, window)
     centered = boxes - boxes.mean(axis=1, keepdims=True)
     slopes = (centered @ t) / tt
@@ -250,6 +264,8 @@ def dcca(x, y, window: int = 12) -> DccaResult:
     the mean cross to auto detrended covariances. Identical inputs give
     exactly 1.0, negated inputs exactly -1.0.
     """
+    import numpy as np
+
     if window < 4:
         raise StatError(f"window must be >= 4, got {window}")
     x, y = _clean_pair(x, y)
@@ -288,6 +304,8 @@ def _dcca_rows(x: np.ndarray, y: np.ndarray, window: int) -> Callable[[np.ndarra
     `dcca` on a random-walk x (n=1061, window 4); this one costs `window`
     passes of O(n) and stays within 1e-12.
     """
+    import numpy as np
+
     dcca(x, y, window)  # raises StatError where the coefficient is undefined
     n = len(y)
     m = n - window + 1
@@ -364,6 +382,8 @@ class RegressionFit:
 
 
 def _newey_west_cov(design: np.ndarray, resid: np.ndarray, lag: int) -> np.ndarray:
+    import numpy as np
+
     xe = design * resid[:, None]
     s = xe.T @ xe
     for j in range(1, lag + 1):
@@ -382,6 +402,8 @@ def lagged_regression_hac(y, x, lag: int | None = None) -> RegressionFit:
     lost to the lag). lag=None selects the automatic truncation from the
     row count; lag=0 degrades to plain heteroskedasticity-robust errors.
     """
+    import numpy as np
+
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if y.ndim != 1 or x.ndim != 1 or len(y) != len(x):
@@ -462,6 +484,8 @@ def kpss(residuals, lag: int | None = None) -> KpssResult:
     """KPSS level-stationarity test; the null is stationarity, large
     statistics reject. The verdict is a band between tabulated critical
     values, not an exact p."""
+    import numpy as np
+
     e = np.asarray(residuals, dtype=float)
     if e.ndim != 1:
         raise StatError("residuals must be one-dimensional")
@@ -535,6 +559,8 @@ def percent_difference(p_with: float, p_without: float) -> float:
 
 
 def _check_binary(labels, scores) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=float)
     if labels.ndim != 1 or labels.shape != scores.shape:
@@ -564,6 +590,8 @@ def roc_auc(labels, scores) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n, each tie group given the mean of the ranks it spans."""
+    import numpy as np
+
     order = np.argsort(values, kind="mergesort")
     ordered = values[order]
     starts = np.r_[True, ordered[1:] != ordered[:-1]]
@@ -580,6 +608,8 @@ def roc_curve(labels, scores) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Starts at (0, 0) with an infinite threshold; equal scores collapse
     into one point, so the curve has one step per distinct score.
     """
+    import numpy as np
+
     labels, scores = _check_binary(labels, scores)
     npos = int(labels.sum())
     nneg = len(labels) - npos

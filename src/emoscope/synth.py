@@ -15,9 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ConfigError
 from .lexicon import (
@@ -27,6 +25,9 @@ from .lexicon import (
     demo_lexicon,
     tokenize,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _FILLER = (
     "morning",
@@ -164,6 +165,8 @@ class GroundTruth:
     ) -> dict[str, np.ndarray]:
         """Window means of the population truth ending at each anchor
         (window clipped at the start of the generated range)."""
+        import numpy as np
+
         idxs = [self.day_index(a) for a in anchors]
         out: dict[str, np.ndarray] = {}
         for emotion in self.emotions:
@@ -191,6 +194,8 @@ class GroundTruth:
 
 
 def _build_truth(cfg: SynthConfig, rng: np.random.Generator) -> GroundTruth:
+    import numpy as np
+
     male: dict[str, np.ndarray] = {}
     female: dict[str, np.ndarray] = {}
     innovation_sd = math.sqrt(1.0 - cfg.phi * cfg.phi)  # unit stationary variance
@@ -277,6 +282,8 @@ def generate_corpus(cfg: SynthConfig, corpus_path, truth_path=None) -> GroundTru
     follower counts so the default filter drops exactly that many.
     Returns the ground truth (also written to truth_path if given).
     """
+    import numpy as np
+
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     truth = _build_truth(cfg, rng)
@@ -369,6 +376,8 @@ def generate_survey(
     window mean of the population prevalence; respondents=0 writes the
     noise-free percent instead.
     """
+    import numpy as np
+
     if respondents < 0:
         raise ConfigError(f"respondents must be >= 0, got {respondents}")
     emotions = tuple(emotions) if emotions is not None else truth.emotions
@@ -403,6 +412,8 @@ def generate_scores(
 ) -> None:
     """Write a score NDJSON whose daily means track the planted population
     prevalence (independent noise per record, clipped to [0, 1])."""
+    import numpy as np
+
     if per_day < 1:
         raise ConfigError(f"per_day must be >= 1, got {per_day}")
     if noise_sd < 0.0:

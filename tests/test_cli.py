@@ -106,6 +106,17 @@ class TestSignal:
         assert mb["config"].pop("output") == {"dir": str(b)}
         assert ma == mb
 
+    def test_relative_output_is_taken_from_the_working_directory(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["signal", "--config", str(workspace / "pipeline.ini"),
+                     "--output", "runs/out"]) == 0
+        out = (tmp_path / "runs" / "out").resolve()
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["output"] == {"dir": str(out)}
+        assert capsys.readouterr().out.endswith(f" to {out}\n")
+
 
 @pytest.fixture(scope="module")
 def report(workspace, tmp_path_factory):
@@ -526,6 +537,41 @@ class TestStartup:
             capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_scan_commands_never_load_numpy(self, tmp_path):
+        """Importing the package and the CLI and running `signal` and
+        `thirdperson`, their scans in shards, load no numpy: with numpy
+        blocked they write the same bytes as with it available."""
+        ws = tmp_path / "ws"
+        assert main(["synth", "--out", str(ws), "--days", "60", "--posts-per-day", "20"]) == 0
+        script = (
+            "import sys\n"
+            "if sys.argv[1] == 'blocked':\n"
+            "    sys.modules['numpy'] = None  # any import of it raises ImportError\n"
+            "import emoscope\n"
+            "from emoscope import corpus\n"
+            "from emoscope.cli import main\n"
+            "corpus._MIN_SHARD_BYTES = 1\n"
+            "corpus._usable_cpus = lambda: 3\n"
+            "for command in ('signal', 'thirdperson'):\n"
+            "    assert main([command, '--config', sys.argv[2], '--output', sys.argv[3]]) == 0\n"
+            "assert sys.modules.get('numpy') is None, 'numpy loaded'\n"
+        )
+        env = dict(os.environ)
+        package_root = str(Path(emoscope.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+        out = tmp_path / "out"
+        runs = []
+        for mode in ("blocked", "free"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, mode, str(ws / "pipeline.ini"), str(out)],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+            assert proc.returncode == 0, (mode, proc.stderr)
+            runs.append((proc.stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+            shutil.rmtree(out)
+        assert "thirdperson.csv" in runs[0][1] and "manifest.json" in runs[0][1]
+        assert runs[0] == runs[1]
 
 
 class TestThirdPerson:

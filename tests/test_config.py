@@ -154,6 +154,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
             load_config(path)
 
+    # MINIMAL's lines: 1 [corpus], 2 input, 3 blank, 4 [lexicons], 5 sadness
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("\x00" + MINIMAL, "line 1: expected a [section] header first"),
+            ("input = x\n" + MINIMAL, "line 1: expected a [section] header first"),
+            (MINIMAL + "[corpus]\n", "line 6: section [corpus] appears twice"),
+            (MINIMAL + "sadness = sad.txt\n", "line 6: key 'sadness' appears twice in [lexicons]"),
+            (MINIMAL + "\nnot a key\n", "line 7: neither a [section] header nor a `key = value` line"),
+            (MINIMAL + "[output\n", "line 6: neither a [section] header nor a `key = value` line"),
+        ],
+    )
+    def test_syntax_error_is_one_line(self, tmp_path, body, message):
+        path = _write_config(tmp_path, body)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_overrides_replace_the_file_and_keep_its_bounds(self, tmp_path):
         path = _write_config(tmp_path, MINIMAL + "\n[validate]\nseed = 3\n")
         assert load_config(path, {"seed": 4, "output_dir": "elsewhere"}).seed == 4

@@ -3,6 +3,7 @@ holds, reading it ends as counted malformed lines or as a RecordError that
 names the file and the line. Nothing else may escape."""
 
 import contextlib
+import csv
 import gzip
 import io
 import json
@@ -148,9 +149,11 @@ def test_any_bytes_end_as_malformed_lines_or_a_located_record_error(lines, gz, d
         assert counts.records == _records(data)
 
 
-# The whole CLI on such bytes: `signal` over one to three corpus files, its
-# scan forced into shards (one process per shard group) and again in one
-# process. Both runs must end alike, byte for byte.
+# The whole CLI on such bytes: `signal`, `thirdperson` and `validate` over
+# one to three corpus files, the scan forced into shards (one process per
+# shard group) and again in one process. Both runs must end alike, byte for
+# byte. `validate` runs the synth config's 1,000 permutations, the fewest
+# the config allows.
 
 
 @pytest.fixture(scope="module")
@@ -182,30 +185,44 @@ def _write_corpus(corpus_dir: Path, files) -> None:
         path.write_bytes(_damage(gzip.compress(data, mtime=0), damage) if gz else data)
 
 
-def _signal_run(ini: Path, out: Path, sharded: bool):
-    """(exit code, stderr, {file name: bytes}) of `signal`, its scan
-    split into up to three shard groups or kept in one process."""
+def _run(command: str, ini: Path, out: Path, sharded: bool):
+    """(exit code, stdout, stderr, {file name: bytes}) of one command, its
+    scan split into up to three shard groups or kept in one process."""
     with mock.patch.object(corpus, "_MIN_SHARD_BYTES", 1 if sharded else 1 << 62), \
             mock.patch.object(corpus, "_usable_cpus", lambda: 3), \
-            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stdout(io.StringIO()) as std, \
             contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main(["signal", "--config", str(ini), "--output", str(out)])
+        code = main([command, "--config", str(ini), "--output", str(out)])
     files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
-    return code, err.getvalue(), files
+    return code, std.getvalue(), err.getvalue(), files
 
 
-def _assert_same_signal_runs(ini: Path, tmp: Path):
+def _stdout_counts(stdout: str) -> dict[str, int]:
+    """The first line's records=... malformed=... counts."""
+    return {k: int(v) for k, v in re.findall(r"(\w+)=(\d+)", stdout.partition("\n")[0])}
+
+
+def _assert_same_runs(ini: Path, tmp: Path, command: str = "signal"):
     # one output dir for both runs: the manifest's effective config names it
-    sharded = _signal_run(ini, tmp / "out", sharded=True)
+    sharded = _run(command, ini, tmp / "out", sharded=True)
     shutil.rmtree(tmp / "out", ignore_errors=True)
-    single = _signal_run(ini, tmp / "out", sharded=False)
+    single = _run(command, ini, tmp / "out", sharded=False)
     assert sharded == single
-    code, _, files = single
+    code, stdout, stderr, files = single
     assert code in (0, 1, 2)
-    if code == 0:
+    if code:
+        assert stderr.startswith("config error: " if code == 1 else "error: ")
+        return single
+    if command == "signal":
         counts = json.loads(files["manifest.json"])["counts"]
-        assert counts["records"] == counts["parsed"] + counts["malformed"]
-        assert counts["parsed"] == counts["kept"] + counts["filtered"]
+    else:
+        counts = _stdout_counts(stdout)
+    parsed = counts["records"] - counts["malformed"]  # thirdperson prints no parsed=
+    assert counts.get("parsed", parsed) == parsed == counts["kept"] + counts["filtered"]
+    if command == "thirdperson":
+        for row in csv.DictReader(io.StringIO(files["thirdperson.csv"].decode())):
+            if row["label"] != "all_posts":  # the baseline row has no without_n
+                assert int(row["with_n"]) + int(row["without_n"]) == counts["kept"]
     return single
 
 
@@ -237,7 +254,18 @@ def test_signal_in_shards_ends_as_in_one_process(lexicon_workspace, files):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         _write_corpus(tmp, files)
-        _assert_same_signal_runs(_signal_ini(lexicon_workspace, tmp), tmp)
+        _assert_same_runs(_signal_ini(lexicon_workspace, tmp), tmp)
+
+
+@pytest.mark.parametrize("command", ["thirdperson", "validate"])
+@settings(max_examples=30, deadline=None)
+@given(files=st.lists(CORPUS_FILE, min_size=1, max_size=3))
+def test_other_commands_in_shards_end_as_in_one_process(lexicon_workspace, command, files):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        _write_corpus(tmp, files)
+        code = _assert_same_runs(_signal_ini(lexicon_workspace, tmp), tmp, command)[0]
+        event(f"{command} exit {code}")
 
 
 def _groups(ini: Path) -> int:
@@ -255,7 +283,7 @@ class TestShardedSignal:
         (tmp_path / "corpus-0.ndjson").write_bytes(data)
         ini = _signal_ini(lexicon_workspace, tmp_path)
         assert _groups(ini) == 3  # the second cut falls inside the invalid line ...
-        code, _, files = _assert_same_signal_runs(ini, tmp_path)
+        code, _, _, files = _assert_same_runs(ini, tmp_path)
         assert code == 0
         manifest = json.loads(files["manifest.json"])
         assert manifest["counts"]["malformed"] == 1
@@ -270,7 +298,7 @@ class TestShardedSignal:
         (tmp_path / "corpus-1.ndjson.gz").write_bytes(data[: len(data) // 2])
         ini = _signal_ini(lexicon_workspace, tmp_path)
         assert _groups(ini) == 3
-        code, stderr, _ = _assert_same_signal_runs(ini, tmp_path)
+        code, _, stderr, _ = _assert_same_runs(ini, tmp_path)
         assert code == 2
         assert stderr.startswith(f"error: {tmp_path / 'corpus-1.ndjson.gz'}:")
         assert "corrupt or truncated gzip stream" in stderr
@@ -280,7 +308,7 @@ class TestShardedSignal:
         (tmp_path / "corpus-0.ndjson").write_bytes(b"".join(lines))
         ini = _signal_ini(lexicon_workspace, tmp_path)
         assert _groups(ini) == 3
-        code, _, files = _assert_same_signal_runs(ini, tmp_path)
+        code, _, _, files = _assert_same_runs(ini, tmp_path)
         assert code == 0
         manifest = json.loads(files["manifest.json"])
         assert manifest["counts"]["malformed"] == 30
@@ -376,5 +404,6 @@ def test_any_config_bytes_end_in_an_exit_code(config_workspace, edits):
             event(f"{command} exit {code}")
             if code:
                 assert err.getvalue().startswith("config error: " if code == 1 else "error: ")
+                assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
             if not utf8:
                 assert code == 1 and err.getvalue().startswith(f"config error: {ini}: not UTF-8")

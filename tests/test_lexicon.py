@@ -321,6 +321,32 @@ class TestExplicitReports:
                 }
                 assert matcher.match(tokens) == expected, (templates, tokens)
 
+    # few words, so prefixes repeat and overlap ("i i _" on "i i i sad") and
+    # an adjective ("i") can also be a prefix or suffix token
+    REPORT_WORDS = ["i", "am", "so", "sad", "glad", "x"]
+
+    @given(
+        shapes=st.lists(
+            st.tuples(st.lists(st.sampled_from(REPORT_WORDS), max_size=3),
+                      st.lists(st.sampled_from(REPORT_WORDS), max_size=2)),
+            min_size=1, max_size=4,
+        ),
+        gap=st.integers(0, 2),
+        posts=st.lists(st.lists(st.sampled_from(REPORT_WORDS), max_size=10), max_size=10),
+    )
+    def test_agrees_with_reference_on_any_template_shape(self, shapes, gap, posts):
+        """Empty prefixes, suffixes, gaps 0-2 and repeated prefix tokens."""
+        templates = ReportTemplateSet(
+            tuple(" ".join([*pre, "_", *suf]) for pre, suf in shapes),
+            {"sad": ("sad",), "glad": ("glad", "i")},
+            max_slot_gap=gap,
+        )
+        matcher = ExplicitReportMatcher(templates)
+        for tokens in posts:
+            expected = {e for e in ("sad", "glad") if matches_explicit_report(tokens, templates, e)}
+            assert matcher.match(tokens) == expected
+            assert matcher.match(tuple(tokens)) == expected
+
     def test_prefix_must_be_contiguous(self):
         assert not reports(tokenize("i really am sad"), TEMPLATES, "sad")
 
