@@ -15,10 +15,11 @@ from pathlib import Path
 from .config import PATH, SCHEMA, PipelineConfig, config_text, format_ini, load_config
 from .errors import ConfigError, EmoscopeError, StatError
 from .pipeline import (
+    ProportionRow,
     build_signals,
+    finalize_proportion_row,
     format_proportions_table,
     format_report_table,
-    read_proportion_counts,
     run_validation,
     thirdperson_rows,
     write_manifest,
@@ -210,19 +211,44 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _read_counts(path) -> list[ProportionRow]:
+    """Precomputed-counts mode: CSV label,with_k,with_n,without_k,without_n."""
+    path = Path(path)
+    rows: list[ProportionRow] = []
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        required = {"label", "with_k", "with_n", "without_k", "without_n"}
+        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+            raise ConfigError(f"{path}: header must contain {sorted(required)}")
+        for line_no, rec in enumerate(reader, 2):
+            try:
+                row = ProportionRow(
+                    label=rec["label"],
+                    with_k=int(rec["with_k"]),
+                    with_n=int(rec["with_n"]),
+                    without_k=int(rec["without_k"]),
+                    without_n=int(rec["without_n"]),
+                )
+            except (TypeError, ValueError):
+                raise ConfigError(f"{path}:{line_no}: counts must be integers") from None
+            rows.append(finalize_proportion_row(row))
+    if not rows:
+        raise ConfigError(f"{path}: no count rows")
+    return rows
+
+
 def cmd_thirdperson(args) -> int:
     if (args.config is None) == (args.counts is None):
         raise ConfigError("thirdperson needs exactly one of --config or --counts")
     if args.counts is not None:
-        rows = read_proportion_counts(args.counts)
+        rows = _read_counts(args.counts)
         baseline = None
         out = Path(args.output or ".")
     else:
         cfg = _load_config(args)
         counts, baseline, rows = thirdperson_rows(cfg)
         out = Path(cfg.output_dir)
-        print(f"records={counts.records} malformed={counts.malformed} "
-              f"filtered={counts.dropped} kept={counts.kept}")
+        _print_counts(counts)
     out.mkdir(parents=True, exist_ok=True)
     write_proportions_csv(baseline, rows, out / "thirdperson.csv")
     sys.stdout.write(format_proportions_table(baseline, rows))
@@ -237,11 +263,15 @@ def _read_labels(path) -> dict[str, dict[str, int]]:
         required = {"id", "emotion", "label"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise ConfigError(f"{path}: header must contain {sorted(required)}")
-        for line_no, rec in enumerate(reader, 2):
-            raw = (rec["label"] or "").strip()
-            if raw not in ("0", "1"):
-                raise ConfigError(f"{path}:{line_no}: label must be 0 or 1, got {raw!r}")
-            labels.setdefault(rec["emotion"].strip(), {})[rec["id"].strip()] = int(raw)
+        try:
+            for line_no, rec in enumerate(reader, 2):
+                # a short row leaves its missing cells None
+                emotion, post_id, raw = ((rec[k] or "").strip() for k in ("emotion", "id", "label"))
+                if raw not in ("0", "1"):
+                    raise ConfigError(f"{path}:{line_no}: label must be 0 or 1, got {raw!r}")
+                labels.setdefault(emotion, {})[post_id] = int(raw)
+        except csv.Error as err:  # a NUL byte, before Python 3.11
+            raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
     if not labels:
         raise ConfigError(f"{path}: no label rows")
     return labels
@@ -403,3 +433,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -185,35 +185,14 @@ def parse_post_record(line: str, line_no: int | None = None, source: str | None 
     return Post(post_id, ts, text, _coerce_gender(rec.get("author_gender")), followers, retweet)
 
 
-def post_record(post: Post) -> dict:
-    """Documented wire fields of a post, ready for json.dumps."""
-    return {
-        "id": post.id,
-        "created_at": post.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "text": post.text,
-        "author_gender": post.author_gender.value,
-        "author_followers": post.author_followers,
-        "is_retweet": post.is_retweet,
-    }
-
-
-def serialize_post(post: Post) -> str:
-    return json.dumps(post_record(post), ensure_ascii=False)
-
-
 def _post_filter(cfg: FilterConfig) -> Callable[[Post], bool]:
-    """filter_post under cfg, with the bounds read once."""
+    """The keep/drop rule of cfg, bounds inclusive on both ends."""
     low, high, drop_retweets = cfg.min_followers, cfg.max_followers, cfg.exclude_retweets
 
     def keep(post: Post) -> bool:
         return not (drop_retweets and post.is_retweet) and low <= post.author_followers <= high
 
     return keep
-
-
-def filter_post(post: Post, cfg: FilterConfig) -> bool:
-    """Keep/drop decision; follower bounds are inclusive on both ends."""
-    return _post_filter(cfg)(post)
 
 
 @dataclass
@@ -314,27 +293,29 @@ def _newlines(fh, start: int, stop: int) -> int:
 def shard_groups(paths: Iterable, parts: int) -> list[list[Shard]]:
     """The inputs, in order, as at most `parts` groups of contiguous shards
     holding about equal bytes; no more groups than _MIN_SHARD_BYTES fit
-    into the inputs' total size.
+    into the inputs' total size. An input given as a Shard of a whole file,
+    of any Shard class, is kept whole and as it is.
 
-    Cuts fall after a newline of a plain file or at an edge of a .gz file,
-    so a line is never split and each shard numbers its lines as a whole
-    read of the file would.
+    Cuts fall after a newline of a plain file given by its path, or at an
+    edge of any other input, so a line is never split and each shard
+    numbers its lines as a whole read of the file would.
     """
     paths = list(paths)
-    sizes = [os.path.getsize(p) for p in paths]
+    shards = [p if isinstance(p, Shard) else Shard(p) for p in paths]
+    sizes = [os.path.getsize(s) for s in shards]
     total = sum(sizes)
     parts = max(1, min(parts, total // _MIN_SHARD_BYTES))
     if parts == 1:
-        return [[Shard(p) for p in paths]]
+        return [shards]
     groups: list[list[Shard]] = [[]]
     base = 0  # bytes of the inputs before this file
     target = 1  # the next of the parts-1 cuts, at byte total*target/parts
-    for path, size in zip(paths, sizes):
-        if Path(path).suffix == ".gz":
+    for path, shard, size in zip(paths, shards, sizes):
+        if isinstance(path, Shard) or Path(path).suffix == ".gz":
             while target < parts and total * target // parts <= base + size // 2:
                 target += 1
                 groups.append([])
-            groups[-1].append(Shard(path))
+            groups[-1].append(shard)
             while target < parts and total * target // parts <= base + size:
                 target += 1
                 groups.append([])

@@ -30,6 +30,7 @@ from .signals import (
     GENDER_STRATA,
     DailySignal,
     ScoreCounts,
+    ScoreShard,
     SurveySeries,
     WeeklySeries,
     daily_mean_scores,
@@ -102,15 +103,23 @@ def scan_corpus(
     report_matcher: ExplicitReportMatcher | None = None,
     pronouns: PronounList | None = None,
     on_error: Callable[[RecordError], None] | None = None,
-) -> tuple[StreamCounts, dict[tuple[date, int, int], int], tuple[str, ...], int]:
+    scores: bool = False,
+) -> tuple[StreamCounts, dict[tuple[date, int, int], int], tuple[str, ...], int, tuple | None]:
     """The one pass over the filtered corpus: kept posts per (day, gender
     index, match mask), with gender index 1 male, 2 female, 0 unknown.
 
     The lexicons of `matcher` take the low mask bits, the report emotions
     of `report_matcher` (as report_<emotion>) the next ones, and the bit
     after them marks a third-person pronoun from `pronouns`. A matcher
-    left None is never run and sets no bits. Returns (counts, table, signal
-    name of each mask bit, index of the pronoun bit).
+    left None is never run and sets no bits; with none, the corpus is not
+    read. Returns (counts, table, signal name of each mask bit, index of
+    the pronoun bit, scores).
+
+    With `scores`, cfg's score file rides the same pass as one uncut shard
+    after the corpus, so one process adds its scores in line order; scores
+    is then (ScoreCounts, daily_mean_scores of cfg.score_emotions), else
+    None. Errors come in the order one process meets them: a corpus data
+    error, no kept post, a missing score file, a score data error.
 
     The inputs are scanned by corpus.scan_shards, in up to one process per
     usable CPU. Counts and tables are summed in input order, so the result
@@ -126,13 +135,19 @@ def scan_corpus(
     )
     signals += tuple(f"report_{e}" for e in report_bits)
     pronoun_bit = len(signals)
+    read_corpus = bool(signals) or pronouns is not None
+    inputs = expand_inputs(cfg) if read_corpus else []
+    found = scores and cfg.score_path is not None and Path(cfg.score_path).is_file()
+    if found:
+        inputs.append(ScoreShard(cfg.score_path))
     tz = cfg.tz_offset_minutes
     male, female = Gender.MALE, Gender.FEMALE
 
     def scan(group, on_error):
         counts = StreamCounts()
         table: dict[tuple[date, int, int], int] = {}
-        for post in stream_posts(group, cfg.filter, counts, on_error):
+        shard = group[-1] if group and isinstance(group[-1], ScoreShard) else None
+        for post in stream_posts(group[:-1] if shard else group, cfg.filter, counts, on_error):
             tokens = tokenize(post.text)
             mask = 0 if matcher is None else matcher.match_mask(tokens)
             if report_matcher is not None:
@@ -144,74 +159,81 @@ def scan_corpus(
             gender = post.author_gender
             key = (post.day(tz), 1 if gender is male else 2 if gender is female else 0, mask)
             table[key] = table.get(key, 0) + 1
-        return counts, table
+        if shard is None:
+            return counts, table, None
+        score_counts = ScoreCounts()
+        try:  # raised by the caller, after the checks that come first
+            means = daily_mean_scores(stream_scores(shard, score_counts, on_error),
+                                      cfg.score_emotions, score_counts)
+        except (RecordError, OSError) as err:
+            return counts, table, err
+        return counts, table, (score_counts, means)
 
-    (counts, table), *rest = scan_shards(expand_inputs(cfg), scan, on_error, _MAX_ERROR_SAMPLES)
-    for part_counts, part_table in rest:
+    results = scan_shards(inputs, scan, on_error, _MAX_ERROR_SAMPLES)
+    (counts, table, _), *rest = results
+    for part_counts, part_table, _ in rest:
         counts.add(part_counts)
         for key, n in part_table.items():
             table[key] = table.get(key, 0) + n
-    if counts.kept == 0:
+    if read_corpus and counts.kept == 0:
         raise SignalError("no posts left after filtering")
-    return counts, table, signals, pronoun_bit
+    if scores and not found:
+        raise ConfigError(f"score file not found: {cfg.score_path}")
+    score_part = results[-1][2]
+    if isinstance(score_part, Exception):
+        raise score_part
+    return counts, table, signals, pronoun_bit, score_part
 
 
 def build_signals(cfg: PipelineConfig) -> SignalBundle:
-    """One corpus scan with every lexicon and report matcher, then one
-    pass over the score file."""
+    """One scan of the corpus, with every lexicon and report matcher, and
+    of the score file."""
     lexicons = _load_lexicons(cfg)
     matcher = MultiLexiconMatcher(lexicons) if lexicons else None
     report_matcher = (
         ExplicitReportMatcher(cfg.templates, cfg.report_emotions) if cfg.report_emotions else None
     )
-    corpus_signals = [lex.name for lex in lexicons] + [f"report_{e}" for e in cfg.report_emotions]
-    signal_names = corpus_signals + [f"score_{e}" for e in cfg.score_emotions]
+    signal_names = cfg.signal_names()
     if not signal_names:
         raise ConfigError("no signals configured (lexicons, reports, or scores)")
 
-    counts = StreamCounts()
     errors: list[str] = []
 
     def on_error(err):
         if len(errors) < _MAX_ERROR_SAMPLES:
             errors.append(str(err))
 
+    counts, table, names, _, scores = scan_corpus(
+        cfg, matcher, report_matcher, None, on_error, bool(cfg.score_emotions)
+    )
+    # per day: posts per gender index, then the same three per signal bit
+    agg: dict[date, list[int]] = {}
+    for (d, gi, mask), n in table.items():
+        row = agg.get(d)
+        if row is None:
+            row = agg[d] = [0] * (3 + 3 * len(names))
+        row[0] += n
+        if gi:
+            row[gi] += n
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            base = 3 + 3 * (low.bit_length() - 1)
+            row[base] += n
+            if gi:
+                row[base + gi] += n
     daily: dict[tuple[str, str], DailySignal] = {}
     matched: dict[str, int] = {}
-    if corpus_signals:
-        counts, table, names, _ = scan_corpus(cfg, matcher, report_matcher, on_error=on_error)
-        # per day: posts per gender index, then the same three per signal bit
-        agg: dict[date, list[int]] = {}
-        for (d, gi, mask), n in table.items():
-            row = agg.get(d)
-            if row is None:
-                row = agg[d] = [0] * (3 + 3 * len(names))
-            row[0] += n
-            if gi:
-                row[gi] += n
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                base = 3 + 3 * (low.bit_length() - 1)
-                row[base] += n
-                if gi:
-                    row[base + gi] += n
-        for idx, name in enumerate(names):
-            base = 3 + 3 * idx
-            for gi, stratum in enumerate(GENDER_STRATA):
-                per_day = {d: (row[base + gi], row[gi]) for d, row in agg.items() if row[gi] > 0}
-                daily[(name, stratum)] = DailySignal.from_counts(name, per_day)
-            matched[name] = sum(row[base] for row in agg.values())
-
-    score_counts = None
-    if cfg.score_emotions:
-        if cfg.score_path is None or not Path(cfg.score_path).is_file():
-            raise ConfigError(f"score file not found: {cfg.score_path}")
-        score_counts = ScoreCounts()
-        records = stream_scores(cfg.score_path, score_counts, on_error)
-        for signal in daily_mean_scores(records, cfg.score_emotions, score_counts).values():
-            daily[(signal.name, "all")] = signal
-            matched[signal.name] = int(sum(n for _, n in signal.counts.values()))
+    for idx, name in enumerate(names):
+        base = 3 + 3 * idx
+        for gi, stratum in enumerate(GENDER_STRATA):
+            per_day = {d: (row[base + gi], row[gi]) for d, row in agg.items() if row[gi] > 0}
+            daily[(name, stratum)] = DailySignal.from_counts(name, per_day)
+        matched[name] = sum(row[base] for row in agg.values())
+    score_counts, means = scores or (None, {})
+    for signal in means.values():
+        daily[(signal.name, "all")] = signal
+        matched[signal.name] = int(sum(n for _, n in signal.counts.values()))
 
     return SignalBundle(
         daily=daily,
@@ -232,10 +254,7 @@ def load_survey_map(cfg: PipelineConfig) -> dict[str, SurveySeries]:
 
 
 def survey_anchor_union(surveys) -> tuple[date, ...]:
-    anchors: set[date] = set()
-    for series in surveys:
-        anchors.update(series.anchors)
-    return tuple(sorted(anchors))
+    return tuple(sorted({anchor for series in surveys for anchor in series.anchors}))
 
 
 def strata_for(cfg: PipelineConfig, signal: str, extra_stratified: bool = False) -> list[str]:
@@ -355,6 +374,21 @@ def validate_pair(
     return row, tests
 
 
+def _weekly_pairs(cfg: PipelineConfig, bundle: SignalBundle, surveys, extra_stratified=False):
+    """(survey, stratum, weekly signal) of every configured pair in each of
+    its strata, the signal aligned to the survey's anchors."""
+    for survey_emotion, signal in cfg.pairs:
+        if survey_emotion not in surveys:
+            raise ConfigError(f"survey has no emotion {survey_emotion!r}; has {sorted(surveys)}")
+        survey = surveys[survey_emotion]
+        for stratum in strata_for(cfg, signal, extra_stratified):
+            daily = bundle.stratum_signal(signal, stratum)
+            yield survey, stratum, weekly_align(
+                daily, survey.anchors, window_days=cfg.week_length, offset_days=cfg.week_offset,
+                name=signal,
+            )
+
+
 def run_validation(
     cfg: PipelineConfig, bundle: SignalBundle | None = None, extra_stratified: bool = False
 ) -> list[ValidationRow]:
@@ -369,25 +403,11 @@ def run_validation(
         bundle = build_signals(cfg)
     rows: list[ValidationRow] = []
     calls: dict[tuple[str, int], list[tuple[ValidationRow, np.ndarray, np.ndarray]]] = {}
-    for survey_emotion, signal in cfg.pairs:
-        if survey_emotion not in surveys:
-            raise ConfigError(
-                f"survey has no emotion {survey_emotion!r}; has {sorted(surveys)}"
-            )
-        survey = surveys[survey_emotion]
-        for stratum in strata_for(cfg, signal, extra_stratified):
-            daily = bundle.stratum_signal(signal, stratum)
-            weekly = weekly_align(
-                daily,
-                survey.anchors,
-                window_days=cfg.week_length,
-                offset_days=cfg.week_offset,
-                name=signal,
-            )
-            row, tests = validate_pair(survey, weekly, stratum, cfg)
-            rows.append(row)
-            for field, x, y in tests:
-                calls.setdefault((field, len(x)), []).append((row, x, y))
+    for survey, stratum, weekly in _weekly_pairs(cfg, bundle, surveys, extra_stratified):
+        row, tests = validate_pair(survey, weekly, stratum, cfg)
+        rows.append(row)
+        for field, x, y in tests:
+            calls.setdefault((field, len(x)), []).append((row, x, y))
     statistics = {"perm_p": None, "dcca_p": dcca_statistic(cfg.dcca_window)}
     for (field, _), members in calls.items():
         p_values = permutation_test(
@@ -493,36 +513,25 @@ def format_report_table(rows) -> str:
 
 def write_plot_data(cfg: PipelineConfig, bundle: SignalBundle, path) -> None:
     """Tidy per-anchor CSV (one row per pair per anchor) for external plotting."""
-    surveys = load_survey_map(cfg)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["survey_emotion", "signal", "stratum", "date", "period", "survey_percent", "signal_value"]
         )
-        for survey_emotion, signal in cfg.pairs:
-            survey = surveys[survey_emotion]
-            for stratum in strata_for(cfg, signal):
-                daily = bundle.stratum_signal(signal, stratum)
-                weekly = weekly_align(
-                    daily,
-                    survey.anchors,
-                    window_days=cfg.week_length,
-                    offset_days=cfg.week_offset,
-                    name=signal,
+        for survey, stratum, weekly in _weekly_pairs(cfg, bundle, load_survey_map(cfg)):
+            for anchor in survey.anchors:
+                period = "historical" if anchor < cfg.split_date else "prediction"
+                writer.writerow(
+                    [
+                        survey.emotion,
+                        weekly.name,
+                        stratum,
+                        anchor.isoformat(),
+                        period,
+                        _fmt(survey.percent.get(anchor), ".10g"),
+                        _fmt(weekly.values.get(anchor), ".10g"),
+                    ]
                 )
-                for anchor in survey.anchors:
-                    period = "historical" if anchor < cfg.split_date else "prediction"
-                    writer.writerow(
-                        [
-                            survey_emotion,
-                            signal,
-                            stratum,
-                            anchor.isoformat(),
-                            period,
-                            _fmt(survey.percent.get(anchor), ".10g"),
-                            _fmt(weekly.values.get(anchor), ".10g"),
-                        ]
-                    )
 
 
 def write_signal_outputs(cfg: PipelineConfig, bundle: SignalBundle, out_dir: Path) -> list[str]:
@@ -611,7 +620,7 @@ def thirdperson_rows(
         raise ConfigError("thirdperson needs at least one lexicon")
     matcher = MultiLexiconMatcher(_load_lexicons(cfg))
     pronouns = pronouns or PronounList()
-    counts, table, names, pronoun_bit = scan_corpus(cfg, matcher, pronouns=pronouns)
+    counts, table, names, pronoun_bit, _ = scan_corpus(cfg, matcher, pronouns=pronouns)
     cells = [[0, 0, 0, 0] for _ in names]  # with_k, with_n, without_k, without_n
     base_k = 0
     for (_, _, mask), n in table.items():
@@ -630,32 +639,6 @@ def thirdperson_rows(
         for name, c in zip(names, cells)
     ]
     return counts, baseline, rows
-
-
-def read_proportion_counts(path) -> list[ProportionRow]:
-    """Precomputed-counts mode: CSV label,with_k,with_n,without_k,without_n."""
-    path = Path(path)
-    rows: list[ProportionRow] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"label", "with_k", "with_n", "without_k", "without_n"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ConfigError(f"{path}: header must contain {sorted(required)}")
-        for line_no, rec in enumerate(reader, 2):
-            try:
-                row = ProportionRow(
-                    label=rec["label"],
-                    with_k=int(rec["with_k"]),
-                    with_n=int(rec["with_n"]),
-                    without_k=int(rec["without_k"]),
-                    without_n=int(rec["without_n"]),
-                )
-            except (TypeError, ValueError):
-                raise ConfigError(f"{path}:{line_no}: counts must be integers") from None
-            rows.append(finalize_proportion_row(row))
-    if not rows:
-        raise ConfigError(f"{path}: no count rows")
-    return rows
 
 
 def write_proportions_csv(baseline: ProportionRow | None, rows, path) -> None:

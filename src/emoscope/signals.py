@@ -10,7 +10,7 @@ from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .corpus import StreamCounts, load_json_object, read_ndjson
+from .corpus import Shard, StreamCounts, load_json_object, read_ndjson
 from .errors import RecordError, SignalError, SurveyError
 
 if TYPE_CHECKING:
@@ -109,13 +109,18 @@ class ScoreCounts(StreamCounts):
         return {**super().as_dict(), "rejected_values": self.rejected_values}
 
 
+class ScoreShard(Shard):
+    """A whole score file as one shard of a corpus.scan_shards scan, told
+    apart from the corpus's shards by its class."""
+
+
 def stream_scores(
     path,
     counts: StreamCounts | None = None,
     on_error: Callable[[RecordError], None] | None = None,
 ) -> Iterator[ScoreRecord]:
-    """Yield score records from one NDJSON file; malformed lines are
-    counted and skipped, like stream_posts."""
+    """Yield score records from one NDJSON file, or a Shard of one;
+    malformed lines are counted and skipped, like stream_posts."""
     if counts is None:
         counts = StreamCounts()
     return read_ndjson((path,), parse_score_record, counts, on_error)

@@ -1,5 +1,5 @@
 """Literal reference implementations that tests compare the package's
-fused, faster forms against."""
+fused, faster forms against, and helpers that only tests need."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import json
 from datetime import date, datetime, timedelta, timezone
 from typing import Callable, Iterable, Sequence
 
-from emoscope.corpus import Post
+from emoscope.corpus import FilterConfig, Post, _post_filter
 from emoscope.errors import LexiconError, RecordError, SignalError
 from emoscope.lexicon import Lexicon, PronounList, ReportTemplateSet, contains_third_person, tokenize
 from emoscope.signals import GENDER_STRATA, DailySignal
@@ -26,6 +26,27 @@ def load_json_object(line: str, line_no=None, source=None) -> dict:
     if not isinstance(rec, dict):
         raise RecordError("record is not a JSON object", line_no, source)
     return rec
+
+
+def post_record(post: Post) -> dict:
+    """Documented wire fields of a post, ready for json.dumps."""
+    return {
+        "id": post.id,
+        "created_at": post.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "text": post.text,
+        "author_gender": post.author_gender.value,
+        "author_followers": post.author_followers,
+        "is_retweet": post.is_retweet,
+    }
+
+
+def serialize_post(post: Post) -> str:
+    return json.dumps(post_record(post), ensure_ascii=False)
+
+
+def filter_post(post: Post, cfg: FilterConfig) -> bool:
+    """The package's one keep/drop rule, corpus._post_filter, as one call."""
+    return _post_filter(cfg)(post)
 
 
 def parse_timestamp(raw, line_no=None, source=None) -> datetime:

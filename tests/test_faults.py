@@ -22,7 +22,7 @@ from emoscope.cli import main
 from emoscope.config import SCHEMA, expand_inputs, load_config
 from emoscope.corpus import FilterConfig, StreamCounts, stream_posts
 from emoscope.errors import RecordError
-from emoscope.signals import ScoreCounts, stream_scores
+from emoscope.signals import ScoreCounts, ScoreShard, stream_scores
 
 
 def _dumps(rec, ascii_only):
@@ -167,22 +167,26 @@ def lexicon_workspace(tmp_path_factory):
     return ws
 
 
-def _signal_ini(ws: Path, corpus_dir: Path) -> Path:
-    """The synth pipeline.ini, reading corpus_dir/corpus-* and ws's other files."""
+def _signal_ini(ws: Path, corpus_dir: Path, scores: Path | None = None) -> Path:
+    """The synth pipeline.ini, reading corpus_dir/corpus-*, the score file
+    `scores` (ws's by default) and ws's other files."""
     text = (ws / "pipeline.ini").read_text(encoding="utf-8")
     text = text.replace("input = corpus.ndjson", f"input = {corpus_dir / 'corpus-*'}")
-    for name in ("lexicons/", "scores.ndjson", "survey.csv"):
+    text = text.replace("path = scores.ndjson", f"path = {scores or ws / 'scores.ndjson'}")
+    for name in ("lexicons/", "survey.csv"):
         text = text.replace(f" {name}", f" {ws}/{name}")
     ini = corpus_dir / "pipeline.ini"
     ini.write_text(text, encoding="utf-8")
     return ini
 
 
-def _write_corpus(corpus_dir: Path, files) -> None:
+def _write_corpus(corpus_dir: Path, files, stem: str = "corpus") -> list[Path]:
+    paths = []
     for i, (lines, gz, damage) in enumerate(files):
         data = b"".join(line + end for line, end in lines)
-        path = corpus_dir / (f"corpus-{i}.ndjson" + (".gz" if gz else ""))
-        path.write_bytes(_damage(gzip.compress(data, mtime=0), damage) if gz else data)
+        paths.append(corpus_dir / (f"{stem}-{i}.ndjson" + (".gz" if gz else "")))
+        paths[-1].write_bytes(_damage(gzip.compress(data, mtime=0), damage) if gz else data)
+    return paths
 
 
 def _run(command: str, ini: Path, out: Path, sharded: bool):
@@ -217,8 +221,8 @@ def _assert_same_runs(ini: Path, tmp: Path, command: str = "signal"):
         counts = json.loads(files["manifest.json"])["counts"]
     else:
         counts = _stdout_counts(stdout)
-    parsed = counts["records"] - counts["malformed"]  # thirdperson prints no parsed=
-    assert counts.get("parsed", parsed) == parsed == counts["kept"] + counts["filtered"]
+    parsed = counts["records"] - counts["malformed"]
+    assert counts["parsed"] == parsed == counts["kept"] + counts["filtered"]
     if command == "thirdperson":
         for row in csv.DictReader(io.StringIO(files["thirdperson.csv"].decode())):
             if row["label"] != "all_posts":  # the baseline row has no without_n
@@ -315,6 +319,207 @@ class TestShardedSignal:
         samples = manifest["error_samples"]
         assert len(samples) == 20
         assert [s.split(":")[1] for s in samples] == [str(1 + 3 * i) for i in range(20)]
+
+
+# The score file rides the same scan as one uncut shard after the corpus:
+# whatever bytes it holds, `signal` and `validate` end alike in shards and
+# in one process, and a damaged score file fails only after every check
+# that a one-process run makes first.
+
+
+def _score_line(i: int) -> bytes:
+    """A valid score record of the synth emotions, without its newline."""
+    value = i % 11 / 10
+    scores = {"sadness": value, "anxiety": 1 - value, "positive": 0.5}
+    return json.dumps({"id": i, "date": f"2020-06-0{1 + i % 7}", "scores": scores}).encode()
+
+
+def _scores(ids) -> bytes:
+    return b"".join(_score_line(i) + b"\n" for i in ids)
+
+
+SCORE_FILE = st.tuples(
+    st.lists(st.tuples(st.one_of(st.builds(_score_line, st.integers(0, 99)), LINE), ENDING),
+             max_size=12),
+    st.booleans(),  # gzip
+    st.one_of(st.none(), DAMAGE),
+)
+
+
+@pytest.mark.parametrize("command", ["signal", "validate"])
+@settings(max_examples=40, deadline=None)
+@given(score_file=SCORE_FILE)
+def test_score_file_in_shards_ends_as_in_one_process(lexicon_workspace, command, score_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "corpus-0.ndjson").write_bytes(_posts(range(40)))
+        (scores,) = _write_corpus(tmp, [score_file], stem="scores")
+        code, _, stderr, files = _assert_same_runs(_signal_ini(lexicon_workspace, tmp, scores),
+                                                   tmp, command)
+        event(f"{command} exit {code}")
+        if code:
+            assert stderr.startswith(f"error: {scores}:")  # only a damaged .gz ends the run
+        elif command == "signal":
+            counts = json.loads(files["manifest.json"])["score_counts"]
+            assert counts["records"] == counts["parsed"] + counts["malformed"]
+            assert counts["parsed"] == counts["kept"] and counts["filtered"] == 0
+            lines, gz, damage = score_file
+            if damage is None:
+                data = b"".join(line + end for line, end in lines)
+                assert counts["records"] == _records(data)
+
+
+class TestScoreShard:
+    """Deterministic cases of the score file in the scan."""
+
+    def test_corpus_glob_that_matches_the_score_file(self, lexicon_workspace, tmp_path):
+        (tmp_path / "corpus-0.ndjson").write_bytes(_posts(range(60)))
+        scores = tmp_path / "corpus-scores.ndjson"
+        scores.write_bytes(_scores(range(200)))
+        ini = _signal_ini(lexicon_workspace, tmp_path, scores)
+        inputs = expand_inputs(load_config(ini))
+        assert inputs[-1] == scores
+        with mock.patch.object(corpus, "_MIN_SHARD_BYTES", 1):
+            groups = corpus.shard_groups([*inputs, ScoreShard(scores)], 3)
+        shards = [shard for group in groups for shard in group if shard.path == scores]
+        # read as posts, the file is cut; read as scores, it is one whole shard
+        assert [type(shard) for shard in shards] == [corpus.Shard, corpus.Shard, ScoreShard]
+        assert shards[-1] == ScoreShard(scores)
+
+        code, _, _, files = _assert_same_runs(ini, tmp_path)
+        assert code == 0
+        manifest = json.loads(files["manifest.json"])
+        assert manifest["counts"]["malformed"] == 200  # no score line is a post
+        assert manifest["score_counts"]["kept"] == 200
+        # the score signals are those of a glob that misses the score file
+        only_corpus = tmp_path / "only-corpus.ini"
+        only_corpus.write_text(ini.read_text().replace("corpus-*", "corpus-0.ndjson"))
+        _, _, _, alone = _run("signal", only_corpus, tmp_path / "alone", sharded=True)
+        daily = [name for name in files if name.startswith("daily_score_")]
+        assert len(daily) == 3
+        assert all(files[name] == alone[name] for name in daily)
+
+    def test_score_signals_only_do_not_read_the_corpus(self, lexicon_workspace, tmp_path):
+        data = gzip.compress(_posts(range(30)), mtime=0)
+        (tmp_path / "corpus-0.ndjson.gz").write_bytes(data[: len(data) // 2])  # read, it fails
+        ini = tmp_path / "scores-only.ini"
+        ini.write_text(f"[corpus]\ninput = {tmp_path / 'corpus-*'}\n\n"
+                       f"[scores]\npath = {lexicon_workspace / 'scores.ndjson'}\n"
+                       "emotions = sadness, anxiety\n", encoding="utf-8")
+        code, _, _, files = _assert_same_runs(ini, tmp_path)
+        assert code == 0
+        manifest = json.loads(files["manifest.json"])
+        assert manifest["counts"]["records"] == 0
+        assert manifest["score_counts"]["kept"] == 14
+        assert sorted(files) == ["daily_score_anxiety_all.csv", "daily_score_sadness_all.csv",
+                                 "manifest.json"]
+
+    @pytest.mark.parametrize("command", ["signal", "validate"])
+    @pytest.mark.parametrize(
+        "posts, score_file, error",
+        [
+            ("damaged", "damaged", "error: {tmp}/corpus-1.ndjson.gz:"),
+            ("filtered", "damaged", "error: no posts left after filtering"),
+            ("filtered", "missing", "error: no posts left after filtering"),
+            ("kept", "missing", "config error: score file not found: {tmp}/scores.ndjson.gz"),
+            ("kept", "damaged", "error: {tmp}/scores.ndjson.gz:"),
+        ],
+    )
+    def test_error_precedence(self, lexicon_workspace, tmp_path, command, posts, score_file,
+                              error):
+        """A corpus data error, then no kept post, then a missing score
+        file, then a data error in the score file."""
+        corpus_data = _posts(range(60))
+        if posts == "filtered":
+            corpus_data = corpus_data.replace(b'"author_followers": 500', b'"author_followers": 5')
+        (tmp_path / "corpus-0.ndjson").write_bytes(corpus_data)
+        if posts == "damaged":
+            data = gzip.compress(_posts(range(30)), mtime=0)
+            (tmp_path / "corpus-1.ndjson.gz").write_bytes(data[: len(data) // 2])
+        scores = tmp_path / "scores.ndjson.gz"
+        if score_file == "damaged":
+            data = gzip.compress(_scores(range(100)), mtime=0)
+            scores.write_bytes(data[: len(data) // 2])
+        code, _, stderr, _ = _assert_same_runs(_signal_ini(lexicon_workspace, tmp_path, scores),
+                                               tmp_path, command)
+        assert code == (1 if error.startswith("config") else 2)
+        assert stderr.startswith(error.format(tmp=tmp_path))
+
+
+# `auc` on arbitrary score and label bytes ends in exit 0, 1 or 2 with a
+# one-line message, and a finished run's counts add up.
+
+# the odd-numbered posts of a run of sad labels are the positives, so that
+# a valid file has both classes
+SAD_LABELS = st.integers(4, 10).map(lambda n: [b"%d,sad,%d" % (i, i % 2) for i in range(n)])
+LABEL = st.builds(
+    lambda i, emotion, label: b"%d,%s,%s" % (i, emotion, label),
+    st.integers(0, 99),
+    st.sampled_from([b"sad", b"joy", b" sad", b""]),
+    st.sampled_from([b"0", b"1", b" 1", b"2", b""]),
+)
+LABELS = st.tuples(
+    st.one_of(st.just(b"id,emotion,label"), st.just(b"id,emotion,label"),
+              st.sampled_from([b"label,emotion,id", b"id,label", b"",
+                               b"\xef\xbb\xbfid,emotion,label"])),
+    st.one_of(SAD_LABELS,
+              st.lists(st.one_of(LABEL, st.binary(max_size=12), INVALID_UTF8, BLANK), max_size=10)),
+)
+# valid scores for posts 0, 1, 2, ... in order
+AUC_SCORES = st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=2, max_size=12).map(
+    lambda values: [
+        _dumps({"id": i, "date": "2020-03-01", "scores": {"sad": sad, "joy": joy}}, True)
+        for i, (sad, joy) in enumerate(values)
+    ]
+)
+_AUC_COUNTS = re.compile(
+    r"records=(\d+) parsed=(\d+) malformed=(\d+) rejected_values=(\d+) duplicate_ids=(\d+)")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    score_lines=st.one_of(AUC_SCORES,
+                          st.builds(list.__add__, AUC_SCORES, st.lists(LINE, max_size=6))),
+    gz=st.booleans(),
+    damage=DAMAGE,
+    labels=LABELS,
+    emotions=st.sampled_from([[], [], ["--emotions", "sad"], ["--emotions", "sad", "fear"]]),
+)
+@example(score_lines=[], gz=False, damage=None, labels=(b"label,emotion,id", [b"1"]), emotions=[])
+@example(score_lines=[], gz=False, damage=None, labels=(b"id,emotion,label", [b"1,sad,\x001"]),
+         emotions=[])
+def test_auc_on_any_bytes_ends_in_an_exit_code(score_lines, gz, damage, labels, emotions):
+    data = b"".join(line + b"\n" for line in score_lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        scores = tmp / ("scores.ndjson.gz" if gz else "scores.ndjson")
+        scores.write_bytes(_damage(gzip.compress(data, mtime=0), damage) if gz else data)
+        header, rows = labels
+        (tmp / "labels.csv").write_bytes(b"".join(line + b"\n" for line in (header, *rows)))
+        with contextlib.redirect_stdout(io.StringIO()) as std, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["auc", "--scores", str(scores), "--labels", str(tmp / "labels.csv"),
+                         "--output", str(tmp / "out"), *emotions])
+        event(f"auc exit {code}")
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().startswith("config error: " if code == 1 else "error: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+            return
+        assert err.getvalue() == ""
+        stdout = std.getvalue().splitlines()
+        records, parsed, malformed, _, _ = map(int, _AUC_COUNTS.fullmatch(stdout[0]).groups())
+        assert records == parsed + malformed
+        if not gz or damage is None:
+            assert records == _records(data)
+        with open(tmp / "out" / "auc.csv", newline="", encoding="utf-8") as fh:
+            summary = list(csv.DictReader(fh))
+        assert len(summary) == len(stdout) - 2  # the counts and the closing line
+        for row in summary:
+            assert int(row["n"]) == int(row["n_pos"]) + int(row["n_neg"])
+            if row["auc"]:
+                assert 0 <= float(row["auc"]) <= 1
+                assert (tmp / "out" / f"roc_{row['emotion']}.csv").is_file()
 
 
 # Config bytes: `signal`, `thirdperson` and `validate` on a mutated synth
