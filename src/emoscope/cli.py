@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from datetime import date
 from importlib import resources
 from pathlib import Path
 
 from .config import PATH, SCHEMA, PipelineConfig, config_text, format_ini, load_config
-from .errors import ConfigError, EmoscopeError, StatError
+from .errors import ConfigError, EmoscopeError, RecordError, StatError
 from .pipeline import (
     ProportionRow,
     build_signals,
@@ -257,21 +258,27 @@ def cmd_thirdperson(args) -> int:
 
 
 def _read_labels(path) -> dict[str, dict[str, int]]:
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line_start = data.rfind(b"\n", 0, err.start) + 1
+        raise RecordError(f"invalid UTF-8 at byte {err.start - line_start} ({err.reason})",
+                          data.count(b"\n", 0, err.start) + 1, path) from None
     labels: dict[str, dict[str, int]] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"id", "emotion", "label"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ConfigError(f"{path}: header must contain {sorted(required)}")
-        try:
-            for line_no, rec in enumerate(reader, 2):
-                # a short row leaves its missing cells None
-                emotion, post_id, raw = ((rec[k] or "").strip() for k in ("emotion", "id", "label"))
-                if raw not in ("0", "1"):
-                    raise ConfigError(f"{path}:{line_no}: label must be 0 or 1, got {raw!r}")
-                labels.setdefault(emotion, {})[post_id] = int(raw)
-        except csv.Error as err:  # a NUL byte, before Python 3.11
-            raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    required = {"id", "emotion", "label"}
+    if reader.fieldnames is None or not required <= set(reader.fieldnames):
+        raise ConfigError(f"{path}: header must contain {sorted(required)}")
+    try:
+        for line_no, rec in enumerate(reader, 2):
+            # a short row leaves its missing cells None
+            emotion, post_id, raw = ((rec[k] or "").strip() for k in ("emotion", "id", "label"))
+            if raw not in ("0", "1"):
+                raise ConfigError(f"{path}:{line_no}: label must be 0 or 1, got {raw!r}")
+            labels.setdefault(emotion, {})[post_id] = int(raw)
+    except csv.Error as err:  # a NUL byte, before Python 3.11
+        raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
     if not labels:
         raise ConfigError(f"{path}: no label rows")
     return labels

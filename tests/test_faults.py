@@ -495,13 +495,18 @@ def test_auc_on_any_bytes_ends_in_an_exit_code(score_lines, gz, damage, labels, 
         scores = tmp / ("scores.ndjson.gz" if gz else "scores.ndjson")
         scores.write_bytes(_damage(gzip.compress(data, mtime=0), damage) if gz else data)
         header, rows = labels
-        (tmp / "labels.csv").write_bytes(b"".join(line + b"\n" for line in (header, *rows)))
+        label_bytes = b"".join(line + b"\n" for line in (header, *rows))
+        (tmp / "labels.csv").write_bytes(label_bytes)
         with contextlib.redirect_stdout(io.StringIO()) as std, \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(["auc", "--scores", str(scores), "--labels", str(tmp / "labels.csv"),
                          "--output", str(tmp / "out"), *emotions])
         event(f"auc exit {code}")
         assert code in (0, 1, 2)
+        try:
+            label_bytes.decode("utf-8")
+        except UnicodeDecodeError:  # the labels are read first
+            assert code == 2 and err.getvalue().startswith(f"error: {tmp / 'labels.csv'}:")
         if code:
             assert err.getvalue().startswith("config error: " if code == 1 else "error: ")
             assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
@@ -520,6 +525,32 @@ def test_auc_on_any_bytes_ends_in_an_exit_code(score_lines, gz, damage, labels, 
             if row["auc"]:
                 assert 0 <= float(row["auc"]) <= 1
                 assert (tmp / "out" / f"roc_{row['emotion']}.csv").is_file()
+
+
+@pytest.mark.parametrize(
+    "data, where",
+    [
+        (b"id,emotion,label\n0,sad,0\n1,s\x86d,1\n", "3: invalid UTF-8 at byte 3 (invalid start byte)"),
+        (b"id,emo\xc3", "1: invalid UTF-8 at byte 6 (unexpected end of data)"),
+        (b"id,emotion,label\r\n0,sad,\xed\xa0\x80\r\n",
+         "2: invalid UTF-8 at byte 6 (invalid continuation byte)"),
+    ],
+    ids=["third-line", "header", "crlf"],
+)
+def test_auc_names_a_labels_file_that_is_not_utf8(tmp_path, data, where):
+    """Bytes that are not UTF-8 in the labels file are a data error naming
+    the file, the line (1 plus the newlines before the bad byte) and the
+    byte's offset in that line."""
+    scores = tmp_path / "scores.ndjson"
+    scores.write_bytes(b'{"id": 0, "date": "2020-03-01", "scores": {"sad": 0.5}}\n')
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["auc", "--scores", str(scores), "--labels", str(labels),
+                     "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert err.getvalue() == f"error: {labels}:{where}\n"
 
 
 # Config bytes: `signal`, `thirdperson` and `validate` on a mutated synth

@@ -2,6 +2,7 @@
 brute-force counts over the same filtered posts, and the shared
 permutation calls behind `validate`, checked against one call per test."""
 
+import csv
 import dataclasses
 import json
 
@@ -247,3 +248,39 @@ def test_run_permutation_p_equals_per_row_calls(tmp_path):
         p_values += [row.perm_p, row.dcca_p]
     assert sizes == {20, 28}
     assert sum(p > 20 / (cfg.permutations + 1) for p in p_values) >= 10, p_values
+
+
+# The perm_p and dcca_p columns of report.csv on a weak-signal workspace, as
+# `validate` wrote them before the DCCA kernel became a banded block form.
+# Most sit well above the floor 1/2001 = 0.0004998, so a change in the
+# permutation engine or in either kernel that moves a single hit shows here.
+WEAK_PERM_P = ["0.7251", "0.3783", "0.9995", "0.005497", "0.001999", "0.6537", "0.3048",
+               "0.1169", "0.8111", "0.0004998", "0.0004998", "0.0004998"]
+WEAK_DCCA_P = {
+    4: ["0.5632", "0.8116", "0.4088", "0.1294", "0.01299", "0.8231", "0.5647", "0.2399",
+        "0.9495", "0.0004998", "0.0004998", "0.0004998"],
+    12: ["0.7426", "0.2544", "0.7561", "0.01099", "0.04798", "0.4703", "0.2354", "0.1169",
+         "0.985", "0.0004998", "0.0004998", "0.0004998"],
+    16: ["0.5527", "0.2279", "0.8506", "0.01499", "0.1119", "0.3463", "0.1079", "0.07296",
+         "0.8581", "0.0004998", "0.0004998", "0.0004998"],
+}
+
+
+@pytest.fixture(scope="module")
+def weak_workspace(tmp_path_factory):
+    ws = tmp_path_factory.mktemp("weak")
+    assert main(["synth", "--out", str(ws), "--days", "200", "--posts-per-day", "15",
+                 "--seed", "2"]) == 0
+    return ws
+
+
+@pytest.mark.parametrize("window", [4, 12, 16])
+def test_weak_signal_p_values_pinned(weak_workspace, tmp_path, window):
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(weak_workspace / "pipeline.ini"), "--output",
+                 str(out), "--stratified", "--permutations", "2000",
+                 "--dcca-window", str(window)]) == 0
+    with open(out / "report.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["perm_p"] for row in rows] == WEAK_PERM_P
+    assert [row["dcca_p"] for row in rows] == WEAK_DCCA_P[window]

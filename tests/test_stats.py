@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from emoscope.errors import StatError
 from emoscope.special import betainc, student_t_p
 from emoscope.stats import (
+    _DCCA_BLOCK,
     _average_ranks,
     _chi2_sf_1df,
     chi2_two_proportions,
@@ -348,24 +349,26 @@ class TestPermutationEngine:
     """The chunked engine against the scalar loop it replaced: equal p."""
 
     @pytest.mark.parametrize(
-        "statistic, oracle, n_perm, block",
+        "statistic, oracle, n_perm, block, n",
         [
-            (None, pearson, 999, 1),
-            (dcca_statistic(12), dcca_statistic(12), 999, 1),
-            (_covariance, _covariance, 999, 1),
-            (None, pearson, 999, 4),
-            (None, pearson, 999, 6),
-            (None, pearson, 999, 7),
-            (dcca_statistic(12), dcca_statistic(12), 999, 6),
-            (None, pearson, 4001, 1),
-            (dcca_statistic(12), dcca_statistic(12), 4001, 1),
+            (None, pearson, 999, 1, 50),
+            (dcca_statistic(12), dcca_statistic(12), 999, 1, 50),
+            (_covariance, _covariance, 999, 1, 50),
+            (None, pearson, 999, 4, 50),
+            (None, pearson, 999, 6, 50),
+            (None, pearson, 999, 7, 50),
+            (dcca_statistic(12), dcca_statistic(12), 999, 6, 50),
+            (None, pearson, 4001, 1, 50),
+            (dcca_statistic(12), dcca_statistic(12), 4001, 1, 50),
+            # the validate-battery shape: 156 weeks, window 12
+            (dcca_statistic(12), dcca_statistic(12), 999, 1, 156),
         ],
         ids=["pearson", "dcca", "callable", "pearson-block4", "pearson-block6",
-             "pearson-block7", "dcca-block6", "pearson-4001", "dcca-4001"],
+             "pearson-block7", "dcca-block6", "pearson-4001", "dcca-4001", "dcca-n156"],
     )
     @pytest.mark.parametrize("seed", [3, 17])
-    def test_matches_scalar_loop(self, statistic, oracle, n_perm, block, seed):
-        x, y = _ar1_pair(seed, 50)  # 50 is a multiple of no block size used
+    def test_matches_scalar_loop(self, statistic, oracle, n_perm, block, n, seed):
+        x, y = _ar1_pair(seed, n)  # n = 50 is a multiple of no block size used
         got = permutation_test(x, y, statistic=statistic, n_perm=n_perm, seed=seed, block=block)
         assert got == _loop_permutation_p(x, y, oracle, n_perm, seed, block)
 
@@ -412,6 +415,28 @@ class TestPermutationEngine:
         y = rng.normal(size=n)
         rows = dcca_statistic(window).rows(x, y)
         X = np.stack([x] + [rng.permutation(x) for _ in range(4)])
+        for got, row in zip(rows(X), X):
+            assert abs(got - dcca(row, y, window=window).rho) <= 1e-10
+
+    @pytest.mark.parametrize("window", [4, 12, 16])
+    @pytest.mark.parametrize(
+        "length",
+        [lambda w, b: w, lambda w, b: b - 1, lambda w, b: b, lambda w, b: b + 1,
+         lambda w, b: 2 * b + w, lambda w, b: 3 * b],
+        ids=["window", "block-1", "block", "block+1", "2block+window", "3block"],
+    )
+    def test_dcca_kernel_block_seams(self, window, length):
+        # the kernel sums its auto term over column blocks of _DCCA_BLOCK
+        # observations: series as short as one box, series that end just
+        # before, on and just after a block edge, two full blocks and a
+        # partial third, and three full blocks, the last at the series' end
+        # and so not the same matrix as the middle one
+        n = length(window, _DCCA_BLOCK)
+        rng = np.random.default_rng(n * 100 + window)
+        x = np.cumsum(rng.normal(size=n)) * 10.0 + 300.0
+        y = rng.normal(size=n)
+        rows = dcca_statistic(window).rows(x, y)
+        X = np.stack([x] + [rng.permutation(x) for _ in range(6)])
         for got, row in zip(rows(X), X):
             assert abs(got - dcca(row, y, window=window).rho) <= 1e-10
 
