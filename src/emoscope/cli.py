@@ -14,7 +14,8 @@ from importlib import resources
 from pathlib import Path
 
 from .config import PATH, SCHEMA, PipelineConfig, config_text, format_ini, load_config
-from .errors import ConfigError, EmoscopeError, RecordError, StatError
+from .corpus import read_text
+from .errors import ConfigError, EmoscopeError, StatError
 from .pipeline import (
     ProportionRow,
     build_signals,
@@ -29,7 +30,7 @@ from .pipeline import (
     write_report_csv,
     write_signal_outputs,
 )
-from .signals import ScoreCounts, stream_scores
+from .signals import ScoreCounts, stream_scores, write_csv
 from .stats import roc_auc, roc_curve
 from .synth import SynthConfig, generate_corpus, generate_scores, generate_survey, weekly_anchors
 
@@ -212,27 +213,37 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _csv_records(path, required: set[str]):
+    """(line number, record) of every row of a CSV input whose header must
+    name the `required` columns; a short row leaves its missing cells None."""
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    try:
+        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+            raise ConfigError(f"{path}: header must contain {sorted(required)}")
+        yield from enumerate(reader, 2)
+    except csv.Error as err:  # a NUL byte before Python 3.11, or a field past csv's limit
+        raise ConfigError(f"{path}:{reader.reader.line_num}: {err}") from None
+
+
 def _read_counts(path) -> list[ProportionRow]:
     """Precomputed-counts mode: CSV label,with_k,with_n,without_k,without_n."""
     path = Path(path)
     rows: list[ProportionRow] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"label", "with_k", "with_n", "without_k", "without_n"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ConfigError(f"{path}: header must contain {sorted(required)}")
-        for line_no, rec in enumerate(reader, 2):
-            try:
-                row = ProportionRow(
-                    label=rec["label"],
-                    with_k=int(rec["with_k"]),
-                    with_n=int(rec["with_n"]),
-                    without_k=int(rec["without_k"]),
-                    without_n=int(rec["without_n"]),
-                )
-            except (TypeError, ValueError):
-                raise ConfigError(f"{path}:{line_no}: counts must be integers") from None
+    for line_no, rec in _csv_records(path, {"label", "with_k", "with_n", "without_k", "without_n"}):
+        try:
+            row = ProportionRow(
+                label=rec["label"] or "",
+                with_k=int(rec["with_k"]),
+                with_n=int(rec["with_n"]),
+                without_k=int(rec["without_k"]),
+                without_n=int(rec["without_n"]),
+            )
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}:{line_no}: counts must be integers") from None
+        try:
             rows.append(finalize_proportion_row(row))
+        except OverflowError:  # a fraction or chi2 past float range
+            raise ConfigError(f"{path}:{line_no}: counts too large") from None
     if not rows:
         raise ConfigError(f"{path}: no count rows")
     return rows
@@ -258,27 +269,12 @@ def cmd_thirdperson(args) -> int:
 
 
 def _read_labels(path) -> dict[str, dict[str, int]]:
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:
-        line_start = data.rfind(b"\n", 0, err.start) + 1
-        raise RecordError(f"invalid UTF-8 at byte {err.start - line_start} ({err.reason})",
-                          data.count(b"\n", 0, err.start) + 1, path) from None
     labels: dict[str, dict[str, int]] = {}
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    required = {"id", "emotion", "label"}
-    if reader.fieldnames is None or not required <= set(reader.fieldnames):
-        raise ConfigError(f"{path}: header must contain {sorted(required)}")
-    try:
-        for line_no, rec in enumerate(reader, 2):
-            # a short row leaves its missing cells None
-            emotion, post_id, raw = ((rec[k] or "").strip() for k in ("emotion", "id", "label"))
-            if raw not in ("0", "1"):
-                raise ConfigError(f"{path}:{line_no}: label must be 0 or 1, got {raw!r}")
-            labels.setdefault(emotion, {})[post_id] = int(raw)
-    except csv.Error as err:  # a NUL byte, before Python 3.11
-        raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
+    for line_no, rec in _csv_records(path, {"id", "emotion", "label"}):
+        emotion, post_id, raw = ((rec[k] or "").strip() for k in ("emotion", "id", "label"))
+        if raw not in ("0", "1"):
+            raise ConfigError(f"{path}:{line_no}: label must be 0 or 1, got {raw!r}")
+        labels.setdefault(emotion, {})[post_id] = int(raw)
     if not labels:
         raise ConfigError(f"{path}: no label rows")
     return labels
@@ -316,28 +312,21 @@ def cmd_auc(args) -> int:
         missing = len(wanted) - len(ids)
         ys = [wanted[i] for i in ids]
         xs = [got[i] for i in ids]
+        row = [emotion, len(ids), sum(ys), len(ys) - sum(ys), missing]
         try:
             auc = roc_auc(ys, xs)
         except StatError as err:
-            summary.append((emotion, len(ids), sum(ys), len(ys) - sum(ys), missing, None, str(err)))
+            summary.append(row + ["", str(err)])
             print(f"{emotion}: skipped ({err})")
             continue
         fpr, tpr, thresholds = roc_curve(ys, xs)
-        with open(out / f"roc_{emotion}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fpr", "tpr", "threshold"])
-            for f, t, th in zip(fpr, tpr, thresholds):
-                writer.writerow([f"{f:.10g}", f"{t:.10g}", f"{th:.10g}"])
-        summary.append((emotion, len(ids), sum(ys), len(ys) - sum(ys), missing, auc, ""))
+        write_csv(out / f"roc_{emotion}.csv", ["fpr", "tpr", "threshold"],
+                  ([format(v, ".10g") for v in point] for point in zip(fpr, tpr, thresholds)))
+        summary.append(row + [f"{auc:.10g}", ""])
         print(f"{emotion}: AUC = {auc:.4f} (n={len(ids)}, missing scores={missing})")
         computed += 1
-    with open(out / "auc.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["emotion", "n", "n_pos", "n_neg", "missing_scores", "auc", "notes"])
-        for emotion, n, npos, nneg, missing, auc, note in summary:
-            writer.writerow(
-                [emotion, n, npos, nneg, missing, "" if auc is None else f"{auc:.10g}", note]
-            )
+    write_csv(out / "auc.csv", ["emotion", "n", "n_pos", "n_neg", "missing_scores", "auc", "notes"],
+              summary)
     if computed == 0:
         raise StatError("no emotion had scores with both classes present")
     print(f"wrote auc.csv and {computed} ROC curve files to {out}")

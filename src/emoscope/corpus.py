@@ -393,6 +393,20 @@ def read_ndjson(
                 raise damaged_stream(err, line_no, name) from None
 
 
+def read_text(path) -> str:
+    """A whole text input (survey, lexicon, counts or labels file) decoded
+    as UTF-8. Bytes that are not UTF-8 raise RecordError naming the file,
+    the line (1 plus the newlines before the bad byte) and the byte's
+    offset in that line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line_start = data.rfind(b"\n", 0, err.start) + 1
+        raise RecordError(f"invalid UTF-8 at byte {err.start - line_start} ({err.reason})",
+                          data.count(b"\n", 0, err.start) + 1, path) from None
+
+
 def stream_posts(
     paths: Iterable,
     filter_config: FilterConfig | None = None,

@@ -7,12 +7,14 @@ third-person pronoun lookup. None of them handle negation or scope.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .corpus import read_text
 from .errors import LexiconError
 
 _STRIP_RE = re.compile(r"(?<!\w)(?:http|www)\S*|@\w+")
@@ -82,7 +84,7 @@ def load_lexicon(path, name: str | None = None) -> Lexicon:
     path = Path(path)
     exact: set[str] = set()
     prefix: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with io.StringIO(read_text(path), newline=None) as fh:  # newlines as a text-mode file reads them
         for line_no, raw in enumerate(fh, 1):
             term = raw.strip()
             if not term or term.startswith("#"):

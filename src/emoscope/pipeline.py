@@ -7,7 +7,6 @@ them directly.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, fields
 from datetime import date
@@ -40,6 +39,7 @@ from .signals import (
     split_periods,
     stream_scores,
     weekly_align,
+    write_csv,
     write_daily_csv,
     write_weekly_csv,
 )
@@ -272,10 +272,14 @@ def strata_for(cfg: PipelineConfig, signal: str, extra_stratified: bool = False)
     return strata
 
 
-def _column(spec: str = ".4g", sig: str | None = None):
-    """A report.csv column with its format spec; sig names a column after
-    it that holds the value's significance marker."""
-    return field(default=None, metadata={"spec": spec, "sig": sig})
+def _column(spec: str = ".4g", sig: str | None = None, name: str | None = None):
+    """A result-table column of a row dataclass: the value's format spec,
+    the header `name` if not the field's, and `sig`, a column after it that
+    holds the value's significance marker. A new result table declares its
+    columns this way: every field is a column in field order (a plain field
+    is written as str(value), `notes` joined by "; "), and _write_table
+    writes the table."""
+    return field(default=None, metadata={"spec": spec, "sig": sig, "name": name})
 
 
 @dataclass
@@ -426,23 +430,28 @@ def _fmt(value, spec=".4g") -> str:
     return "" if value is None else format(value, spec)
 
 
+def _write_table(cls, rows, path) -> None:
+    """A CSV of `rows`, instances of the dataclass `cls`, with the columns
+    its fields declare (see _column)."""
+    columns = fields(cls)
+    header = [name for c in columns
+              for name in (c.metadata.get("name") or c.name, c.metadata.get("sig")) if name]
+
+    def cells(row):
+        for column in columns:
+            value = getattr(row, column.name)
+            if column.name == "notes":
+                yield "; ".join(value)
+                continue
+            yield _fmt(value, column.metadata.get("spec", ""))
+            if column.metadata.get("sig"):
+                yield "" if value is None else significance_marker(value)
+
+    write_csv(path, header, map(cells, rows))
+
+
 def write_report_csv(rows, path) -> None:
-    columns = fields(ValidationRow)
-    header = [name for c in columns for name in (c.name, c.metadata.get("sig")) if name]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            cells = []
-            for column in columns:
-                value = getattr(row, column.name)
-                if column.name == "notes":
-                    cells.append("; ".join(value))
-                    continue
-                cells.append(_fmt(value, column.metadata.get("spec", "s")))
-                if column.metadata.get("sig"):
-                    cells.append("" if value is None else significance_marker(value))
-            writer.writerow(cells)
+    _write_table(ValidationRow, rows, path)
 
 
 def _corr_cell(r, lo, hi, p) -> str:
@@ -493,9 +502,9 @@ def format_report_table(rows) -> str:
         body.append(
             [
                 f"{row.survey_emotion} / {row.signal} ({row.stratum})",
-                "" if row.n1 is None else str(row.n1),
+                _fmt(row.n1, "d"),
                 _corr_cell(row.r1, row.r1_lo, row.r1_hi, row.r1_p),
-                "" if row.n2 is None else str(row.n2),
+                _fmt(row.n2, "d"),
                 _corr_cell(row.r2, row.r2_lo, row.r2_hi, row.r2_p),
                 _fmt(row.perm_p),
                 _stat_cell(row.dcca_rho, row.dcca_p),
@@ -513,25 +522,15 @@ def format_report_table(rows) -> str:
 
 def write_plot_data(cfg: PipelineConfig, bundle: SignalBundle, path) -> None:
     """Tidy per-anchor CSV (one row per pair per anchor) for external plotting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["survey_emotion", "signal", "stratum", "date", "period", "survey_percent", "signal_value"]
-        )
-        for survey, stratum, weekly in _weekly_pairs(cfg, bundle, load_survey_map(cfg)):
-            for anchor in survey.anchors:
-                period = "historical" if anchor < cfg.split_date else "prediction"
-                writer.writerow(
-                    [
-                        survey.emotion,
-                        weekly.name,
-                        stratum,
-                        anchor.isoformat(),
-                        period,
-                        _fmt(survey.percent.get(anchor), ".10g"),
-                        _fmt(weekly.values.get(anchor), ".10g"),
-                    ]
-                )
+    header = ["survey_emotion", "signal", "stratum", "date", "period", "survey_percent",
+              "signal_value"]
+    write_csv(path, header, (
+        [survey.emotion, weekly.name, stratum, anchor.isoformat(),
+         "historical" if anchor < cfg.split_date else "prediction",
+         _fmt(survey.percent.get(anchor), ".10g"), _fmt(weekly.values.get(anchor), ".10g")]
+        for survey, stratum, weekly in _weekly_pairs(cfg, bundle, load_survey_map(cfg))
+        for anchor in survey.anchors
+    ))
 
 
 def write_signal_outputs(cfg: PipelineConfig, bundle: SignalBundle, out_dir: Path) -> list[str]:
@@ -574,18 +573,19 @@ def write_manifest(cfg: PipelineConfig, bundle: SignalBundle, written: list[str]
 
 @dataclass
 class ProportionRow:
-    """Third-person pronoun share among matching vs non-matching posts."""
+    """Third-person pronoun share among matching vs non-matching posts.
+    The fields are thirdperson.csv's columns, in order."""
 
     label: str
     with_k: int = 0
     with_n: int = 0
+    frac_with: float | None = _column(".6g")
     without_k: int = 0
     without_n: int = 0
-    frac_with: float | None = None
-    frac_without: float | None = None
-    pct_diff: float | None = None
-    chi2: float | None = None
-    p: float | None = None
+    frac_without: float | None = _column(".6g")
+    pct_diff: float | None = _column(".6g", name="pct_difference")
+    chi2: float | None = _column(".6g")
+    p: float | None = _column()
     notes: list[str] = field(default_factory=list)
 
 
@@ -642,54 +642,20 @@ def thirdperson_rows(
 
 
 def write_proportions_csv(baseline: ProportionRow | None, rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "label",
-                "with_k",
-                "with_n",
-                "frac_with",
-                "without_k",
-                "without_n",
-                "frac_without",
-                "pct_difference",
-                "chi2",
-                "p",
-                "notes",
-            ]
-        )
-        everything = ([baseline] if baseline is not None else []) + list(rows)
-        for row in everything:
-            writer.writerow(
-                [
-                    row.label,
-                    row.with_k,
-                    row.with_n,
-                    _fmt(row.frac_with, ".6g"),
-                    row.without_k,
-                    row.without_n,
-                    _fmt(row.frac_without, ".6g"),
-                    _fmt(row.pct_diff, ".6g"),
-                    _fmt(row.chi2, ".6g"),
-                    _fmt(row.p, ".4g"),
-                    "; ".join(row.notes),
-                ]
-            )
+    _write_table(ProportionRow, ([] if baseline is None else [baseline]) + list(rows), path)
 
 
 def format_proportions_table(baseline: ProportionRow | None, rows) -> str:
     header = ["lexicon", "with pronouns | match", "with pronouns | no match", "% difference", "chi2 p"]
     body = []
     if baseline is not None:
-        frac = "" if baseline.frac_with is None else f"{baseline.frac_with:.4f}"
-        body.append([baseline.label, frac, "", "", ""])
+        body.append([baseline.label, _fmt(baseline.frac_with, ".4f"), "", "", ""])
     for row in rows:
         body.append(
             [
                 row.label,
-                "" if row.frac_with is None else f"{row.frac_with:.4f}",
-                "" if row.frac_without is None else f"{row.frac_without:.4f}",
+                _fmt(row.frac_with, ".4f"),
+                _fmt(row.frac_without, ".4f"),
                 "" if row.pct_diff is None else f"{row.pct_diff:+.1f}%",
                 "" if row.p is None else f"{row.p:.3g}{significance_marker(row.p)}",
             ]

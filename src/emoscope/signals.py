@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -10,7 +11,7 @@ from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .corpus import Shard, StreamCounts, load_json_object, read_ndjson
+from .corpus import Shard, StreamCounts, load_json_object, read_ndjson, read_text
 from .errors import RecordError, SignalError, SurveyError
 
 if TYPE_CHECKING:
@@ -237,8 +238,8 @@ def load_survey(path) -> list[SurveySeries]:
     path = Path(path)
     order: list[str] = []
     per: dict[str, list[tuple[date, float]]] = {}
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
         header = next(reader, None)
         if header is None:
             raise SurveyError(f"{path}: empty file")
@@ -275,6 +276,8 @@ def load_survey(path) -> list[SurveySeries]:
             elif d < rows[-1][0]:
                 raise SurveyError(f"{path}:{row_no}: dates not increasing for {emotion}")
             rows.append((d, percent))
+    except csv.Error as err:  # a NUL byte before Python 3.11, or a field past csv's limit
+        raise SurveyError(f"{path}:{reader.line_num}: {err}") from None
     if not per:
         raise SurveyError(f"{path}: no data rows")
     return [
@@ -330,26 +333,34 @@ def paired_values(signal: WeeklySeries, survey: SurveySeries) -> tuple[np.ndarra
     return x, y, common
 
 
-def write_daily_csv(signal: DailySignal, path) -> None:
-    """Daily export: date,value,numerator,denominator (dates ascending)."""
+def write_csv(path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """The package's one CSV writer: UTF-8, csv's default dialect (quoting
+    where needed, CRLF line ends), `header` then every row of `rows`.
+
+    A table without a row class lists its header and cells where it is
+    written. A result table with one (pipeline.ValidationRow,
+    pipeline.ProportionRow) declares its columns on its fields with
+    pipeline._column, and pipeline._write_table writes it from them.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date", "value", "numerator", "denominator"])
-        for d in signal.dates():
-            num, den = signal.counts[d]
-            writer.writerow([d.isoformat(), f"{signal.values[d]:.12g}", f"{num:.12g}", f"{den:.12g}"])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_daily_csv(signal: DailySignal, path) -> None:
+    """Daily export: date,value,numerator,denominator (dates ascending)."""
+    write_csv(path, ["date", "value", "numerator", "denominator"], (
+        [d.isoformat(), f"{signal.values[d]:.12g}", *(f"{c:.12g}" for c in signal.counts[d])]
+        for d in signal.dates()
+    ))
 
 
 def write_weekly_csv(series: WeeklySeries, path) -> None:
     """Weekly export: date,value,coverage; one row per anchor, value blank
     when the window had no data."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "value", "coverage"])
-        for anchor in series.anchors:
-            if anchor in series.values:
-                writer.writerow(
-                    [anchor.isoformat(), f"{series.values[anchor]:.12g}", f"{series.coverage[anchor]:.12g}"]
-                )
-            else:
-                writer.writerow([anchor.isoformat(), "", "0"])
+    write_csv(path, ["date", "value", "coverage"], (
+        [a.isoformat(), f"{series.values[a]:.12g}", f"{series.coverage[a]:.12g}"]
+        if a in series.values else [a.isoformat(), "", "0"]
+        for a in series.anchors
+    ))

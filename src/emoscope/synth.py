@@ -7,7 +7,6 @@ recovery checks meaningful.
 
 from __future__ import annotations
 
-import csv
 import gzip
 import io
 import math
@@ -25,6 +24,7 @@ from .lexicon import (
     demo_lexicon,
     tokenize,
 )
+from .signals import write_csv
 
 if TYPE_CHECKING:
     import numpy as np
@@ -177,20 +177,12 @@ class GroundTruth:
         return out
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "emotion", "male", "female", "population"])
-            for i, day in enumerate(self.dates()):
-                for emotion in self.emotions:
-                    writer.writerow(
-                        [
-                            day.isoformat(),
-                            emotion,
-                            repr(float(self.male[emotion][i])),
-                            repr(float(self.female[emotion][i])),
-                            repr(float(self.population(emotion)[i])),
-                        ]
-                    )
+        series = {e: (self.male[e], self.female[e], self.population(e)) for e in self.emotions}
+        write_csv(path, ["date", "emotion", "male", "female", "population"], (
+            [day.isoformat(), emotion, *(repr(float(values[i])) for values in series[emotion])]
+            for i, day in enumerate(self.dates())
+            for emotion in self.emotions
+        ))
 
 
 def _build_truth(cfg: SynthConfig, rng: np.random.Generator) -> GroundTruth:
@@ -389,17 +381,17 @@ def generate_survey(
         raise ConfigError("anchors must be strictly increasing")
     weekly = truth.weekly_population(anchors, window_days)
     rng = np.random.default_rng(seed)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "emotion", "percent"])
-        for k, anchor in enumerate(anchors):
-            for emotion in emotions:
-                p_true = float(weekly[emotion][k])
-                if respondents > 0:
-                    pct = 100.0 * rng.binomial(respondents, p_true) / respondents
-                else:
-                    pct = 100.0 * p_true
-                writer.writerow([anchor.isoformat(), emotion, f"{pct:.10g}"])
+
+    def percent(p_true: float) -> float:
+        if respondents > 0:
+            return 100.0 * rng.binomial(respondents, p_true) / respondents
+        return 100.0 * p_true
+
+    write_csv(path, ["date", "emotion", "percent"], (
+        [anchor.isoformat(), emotion, f"{percent(float(weekly[emotion][k])):.10g}"]
+        for k, anchor in enumerate(anchors)
+        for emotion in emotions
+    ))
 
 
 def generate_scores(

@@ -1,6 +1,7 @@
 """Subcommand flows, exit codes, and end-to-end recovery of planted effects."""
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -639,6 +640,18 @@ class TestThirdPerson:
         for row in rows.values():
             assert float(row["p"]) < 0.0001
 
+    def test_counts_short_row_reads_missing_cells_as_empty(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("with_k,with_n,without_k,without_n,label\n1,2,3,4\n", encoding="utf-8")
+        out = tmp_path / "tp"
+        assert main(["thirdperson", "--counts", str(counts), "--output", str(out)]) == 0
+        with open(out / "thirdperson.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["label"] == ""
+        assert (row["with_k"], row["with_n"], row["without_k"], row["without_n"]) == ("1", "2", "3", "4")
+        assert capsys.readouterr().out.splitlines()[2].split() == [
+            "0.5000", "0.7500", "-33.3%", "0.54(n.s.)"]
+
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["thirdperson"]) == 1
         assert (
@@ -778,3 +791,67 @@ class TestAuc:
              "--emotions", "joy", "--output", str(tmp_path / "o")]
         )
         assert code == 1
+
+
+# The bytes of every CSV the CLI writes, on one small workspace. Amplitude
+# 0 plants constant rates, so truth.csv holds exact sums of its base rates
+# rather than tanh values, whose last bit may depend on the CPU.
+PINNED_CSV = {
+    "out/auc/auc.csv": "f6f723f3581b3c47dcb30559c1eca48e72a2de5538986dfd6564ce28d021923b",
+    "out/auc/roc_anxiety.csv": "78d28368a53658411a249a9c81af9d8c0e85829c2c621671136173c6fd3f5d1c",
+    "out/auc/roc_sadness.csv": "807b50ed3224c0a964558380e58b5c2dba6ba771cad0507fa2d476d5e6440fd6",
+    "out/counts/thirdperson.csv": "82687e6a4b57738bbf27cbcdcb7373dab37cb16cc64bd07ca4531ad230a5b187",
+    "out/signal/daily_anxiety_rescaled.csv": "730d8aebdca2e9bdb3a31b7e7c2916797eb9e68ce92706631e5fc76128396c54",
+    "out/signal/daily_positive_rescaled.csv": "48fe27795788b9b8489ed72057ba3f8c1063b7feac5ff6293efaac49a1d878c7",
+    "out/signal/daily_sadness_rescaled.csv": "a911693b8d046079bf4e70d46e5a2cf5199daa9fcd7ae180e107a983b45e3266",
+    "out/signal/daily_score_anxiety_all.csv": "0527464b33eff69a198a1a1426d60d53259073e8fb075633634de0d54f89f01d",
+    "out/signal/daily_score_positive_all.csv": "edf627b9518ce7da8b04f57485af823a587b7951dab117d2ee168c19b8374be9",
+    "out/signal/daily_score_sadness_all.csv": "610d701fbd78174b12fcdb58b2806ff9e037614eed4a085ce41eb91f59e36fbb",
+    "out/signal/weekly_anxiety_rescaled.csv": "43a0a74da64466cd09a72c3fe796d9fed1186edb92325ca43c5d35b383b39776",
+    "out/signal/weekly_positive_rescaled.csv": "d38bbcfe02ebed3e84c753723a4659d5857e84e5a58be082e690f694d8fa1017",
+    "out/signal/weekly_sadness_rescaled.csv": "cbcde89b5c6208247fd75f85d607eadba9f225060438a1fab33a97ef4bc98d5e",
+    "out/signal/weekly_score_anxiety_all.csv": "061f55cb8e171b8a4c63d9f546534a3d36ee9c35c8c59b1899066e239482534c",
+    "out/signal/weekly_score_positive_all.csv": "dd1c2ad7d0876181777210fbb54295235065c7ea4685e891505c6967af0aa223",
+    "out/signal/weekly_score_sadness_all.csv": "8ed6b7bfe893e979f668c89234d0f48afaac8073696f508a6657a74b50cf9829",
+    "out/thirdperson/thirdperson.csv": "50b8bcd0da9d528d6d7b2317d6bc4badba652fd30ee578afb42d5199e25faf20",
+    "out/validate/plot_data.csv": "cb45c1983e76dd953b4458c3aaaa49e094d2432150e2eadfff630639397dc3d0",
+    "out/validate/report.csv": "77613538bc26c3060f31b491e290a25c4188b8be399e9a19b205857da10fca72",
+    "ws/survey.csv": "2c3b6dbaec478ad6c115953e12b984ef7b2e1b5409a7456c029b09a69aacdc80",
+    "ws/truth.csv": "eedb98a4763270f1bb2a1a9b4ec5b6c8160c1e0e3ad4dac26e62784b827f86b6",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_outputs(tmp_path_factory):
+    """{relative path: sha256} of every CSV written by synth, signal,
+    validate --plot-data, thirdperson (both modes) and auc."""
+    root = tmp_path_factory.mktemp("pinned")
+    ws, out = root / "ws", root / "out"
+    assert main(["synth", "--out", str(ws), "--days", "175", "--posts-per-day", "6", "--seed", "3",
+                 "--amplitude", "0", "--decoy-fraction", "0.1", "--scores-per-day", "3"]) == 0
+    ini = str(ws / "pipeline.ini")
+    assert main(["signal", "--config", ini, "--output", str(out / "signal")]) == 0
+    assert main(["validate", "--config", ini, "--stratified", "--plot-data", "--output",
+                 str(out / "validate")]) == 0
+    assert main(["thirdperson", "--config", ini, "--output", str(out / "thirdperson")]) == 0
+    counts = root / "counts.csv"
+    counts.write_text("label,with_k,with_n,without_k,without_n\nsad,5,40,12,300\n"
+                      "nomatch,0,0,3,10\nnorest,2,9,0,0\nsame,4,4,7,7\n", encoding="utf-8")
+    assert main(["thirdperson", "--counts", str(counts), "--output", str(out / "counts")]) == 0
+    labels = root / "labels.csv"
+    with open(ws / "scores.ndjson", encoding="utf-8") as fh:
+        ids = [json.loads(line)["id"] for line in fh][:60]
+    labels.write_text("id,emotion,label\n" + "".join(
+        f"{i},sadness,{k % 3 == 0:d}\n{i},anxiety,{k % 2:d}\n{i},positive,1\n"
+        for k, i in enumerate(ids)), encoding="utf-8")
+    assert main(["auc", "--scores", str(ws / "scores.ndjson"), "--labels", str(labels),
+                 "--output", str(out / "auc")]) == 0
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*.csv"))
+        if path not in (counts, labels)
+    }
+
+
+def test_csv_output_bytes_pinned(pinned_outputs):
+    assert pinned_outputs == PINNED_CSV

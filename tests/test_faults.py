@@ -595,12 +595,17 @@ def _edit(data: bytes, edit) -> bytes:
                 lines[i] = prefix + value
                 return b"\n".join(lines)
         return data + b"\n[%s]\n%s%s\n" % (section.encode(), prefix, value)
-    if edit[0] in ("drop", "repeat"):
-        i = min(int(edit[1] * len(lines)), len(lines) - 1)
+    if edit[0] == "bytes":  # replace a few bytes at one position
+        at = int(edit[1] * len(data))
+        return data[:at] + edit[3] + data[at + edit[2]:]
+    i = min(int(edit[1] * len(lines)), len(lines) - 1)
+    if edit[0] == "cell":  # one comma-separated cell of one line
+        cells = lines[i].split(b",")
+        cells[min(edit[2], len(cells) - 1)] = edit[3]
+        lines[i] = b",".join(cells)
+    else:
         lines[i:i + 1] = [] if edit[0] == "drop" else [lines[i]] * 2
-        return b"\n".join(lines)
-    at = int(edit[1] * len(data))  # "bytes": replace a few bytes at one position
-    return data[:at] + edit[3] + data[at + edit[2]:]
+    return b"\n".join(lines)
 
 
 def _small_permutations(data: bytes) -> bytes:
@@ -643,3 +648,162 @@ def test_any_config_bytes_end_in_an_exit_code(config_workspace, edits):
                 assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
             if not utf8:
                 assert code == 1 and err.getvalue().startswith(f"config error: {ini}: not UTF-8")
+
+
+# Survey, lexicon and counts bytes: `validate` on a mutated survey, `signal`
+# on a mutated lexicon and `thirdperson --counts` on any counts file end in
+# exit 0, 1 or 2 with a one-line message. A file that is not UTF-8 is a data
+# error naming its line.
+
+CELL = st.one_of(VALUE, st.sampled_from([b"nan", b"1e999", b"100", b"sadness", b"a b", b"*",
+                                         b'"a\nb"', b"x" * 200_000]))
+FILE_EDIT = st.one_of(
+    st.tuples(st.just("cell"), st.floats(0, 1), st.integers(0, 3), CELL),
+    st.tuples(st.just("drop"), st.floats(0, 1)),
+    st.tuples(st.just("repeat"), st.floats(0, 1)),
+    st.tuples(st.just("bytes"), st.floats(0, 1), st.integers(0, 3), st.binary(max_size=4)),
+)
+# the faults these properties were written for: bytes that are not UTF-8,
+# a NUL byte (csv.Error before Python 3.11), a field past csv's size limit
+FILE_FAULTS = [
+    [("bytes", 0.5, 0, b"\xff")],
+    [("bytes", 0.5, 0, b"\x00")],
+    [("cell", 0.5, 1, b"x" * 200_000)],
+]
+
+
+def _assert_exit_code(argv, out, data: bytes, path: Path) -> int:
+    """Run the CLI with --output `out`: exit 0, 1 or 2, a failure told in
+    one line, and bytes at `path` that are not UTF-8 a data error naming
+    the file."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main([*argv, "--output", str(out)])
+    assert code in (0, 1, 2)
+    event(f"{argv[0]} exit {code}")
+    if code:
+        assert err.getvalue().startswith("config error: " if code == 1 else "error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        assert code == 2 and err.getvalue().startswith(f"error: {path}:")
+    return code
+
+
+def _edited(path: Path, edits) -> bytes:
+    data = path.read_bytes()
+    for edit in edits:
+        data = _edit(data, edit)
+    return data
+
+
+def _config_reading(ws: Path, name: str, data: bytes, new_name: str) -> tuple[Path, Path]:
+    """(config, input): `data` written to ws/new_name, and a copy of ws's
+    pipeline.ini that reads it in place of its file `name`."""
+    (ws / new_name).write_bytes(data)
+    ini = ws / f"{new_name}.ini"
+    ini.write_text((ws / "pipeline.ini").read_text(encoding="utf-8").replace(
+        f" = {name}\n", f" = {new_name}\n"), encoding="utf-8")
+    return ini, ws / new_name
+
+
+@pytest.mark.parametrize(
+    "command, name, data, where",
+    [
+        ("validate", "survey.csv", b"date,emotion,percent\n2020-06-07,sad\xffness,4\n",
+         "2: invalid UTF-8 at byte 14 (invalid start byte)"),
+        ("signal", "lexicons/sadness.txt", b"# terms\r\nsad\r\nlone\xc3ly\r\n",
+         "3: invalid UTF-8 at byte 4 (invalid continuation byte)"),
+    ],
+    ids=["survey", "lexicon"],
+)
+def test_input_that_is_not_utf8_names_file_and_line(config_workspace, command, name, data, where):
+    """A survey or lexicon that is not UTF-8 is a data error naming the
+    file, the line and the byte's offset in that line, as for labels."""
+    ini, path = _config_reading(config_workspace, name, data, "not-utf8-" + Path(name).name)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main([command, "--config", str(ini), "--output", tmp])
+    assert code == 2
+    assert err.getvalue() == f"error: {path}:{where}\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=st.lists(FILE_EDIT, min_size=1, max_size=4))
+@example(edits=FILE_FAULTS[0])
+@example(edits=FILE_FAULTS[1])
+@example(edits=FILE_FAULTS[2])
+def test_any_survey_bytes_end_in_an_exit_code(config_workspace, edits):
+    data = _edited(config_workspace / "survey.csv", edits)
+    ini, survey = _config_reading(config_workspace, "survey.csv", data, "mutated-survey.csv")
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_exit_code(["validate", "--config", str(ini)], tmp, data, survey)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=st.lists(FILE_EDIT, min_size=1, max_size=4))
+@example(edits=FILE_FAULTS[0])
+@example(edits=FILE_FAULTS[1])
+@example(edits=FILE_FAULTS[2])
+def test_any_lexicon_bytes_end_in_an_exit_code(config_workspace, edits):
+    data = _edited(config_workspace / "lexicons" / "sadness.txt", edits)
+    ini, lexicon = _config_reading(config_workspace, "lexicons/sadness.txt", data,
+                                   "mutated-sadness.txt")
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_exit_code(["signal", "--config", str(ini)], tmp, data, lexicon)
+
+
+COUNT = st.integers(-3, 50).map(lambda n: b"%d" % n)
+ODD_COUNT = st.sampled_from([b"", b" 7", b"1e3", b"7" * 5_000, b"1" + b"0" * 400])
+LABEL_CELL = st.sampled_from([b"sad", b"", b'"a,b"', "\u00e9".encode("utf-8")])
+COUNT_ROW = st.builds(lambda label, counts: b",".join([label, *counts]),
+                      LABEL_CELL, st.lists(COUNT, min_size=4, max_size=4))
+# too few or too many cells, or cells that are not small integers
+ODD_COUNT_ROW = st.builds(lambda label, counts: b",".join([label, *counts]),
+                          LABEL_CELL, st.lists(st.one_of(COUNT, ODD_COUNT), min_size=3, max_size=5))
+COUNTS_HEADER = st.sampled_from([
+    b"label,with_k,with_n,without_k,without_n", b"label,with_k,with_n,without_k,without_n",
+    b"with_k,with_n,without_k,without_n,label", b"label,with_k,with_n", b"",
+    b"\xef\xbb\xbflabel,with_k,with_n,without_k,without_n",
+])
+PROPORTION_COLUMNS = ["label", "with_k", "with_n", "frac_with", "without_k", "without_n",
+                      "frac_without", "pct_difference", "chi2", "p", "notes"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(header=COUNTS_HEADER,
+       rows=st.one_of(st.lists(COUNT_ROW, max_size=6), st.lists(st.one_of(
+           COUNT_ROW, ODD_COUNT_ROW, st.binary(max_size=12), INVALID_UTF8, BLANK), max_size=8)))
+@example(header=b"with_k,with_n,without_k,without_n,label", rows=[b"1,2,3,4"])  # label left None
+@example(header=b"label,with_k,with_n,without_k,without_n", rows=[b"sad,1,2,3,4", b"s\xffd,1,2,3,4"])
+@example(header=b"label,with_k,with_n,without_k,without_n", rows=[b"sad,1,2,\x003,4"])
+@example(header=b"label,with_k,with_n,without_k,without_n", rows=[b"x" * 200_000 + b",1,2,3,4"])
+@example(header=b"label,with_k,with_n,without_k,without_n", rows=[b"big,%d,1,3,4" % 10**400])
+@example(header=b"label,with_k,with_n,without_k,without_n",
+         rows=[b"big,%d,%d,1,%d" % ((10**400,) * 3)])  # a chi2 past float range
+def test_any_counts_bytes_end_in_an_exit_code(header, rows):
+    data = b"".join(line + b"\n" for line in (header, *rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        counts, out = Path(tmp) / "counts.csv", Path(tmp) / "out"
+        counts.write_bytes(data)
+        if _assert_exit_code(["thirdperson", "--counts", str(counts)], out, data, counts):
+            return
+        with open(out / "thirdperson.csv", newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            written = list(reader)
+        assert reader.fieldnames == PROPORTION_COLUMNS
+        assert written
+        for row in written:  # each cell under its own column
+            k, n = int(row["with_k"]), int(row["with_n"])
+            assert row["frac_with"] == ("" if n == 0 else format(k / n, ".6g"))
+
+
+def test_counts_that_are_not_utf8_name_file_and_line(tmp_path):
+    counts = tmp_path / "counts.csv"
+    counts.write_bytes(b"label,with_k,with_n,without_k,without_n\nsa\xffd,1,2,3,4\n")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["thirdperson", "--counts", str(counts), "--output", str(tmp_path / "out")])
+    assert code == 2
+    assert err.getvalue() == f"error: {counts}:2: invalid UTF-8 at byte 2 (invalid start byte)\n"
