@@ -10,6 +10,16 @@ The names below are the API the README's "Python API" section lists;
 everything else is reached through its submodule (emoscope.stats, ...).
 """
 
+# Without bytecode caches (PYTHONDONTWRITEBYTECODE) every start compiles the
+# sources below, and after each compile glibc may or may not give the top of
+# the heap back, as a few bytes of layout (the length of the install path,
+# say) decide: the peak RSS of a short command then moved by 0.4 MB between
+# two copies of the same code. Freeing one 512 KiB block first raises
+# glibc's dynamic mmap threshold to 512 KiB and its trim threshold to 1 MiB,
+# which takes that chance out. The block comes from calloc and is never
+# written, so it costs no resident memory; other allocators ignore it.
+bytes(512 * 1024)
+
 from .config import PipelineConfig, load_config
 from .corpus import FilterConfig, Post, StreamCounts, stream_posts
 from .errors import ConfigError, EmoscopeError

@@ -30,7 +30,7 @@ from .pipeline import (
     write_report_csv,
     write_signal_outputs,
 )
-from .signals import ScoreCounts, stream_scores, write_csv
+from .signals import ScoreCounts, numbered_rows, stream_scores, write_csv
 from .stats import roc_auc, roc_curve
 from .synth import SynthConfig, generate_corpus, generate_scores, generate_survey, weekly_anchors
 
@@ -215,14 +215,17 @@ def cmd_validate(args) -> int:
 
 def _csv_records(path, required: set[str]):
     """(line number, record) of every row of a CSV input whose header must
-    name the `required` columns; a short row leaves its missing cells None."""
-    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    name the `required` columns, numbered as `numbered_rows` numbers them;
+    a short row leaves its missing cells None."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+        header = next(reader, None)
+        if header is None or not required <= set(header):
             raise ConfigError(f"{path}: header must contain {sorted(required)}")
-        yield from enumerate(reader, 2)
+        for line_no, row in numbered_rows(reader):
+            yield line_no, dict(zip(header, row + [None] * (len(header) - len(row))))
     except csv.Error as err:  # a NUL byte before Python 3.11, or a field past csv's limit
-        raise ConfigError(f"{path}:{reader.reader.line_num}: {err}") from None
+        raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
 
 
 def _read_counts(path) -> list[ProportionRow]:
@@ -240,6 +243,8 @@ def _read_counts(path) -> list[ProportionRow]:
             )
         except (TypeError, ValueError):
             raise ConfigError(f"{path}:{line_no}: counts must be integers") from None
+        if not (0 <= row.with_k <= row.with_n and 0 <= row.without_k <= row.without_n):
+            raise ConfigError(f"{path}:{line_no}: counts must satisfy 0 <= k <= n")
         try:
             rows.append(finalize_proportion_row(row))
         except OverflowError:  # a fraction or chi2 past float range

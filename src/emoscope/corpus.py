@@ -5,7 +5,6 @@ from __future__ import annotations
 import gzip
 import json
 import os
-import pickle
 import sys
 import zlib
 from dataclasses import dataclass
@@ -13,10 +12,11 @@ from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TypeVar
 
 from .errors import ConfigError, RecordError
 
+A = TypeVar("A")
 T = TypeVar("T")
 
 
@@ -431,26 +431,96 @@ def _usable_cpus() -> int:
     return 1 if affinity is None else len(affinity(0))
 
 
-def _scan_child(scan, group, fd: int, max_errors: int | None) -> NoReturn:
-    """In a forked child: pickle (scan result, first RecordErrors) or the
-    exception that ended the scan into fd, then end the process."""
+def _pickle():
+    """pickle's C core, which pickle.dump and pickle.loads are on CPython.
+    Importing pickle.py at start-up as well raised the peak memory of the
+    benchmark's scan-demo commands, which fork, by about 0.25 MB (median
+    18.29 against 18.55 MB over four install paths). Other Pythons fall
+    back to pickle. Loaded only by a run that forks."""
+    try:
+        import _pickle as pickle
+    except ImportError:
+        import pickle
+    return pickle
+
+
+def _forked_child(work: Callable, part, fd: int) -> NoReturn:
+    """In a forked child: pickle (work(part), None), or (None, the exception
+    that ended it), into fd, then end the process."""
     code = 1
     try:
-        errors: list[RecordError] = []
-
-        def sample(err):
-            if len(errors) < max_errors:
-                errors.append(err)
-
         try:
-            outcome = scan(group, None if max_errors is None else sample), errors
+            outcome = work(part), None
         except Exception as err:
-            outcome = err
+            outcome = None, err
         with open(fd, "wb") as fh:
-            pickle.dump(outcome, fh)
+            _pickle().dump(outcome, fh)
         code = 0
     finally:
         os._exit(code)
+
+
+def fork_map(
+    work: Callable[[A], T], parts: Sequence[A], what: str, local: Callable[[A], T] | None = None
+) -> Iterator[T]:
+    """work(part) of every part, in order: this process runs parts[0] (with
+    `local` instead of `work` where given) and a forked child each other
+    part, which sends its result back through a pipe as a pickle. One part
+    forks nothing.
+
+    Every child has ended when this returns. The results then come out in
+    part order, and a child's exception is raised where its result would
+    come, so only once every part before it was taken: a one-process run
+    would have met it first. If this process's part raises, the children
+    are killed.
+    """
+    if len(parts) > 1:
+        # a child must not write out again what this process buffered
+        sys.stdout.flush()
+        sys.stderr.flush()
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    payloads: list[bytes] = []
+    statuses: list[int] = []
+    try:
+        for part in parts[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _forked_child(work, part, w)
+            except OSError:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            children.append((pid, r))
+        first = (local or work)(parts[0])
+        for _, r in children:
+            with open(r, "rb", closefd=False) as fh:
+                payloads.append(fh.read())
+    finally:
+        for pid, r in children:
+            os.close(r)
+            if len(payloads) < len(children):  # this process's part failed
+                from signal import SIGKILL  # POSIX only, as fork is
+
+                os.kill(pid, SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    return _forked_results(first, what, children, payloads, statuses)
+
+
+def _forked_results(first, what: str, children, payloads, statuses) -> Iterator:
+    yield first
+    for (pid, _), payload, status in zip(children, payloads, statuses):
+        if status or not payload:
+            raise ChildProcessError(
+                f"{what} process {pid} ended without a result "
+                f"(exit status {os.waitstatus_to_exitcode(status)})"
+            )
+        result, err = _pickle().loads(payload)
+        if err is not None:
+            raise err
+        yield result
 
 
 def scan_shards(
@@ -462,60 +532,33 @@ def scan_shards(
     """scan(group, on_error) of each group of shard_groups(paths, k), in
     input order, k being the number of usable CPUs (1 off Linux).
 
-    This process scans the first group and a forked child each other one,
-    which sends its result back through a pipe as a pickle; k = 1 forks
-    nothing. Every RecordError of the first group reaches on_error, then
-    at most max_errors of each later group, in input order. An exception
-    that ends a group's scan is raised only once every group before it
-    succeeded: a one-process scan would have met it first.
+    This process scans the first group and a forked child each other one
+    (`fork_map`); k = 1 forks nothing. Every RecordError of the first group
+    reaches on_error, then at most max_errors of each later group, in input
+    order. An exception that ends a group's scan is raised only once every
+    group before it succeeded: a one-process scan would have met it first.
     """
-    groups = shard_groups(paths, _usable_cpus())
-    if len(groups) > 1:
-        # a child must not write out again what this process buffered
-        sys.stdout.flush()
-        sys.stderr.flush()
-    # No command has loaded numpy yet: it loads inside the statistics,
-    # after the scan, so no BLAS threads exist at fork time. Where a caller
-    # did load it, a child still runs the pure-Python scan only and never
-    # needs those threads, which fork does not copy.
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    payloads: list[bytes] = []
-    statuses: list[int] = []
-    try:
-        for group in groups[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _scan_child(scan, group, w, None if on_error is None else max_errors)
-            except OSError:
-                os.close(r)
-                raise
-            finally:
-                os.close(w)
-            children.append((pid, r))
-        results = [scan(groups[0], on_error)]
-        for _, r in children:
-            with open(r, "rb", closefd=False) as fh:
-                payloads.append(fh.read())
-    finally:
-        for pid, r in children:
-            os.close(r)
-            if len(payloads) < len(children):  # this process's scan failed
-                from signal import SIGKILL  # POSIX only, as fork is
+    # The scan commands never load numpy, and `validate` loads it only for
+    # its statistics, after the scan, so a scan forks before any BLAS thread
+    # exists; where a caller did load it first, a child still runs the
+    # pure-Python scan only and never needs those threads, which fork does
+    # not copy. stats.permutation_test forks after numpy loads: from the
+    # main thread, between numpy calls, so no BLAS thread is mid-call, and
+    # its kernels keep each product on one BLAS thread (_ONE_THREAD_PRODUCT).
 
-                os.kill(pid, SIGKILL)
-            statuses.append(os.waitpid(pid, 0)[1])
-    for (pid, _), payload, status in zip(children, payloads, statuses):
-        if status or not payload:
-            raise ChildProcessError(
-                f"corpus scan process {pid} ended without a result "
-                f"(exit status {os.waitstatus_to_exitcode(status)})"
-            )
-        outcome = pickle.loads(payload)
-        if isinstance(outcome, BaseException):
-            raise outcome
-        result, errors = outcome
+    def sampled(group):
+        errors: list[RecordError] = []
+
+        def sample(err):
+            if len(errors) < max_errors:
+                errors.append(err)
+
+        return scan(group, None if on_error is None else sample), errors
+
+    results = []
+    groups = shard_groups(paths, _usable_cpus())
+    for result, errors in fork_map(sampled, groups, "corpus scan",
+                                   local=lambda group: (scan(group, on_error), ())):
         if on_error is not None:
             for err in errors:
                 on_error(err)

@@ -397,32 +397,34 @@ def run_validation(
     cfg: PipelineConfig, bundle: SignalBundle | None = None, extra_stratified: bool = False
 ) -> list[ValidationRow]:
     """`validate_pair` for every configured pair and stratum, then all
-    their permutation tests: one `permutation_test` call per statistic and
-    number of pairs n, so the rows of a call share one draw of the
-    shuffles."""
+    their permutation tests in one `permutation_test` call: the rows share
+    one draw of the shuffles per number of pairs n, and Pearson and DCCA
+    share each row's permuted series."""
     if not cfg.pairs:
         raise ConfigError("no survey/signal pairs configured ([survey] pairs)")
     surveys = load_survey_map(cfg)
     if bundle is None:
         bundle = build_signals(cfg)
     rows: list[ValidationRow] = []
-    calls: dict[tuple[str, int], list[tuple[ValidationRow, np.ndarray, np.ndarray]]] = {}
+    tested: list[tuple[ValidationRow, tuple[str, ...], np.ndarray, np.ndarray]] = []
     for survey, stratum, weekly in _weekly_pairs(cfg, bundle, surveys, extra_stratified):
         row, tests = validate_pair(survey, weekly, stratum, cfg)
         rows.append(row)
-        for field, x, y in tests:
-            calls.setdefault((field, len(x)), []).append((row, x, y))
-    statistics = {"perm_p": None, "dcca_p": dcca_statistic(cfg.dcca_window)}
-    for (field, _), members in calls.items():
+        if tests:  # every test of a row runs on the same pairs
+            _, x, y = tests[0]
+            tested.append((row, tuple(field for field, _, _ in tests), x, y))
+    if tested:
+        statistics = {"perm_p": None, "dcca_p": dcca_statistic(cfg.dcca_window)}
         p_values = permutation_test(
-            [x for _, x, _ in members],
-            [y for _, _, y in members],
-            statistics[field],
+            [x for _, _, x, _ in tested],
+            [y for _, _, _, y in tested],
+            [tuple(statistics[field] for field in fields) for _, fields, _, _ in tested],
             n_perm=cfg.permutations,
             seed=cfg.seed,
         )
-        for (row, _, _), p in zip(members, p_values):
-            setattr(row, field, p)
+        for (row, fields, _, _), row_p in zip(tested, p_values):
+            for field, p in zip(fields, row_p):
+                setattr(row, field, p)
     return rows
 
 

@@ -229,6 +229,17 @@ class SurveySeries:
                 raise SurveyError(f"{self.emotion}: percent {v} on {d} outside [0, 100]")
 
 
+def numbered_rows(reader) -> Iterator[tuple[int, list[str]]]:
+    """(line number, row) of every row left in a csv.reader, blank rows
+    left out. The number is the physical line where the row starts, so a
+    quoted field that holds a newline does not shift the rows after it."""
+    start = reader.line_num + 1
+    for row in reader:
+        if row:
+            yield start, row
+        start = reader.line_num + 1
+
+
 def load_survey(path) -> list[SurveySeries]:
     """Load a long-form weekly survey CSV with header date,emotion,percent.
 
@@ -250,8 +261,8 @@ def load_survey(path) -> list[SurveySeries]:
             pi = lowered.index("percent")
         except ValueError:
             raise SurveyError(f"{path}: header must name date, emotion and percent columns") from None
-        for row_no, row in enumerate(reader, 2):
-            if not row or not any(cell.strip() for cell in row):
+        for row_no, row in numbered_rows(reader):
+            if not any(cell.strip() for cell in row):
                 continue
             if len(row) <= max(di, ei, pi):
                 raise SurveyError(f"{path}:{row_no}: too few columns")

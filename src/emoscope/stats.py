@@ -132,8 +132,9 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.nda
 pearson.rows = _pearson_rows
 
 
-def _index_chunks(rng: np.random.Generator, n: int, block: int, n_perm: int):
-    """Permutation indices into x, in (k, n) chunks drawn from one stream.
+def _index_chunks(seed: int, n: int, block: int, n_perm: int):
+    """Permutation indices into x, in (k, n) chunks drawn from one stream,
+    that of np.random.default_rng(seed).
 
     Each row shuffles the units (observations, or consecutive blocks of
     `block` observations with a shorter last block) exactly as
@@ -142,6 +143,7 @@ def _index_chunks(rng: np.random.Generator, n: int, block: int, n_perm: int):
     """
     import numpy as np
 
+    rng = np.random.default_rng(seed)
     n_units = -(-n // block)
     units = np.arange(n_units)
     per_chunk = max(1, _CHUNK_BYTES // (8 * n))
@@ -173,7 +175,7 @@ def permutation_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 def _row_kernel(statistic, x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     import numpy as np
 
-    kernel = getattr(statistic, "rows", None)
+    kernel = getattr(statistic or pearson, "rows", None)
     if kernel is not None:
         return kernel(x, y)
 
@@ -183,14 +185,59 @@ def _row_kernel(statistic, x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray
     return rows
 
 
+# Permuted values (permutations x observations x statistics) per process,
+# at least, where permutation_test splits its rows across forked
+# processes. A fork with numpy loaded costs 1-5 ms, and every process
+# draws the shuffles of its rows' n itself. Two processes against one on
+# 2 CPUs, 12 rows at n=156: with Pearson and DCCA x0.69 at 1.1M values in
+# all, x1.02 at 3.7M, x1.30 at 11.2M and x1.5 at 37M (10k permutations);
+# with Pearson alone x0.67 at 1.9M and x0.99 at 5.6M.
+_MIN_FORK_WORK = 1 << 22
+
+
+def _hit_counts(tests, n_perm: int, seed: int, block: int) -> list[list[int]]:
+    """Permutations reaching each observed statistic of each test (x, [(row
+    kernel, bar), ...]): one draw of the shuffles per n, and each row's
+    permuted x gathered once per chunk for all its statistics."""
+    import numpy as np
+
+    hits = [[0] * len(kernels) for _, kernels in tests]
+    by_n: dict[int, list[int]] = {}
+    for i, (x, _) in enumerate(tests):
+        by_n.setdefault(len(x), []).append(i)
+    for n, members in by_n.items():
+        for idx in _index_chunks(seed, n, block, n_perm):
+            for i in members:
+                x, kernels = tests[i]
+                X = x[idx]
+                for j, (rows, bar) in enumerate(kernels):
+                    hits[i][j] += int(np.count_nonzero(np.abs(rows(X)) >= bar))
+    return hits
+
+
+def _fork_parts(tests, n_perm: int, cpus: int) -> list[list[int]]:
+    """Indices of the tests, ordered by n, in at most one contiguous part
+    per CPU of about equal work, each of at least _MIN_FORK_WORK."""
+    work = [len(x) * len(kernels) for x, kernels in tests]
+    total = sum(work)
+    parts = max(1, min(cpus, len(tests), n_perm * total // _MIN_FORK_WORK))
+    cuts, done = [[]], 0
+    for i in sorted(range(len(tests)), key=lambda i: len(tests[i][0])):
+        if done * parts >= total * len(cuts):
+            cuts.append([])
+        cuts[-1].append(i)
+        done += work[i]
+    return cuts
+
+
 def permutation_test(
     x,
     y,
-    statistic: Callable[[np.ndarray, np.ndarray], float] | None = None,
+    statistic=None,
     n_perm: int = 10_000,
     seed: int | None = None,
     block: int = 1,
-) -> float | list[float]:
+) -> float | tuple[float, ...] | list:
     """Two-sided permutation p-value, shuffling x while y stays fixed.
 
     `statistic` defaults to the Pearson correlation. Any statistic sees the
@@ -204,15 +251,22 @@ def permutation_test(
     A statistic with a `rows` attribute (`pearson`, `dcca_statistic`) is
     evaluated in batches: `statistic.rows(x, y)` returns a kernel mapping a
     (k, n) array of permuted x to k statistics. Any other callable is called
-    once per permutation. `block` > 1 permutes consecutive blocks of that
-    length instead of single observations, an option for autocorrelated
-    series. A seed is mandatory: an unseeded test is not reproducible.
+    once per permutation. `statistic` may also be a tuple of statistics
+    (None standing for Pearson): the p-value is then a tuple, one p per
+    statistic, all from the same shuffles. `block` > 1 permutes consecutive
+    blocks of that length instead of single observations, an option for
+    autocorrelated series. A seed is mandatory: an unseeded test is not
+    reproducible.
 
-    x and y may also be 2-D, one series per row: row i of x is tested
-    against row i of y and a list of p-values is returned. Each chunk of
-    shuffles is then drawn once for all rows with the same n (pairs left
-    after dropping non-finite ones) and applied to each of them, so every
-    p-value equals that of the row's own one-pair call.
+    x and y may also hold one series per row (a 2-D array, or sequences of
+    1-D series of any lengths): row i of x is tested against row i of y and
+    a list of p-values is returned. `statistic` may then be a list with one
+    entry per row. The shuffles are drawn once per n (pairs left after
+    dropping non-finite ones) and each row's permuted x is gathered once for
+    all its statistics. The rows are split across up to one forked process
+    per usable CPU (`corpus.fork_map`), each of which draws the shuffles
+    itself, so every p-value equals that of the row's own call with one
+    statistic, whatever the number of CPUs.
     """
     import numpy as np
 
@@ -222,27 +276,37 @@ def permutation_test(
         raise StatError(f"n_perm must be >= 1, got {n_perm}")
     if block < 1:
         raise StatError(f"block must be >= 1, got {block}")
-    if statistic is None:
-        statistic = pearson
-    batch = np.ndim(x) == 2
-    if batch and np.shape(x) != np.shape(y):
-        raise StatError("x and y must hold equally many series of equal length")
-    pairs = [permutation_pair(a, b) for a, b in zip(x, y)] if batch else [permutation_pair(x, y)]
+    batch = np.ndim(x) == 2 if isinstance(x, np.ndarray) else len(x) > 0 and np.ndim(x[0]) == 1
+    xs, ys = (x, y) if batch else ([x], [y])
+    if len(xs) != len(ys):
+        raise StatError("x and y must hold equally many series")
+    per_row = statistic if batch and isinstance(statistic, list) else [statistic] * len(xs)
+    if len(per_row) != len(xs):
+        raise StatError("statistic must hold one entry per series")
 
     tests = []
-    by_n: dict[int, list[int]] = {}
-    for i, (a, b) in enumerate(pairs):
-        rows = _row_kernel(statistic, a, b)
-        obs = abs(rows(a[None, :])[0])
-        tests.append((a, rows, obs - _TIE_RTOL * getattr(rows, "magnitude", obs)))
-        by_n.setdefault(len(a), []).append(i)
-    hits = [0] * len(tests)
-    for n, members in by_n.items():
-        for idx in _index_chunks(np.random.default_rng(seed), n, block, n_perm):
-            for i in members:
-                a, rows, bar = tests[i]
-                hits[i] += int(np.count_nonzero(np.abs(rows(a[idx])) >= bar))
-    p_values = [(1 + h) / (n_perm + 1) for h in hits]
+    for a, b, entry in zip(xs, ys, per_row):
+        a, b = permutation_pair(a, b)
+        kernels = []
+        for stat in entry if isinstance(entry, tuple) else (entry,):
+            rows = _row_kernel(stat, a, b)
+            obs = abs(rows(a[None, :])[0])
+            kernels.append((rows, obs - _TIE_RTOL * getattr(rows, "magnitude", obs)))
+        tests.append((a, kernels))
+    from . import corpus
+
+    parts = _fork_parts(tests, n_perm, corpus._usable_cpus())
+    counted = corpus.fork_map(
+        lambda part: _hit_counts([tests[i] for i in part], n_perm, seed, block),
+        parts, "permutation test",
+    )
+    hits: dict[int, list[int]] = {}
+    for part, part_hits in zip(parts, counted):
+        hits.update(zip(part, part_hits))
+    p_values = []
+    for i, entry in enumerate(per_row):
+        p = tuple((1 + h) / (n_perm + 1) for h in hits[i])
+        p_values.append(p if isinstance(entry, tuple) else p[0])
     return p_values if batch else p_values[0]
 
 
@@ -298,6 +362,18 @@ def dcca(x, y, window: int = 12) -> DccaResult:
 # 64 3.9 ms and 96 6.4 ms. At n=1100, window 16, the time falls to 45 ms
 # by width 40 and stays flat beyond it.
 _DCCA_BLOCK = 40
+
+# Multiply-adds per matrix product of the DCCA kernel, at most; a larger
+# product is cut into slices of rows. numpy's bundled OpenBLAS (0.3.31)
+# splits a product across its threads from about 1M multiply-adds, and
+# beside forked copies of permutation_test those threads fight over the
+# CPUs. On 2 CPUs, 200 products of (420 x 62) @ (62 x 40), 1.04M each,
+# took 1.6 s beside a forked twin against 3 ms alone, while (380 x 62) @
+# (62 x 40), 942k, ran as fast beside a twin as alone. 12 rows at n=40 and
+# 10k permutations took 580 ms in two processes against 23 ms in one
+# before the cut, 12 against 16 ms after it. At n=156, window 12, no
+# product is cut.
+_ONE_THREAD_PRODUCT = 1 << 19
 
 
 def _dcca_blocks(n: int, window: int) -> list[tuple[slice, slice, np.ndarray]]:
@@ -379,7 +455,12 @@ def _dcca_rows(
 
     def rows(X: np.ndarray) -> np.ndarray:
         xc = X - mu
-        auto = sum(np.einsum("ki,ki->k", xc[:, r] @ Mb, xc[:, c]) for r, c, Mb in blocks)
+        auto = np.zeros(len(X))
+        for r, c, Mb in blocks:
+            step = max(1, _ONE_THREAD_PRODUCT // Mb.size)
+            for s in range(0, len(X), step):
+                part = xc[s : s + step]
+                auto[s : s + step] += np.einsum("ki,ki->k", part[:, r] @ Mb, part[:, c])
         return (xc @ G) / np.sqrt(auto * syy)
 
     return rows

@@ -652,6 +652,26 @@ class TestThirdPerson:
         assert capsys.readouterr().out.splitlines()[2].split() == [
             "0.5000", "0.7500", "-33.3%", "0.54(n.s.)"]
 
+    @pytest.mark.parametrize("counts", ["-1,2,3,4", "1,-2,0,4", "1,2,3,-4", "3,2,3,4", "1,2,5,4"])
+    def test_counts_outside_zero_to_n_are_refused(self, tmp_path, capsys, counts):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"label,with_k,with_n,without_k,without_n\nsad,{counts}\n", encoding="utf-8")
+        out = tmp_path / "tp"
+        assert main(["thirdperson", "--counts", str(path), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {path}:2: counts must satisfy 0 <= k <= n\n")
+        assert not (out / "thirdperson.csv").exists()
+
+    def test_counts_errors_name_the_physical_line(self, tmp_path, capsys):
+        """A quoted label holding a newline spans lines 2-3; the bad row
+        after it starts on line 4, past a blank line 5 too."""
+        path = tmp_path / "counts.csv"
+        head = 'label,with_k,with_n,without_k,without_n\n"multi\nline",1,2,3,4\n'
+        for tail, line in (("sad,x,2,3,4\n", 4), ("sad,1,2,3,4\n\nbad,5,2,3,4\n", 6)):
+            path.write_text(head + tail, encoding="utf-8")
+            assert main(["thirdperson", "--counts", str(path), "--output", str(tmp_path)]) == 1
+            assert capsys.readouterr().err.startswith(f"config error: {path}:{line}: ")
+
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["thirdperson"]) == 1
         assert (

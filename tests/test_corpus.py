@@ -512,6 +512,50 @@ def _no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+class TestForkMap:
+    """The fork helper under scan_shards and permutation_test."""
+
+    def test_results_in_part_order(self):
+        parent = os.getpid()
+        got = list(corpus.fork_map(lambda part: (part, os.getpid() != parent), [1, 2, 3], "test"))
+        assert got == [(1, False), (2, True), (3, True)]
+        _no_children_left()
+
+    def test_local_runs_the_first_part(self):
+        got = corpus.fork_map(lambda part: part * 10, [1, 2], "test", local=lambda part: -part)
+        assert list(got) == [-1, 20]
+        _no_children_left()
+
+    def test_one_part_forks_nothing(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", None)
+        assert list(corpus.fork_map(lambda part: part + 1, [1], "test")) == [2]
+
+    def test_a_child_error_comes_where_its_result_would(self):
+        def work(part):
+            if part > 1:
+                raise ValueError(f"part {part}")
+            return part
+
+        results = corpus.fork_map(work, [0, 1, 2, 3], "test")
+        _no_children_left()  # every child has ended before the results are read
+        assert next(results) == 0
+        assert next(results) == 1
+        with pytest.raises(ValueError, match="part 2"):
+            next(results)
+
+    def test_child_ending_without_a_result_is_named(self):
+        parent = os.getpid()
+
+        def work(part):
+            if os.getpid() != parent:
+                os._exit(5)
+            return part
+
+        with pytest.raises(ChildProcessError, match=r"^checksum process \d+ ended .*exit status 5"):
+            list(corpus.fork_map(work, [0, 1], "checksum"))
+        _no_children_left()
+
+
 class TestScanShards:
     @pytest.fixture
     def inputs(self, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from emoscope import corpus, stats
 from emoscope.cli import main
 from emoscope.config import expand_inputs, load_config
 from emoscope.corpus import StreamCounts, stream_posts
@@ -248,6 +249,21 @@ def test_run_permutation_p_equals_per_row_calls(tmp_path):
         p_values += [row.perm_p, row.dcca_p]
     assert sizes == {20, 28}
     assert sum(p > 20 / (cfg.permutations + 1) for p in p_values) >= 10, p_values
+
+
+def test_run_validation_rows_do_not_depend_on_cpus(weak_workspace, monkeypatch):
+    """Every row, p-values included, is the same whether the permutation
+    tests run in one process or are split across two or three."""
+    cfg = load_config(weak_workspace / "pipeline.ini")
+    cfg.permutations = 2000
+    bundle = build_signals(cfg)
+    monkeypatch.setattr(stats, "_MIN_FORK_WORK", 1)
+    runs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: cpus)
+        runs.append(run_validation(cfg, bundle, extra_stratified=True))
+    assert runs[0] == runs[1] == runs[2]
+    assert [format(row.perm_p, ".4g") for row in runs[0]] == WEAK_PERM_P
 
 
 # The perm_p and dcca_p columns of report.csv on a weak-signal workspace, as

@@ -1,6 +1,7 @@
 """Daily aggregation, gender rescaling, weekly alignment, survey ingestion."""
 
 import json
+import re
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -395,6 +396,15 @@ class TestLoadSurvey:
         p = self._write(tmp_path, "date,emotion,percent\nJan 6,sad,26\n")
         with pytest.raises(SurveyError, match=r":2"):
             load_survey(p)
+
+    def test_errors_name_the_physical_line(self, tmp_path):
+        """A quoted emotion holding a newline spans lines 2-3, so the bad
+        date starts on line 4, and after a blank line on line 6."""
+        head = 'date,emotion,percent\n2020-01-06,"multi\nline",26\n'
+        for tail, line in (("Jan 6,sad,26\n", 4), ("2020-01-06,sad,26\n\nJan 6,sad,26\n", 6)):
+            p = self._write(tmp_path, head + tail)
+            with pytest.raises(SurveyError, match=rf"^{re.escape(str(p))}:{line}: bad date"):
+                load_survey(p)
 
     def test_empty_file(self, tmp_path):
         p = self._write(tmp_path, "date,emotion,percent\n")

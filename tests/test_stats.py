@@ -1,7 +1,9 @@
 """Statistics battery: frozen oracle values first, then invariants."""
 
 import math
+import os
 import sys
+import time
 from statistics import NormalDist
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emoscope import corpus, stats
 from emoscope.errors import StatError
 from emoscope.special import betainc, student_t_p
 from emoscope.stats import (
@@ -418,6 +421,19 @@ class TestPermutationEngine:
         for got, row in zip(rows(X), X):
             assert abs(got - dcca(row, y, window=window).rho) <= 1e-10
 
+    @pytest.mark.parametrize("window", [4, 12, 30])
+    def test_dcca_kernel_row_slices(self, window, monkeypatch):
+        # products past _ONE_THREAD_PRODUCT multiply-adds are cut into
+        # slices of rows, here of 1 to 3 rows
+        x, y = _ar1_pair(window, 120)
+        X = np.stack([x] + [np.random.default_rng(i).permutation(x) for i in range(6)])
+        whole = dcca_statistic(window).rows(x, y)(X)
+        for rows_per_product in (1, 2, 3):
+            size = max(b.size for _, _, b in stats._dcca_blocks(120, window))
+            monkeypatch.setattr(stats, "_ONE_THREAD_PRODUCT", size * rows_per_product)
+            sliced = dcca_statistic(window).rows(x, y)(X)
+            np.testing.assert_allclose(sliced, whole, rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize("window", [4, 12, 16])
     @pytest.mark.parametrize(
         "length",
@@ -507,6 +523,145 @@ class TestPermutationBatch:
             assert str(batched.value) == str(called.value)
         with pytest.raises(StatError, match="equally many"):
             permutation_test([good, good], [good], seed=1, n_perm=10)
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestPermutationProcesses:
+    """One pass for every statistic of every row, its rows split across
+    forked processes: each p equals the row's own call with one statistic,
+    whatever the number of CPUs."""
+
+    N_PERM = 999
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Count the processes forked, with no work too small to fork."""
+        monkeypatch.setattr(stats, "_MIN_FORK_WORK", 1)
+        forked = []
+        fork = os.fork
+
+        def counting_fork():
+            forked.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return forked
+
+    def _rows(self):
+        """Rows at n = 60 and 44 (two NaN weeks and a shorter series),
+        with and without a DCCA statistic, and one with a plain callable."""
+        dcca12 = dcca_statistic(12)
+        pairs = [_weak_pair(seed, 60, (5, 40) if seed % 3 == 1 else ()) for seed in range(6)]
+        pairs += [_weak_pair(seed, 44) for seed in (6, 7)]
+        statistics = [(None, dcca12), None, (None, dcca12), (dcca12,), (None,),
+                      (None, dcca12, _covariance), (dcca12, None), None]
+        return pairs, statistics
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 5])
+    def test_each_p_equals_its_own_call(self, forks, monkeypatch, cpus, block):
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: cpus)
+        pairs, statistics = self._rows()
+        kw = {"n_perm": self.N_PERM, "seed": 4, "block": block}
+        got = permutation_test([x for x, _ in pairs], [y for _, y in pairs], statistics, **kw)
+        assert len(forks) == cpus - 1
+        for (x, y), stat, p in zip(pairs, statistics, got):
+            if isinstance(stat, tuple):
+                assert p == tuple(permutation_test(x, y, s, **kw) for s in stat)
+            else:
+                assert p == permutation_test(x, y, stat, **kw)
+        _no_children_left()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_fewer_rows_than_cpus(self, forks, monkeypatch, cpus):
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: cpus)
+        x, y = _weak_pair(1, 50)
+        kw = {"n_perm": self.N_PERM, "seed": 2}
+        dcca12 = dcca_statistic(12)
+        assert permutation_test([x], [y], [(None, dcca12)], **kw) == [
+            (permutation_test(x, y, **kw), permutation_test(x, y, dcca12, **kw))]
+        assert forks == []
+        pairs = [_weak_pair(seed, 50) for seed in (1, 2)]
+        got = permutation_test([x for x, _ in pairs], [y for _, y in pairs], **kw)
+        assert got == [permutation_test(x, y, **kw) for x, y in pairs]
+        assert len(forks) == 1
+        _no_children_left()
+
+    def test_small_work_stays_in_one_process(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", None)
+        pairs = [_weak_pair(seed, 60) for seed in range(3)]
+        assert 3 * 60 * 2 * self.N_PERM < 2 * stats._MIN_FORK_WORK
+        permutation_test([x for x, _ in pairs], [y for _, y in pairs],
+                         (None, dcca_statistic(12)), n_perm=self.N_PERM, seed=1)
+
+    def test_one_pass_draws_one_stream_per_n(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: 1)
+        drawn = []
+        chunks = stats._index_chunks
+
+        def counting_chunks(seed, n, block, n_perm):
+            drawn.append(n)
+            return chunks(seed, n, block, n_perm)
+
+        monkeypatch.setattr(stats, "_index_chunks", counting_chunks)
+        pairs, statistics = self._rows()
+        permutation_test([x for x, _ in pairs], [y for _, y in pairs], statistics,
+                         n_perm=self.N_PERM, seed=4)
+        assert sorted(drawn) == [44, 58, 60]
+
+    def test_statistics_must_match_the_rows(self):
+        x, y = _weak_pair(1, 30)
+        with pytest.raises(StatError, match="one entry per series"):
+            permutation_test([x, x], [y, y], [None], seed=1, n_perm=10)
+
+    def test_child_error_surfaces_in_input_order(self, forks, monkeypatch):
+        """Rows 1 and 2 fail in the two children; row 1's error is raised,
+        as a one-process run would have met it first."""
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: 3)
+        parent = os.getpid()
+        pairs = [_weak_pair(seed, 40) for seed in range(3)]
+
+        def failing(tag):
+            def stat(a, b):
+                if os.getpid() != parent:
+                    raise StatError(f"row {tag} failed")
+                return _covariance(a, b)
+            return stat
+
+        with pytest.raises(StatError, match="row 1 failed"):
+            permutation_test([x for x, _ in pairs], [y for _, y in pairs],
+                             [None, failing(1), failing(2)], seed=1, n_perm=99)
+        assert len(forks) == 2
+        _no_children_left()
+
+    def test_own_rows_failing_kills_the_children(self, forks, monkeypatch):
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: 2)
+        parent = os.getpid()
+        calls = []
+
+        pairs = [_weak_pair(seed, 40) for seed in range(2)]
+
+        def stat(a, b):
+            if os.getpid() == parent:
+                calls.append(1)
+                if len(calls) > len(pairs):  # past both observed values, on the shuffles
+                    raise KeyboardInterrupt
+            else:
+                time.sleep(60)
+            return _covariance(a, b)
+
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            permutation_test([x for x, _ in pairs], [y for _, y in pairs], stat,
+                             seed=1, n_perm=99)
+        assert time.monotonic() - started < 30
+        assert len(forks) == 1
+        _no_children_left()
 
 
 def _dcca_reference(x, y, window):
