@@ -32,7 +32,15 @@ from .pipeline import (
 )
 from .signals import ScoreCounts, numbered_rows, stream_scores, write_csv
 from .stats import roc_auc, roc_curve
-from .synth import SynthConfig, generate_corpus, generate_scores, generate_survey, weekly_anchors
+from .synth import (
+    SynthConfig,
+    check_count,
+    check_noise,
+    generate_corpus,
+    generate_scores,
+    generate_survey,
+    weekly_anchors,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,12 +108,18 @@ def cmd_synth(args) -> int:
         **({"prevalence": prevalence} if prevalence else {}),
     )
     cfg.validate()
+    # the survey and score knobs too, before the corpus is written
+    check_count("--respondents", args.respondents, 0)
+    check_count("--survey-seed", args.survey_seed, 0, high=None)
+    check_count("--scores-per-day", args.scores_per_day, 1)
+    check_noise("--score-noise", args.score_noise)
+    check_count("--score-seed", args.score_seed, 0, high=None)
+    anchors = weekly_anchors(cfg.start, cfg.days)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     corpus_name = "corpus.ndjson.gz" if args.gzip else "corpus.ndjson"
 
     truth = generate_corpus(cfg, out / corpus_name, truth_path=out / "truth.csv")
-    anchors = weekly_anchors(cfg.start, cfg.days)
     generate_survey(
         truth, anchors, out / "survey.csv", respondents=args.respondents, seed=args.survey_seed
     )

@@ -314,10 +314,7 @@ class PronounList:
 def contains_third_person(tokens: Sequence[str], pronouns: PronounList | None = None) -> bool:
     """True iff any token is a third-person pronoun (exact token match)."""
     vocab = THIRD_PERSON_PRONOUNS if pronouns is None else pronouns.tokens
-    for tok in tokens:
-        if tok in vocab:
-            return True
-    return False
+    return not vocab.isdisjoint(tokens)
 
 
 DEMO_LEXICON_NAMES = ("sadness", "anxiety", "positive")

@@ -54,6 +54,23 @@ _FILLER = (
 
 PRONOUN_CHOICES = tuple(sorted(THIRD_PERSON_PRONOUNS))
 
+# numpy takes array sizes and binomial trial counts as 64-bit integers
+_MAX_COUNT = 2**63 - 1
+
+
+def check_count(label: str, value: int, low: int, high: int | None = _MAX_COUNT) -> None:
+    """Refuse a count or seed below `low` or above `high` (None: no bound)."""
+    if value < low:
+        raise ConfigError(f"{label} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(f"{label} must be <= {high}, got {value}")
+
+
+def check_noise(label: str, sd: float) -> None:
+    """Refuse a noise standard deviation that is negative, NaN or infinite."""
+    if not 0.0 <= sd < math.inf:
+        raise ConfigError(f"{label} must be finite and >= 0, got {sd}")
+
 
 def _default_prevalence() -> dict[str, tuple[float, float]]:
     return {
@@ -92,10 +109,12 @@ class SynthConfig:
         return tuple(self.prevalence)
 
     def validate(self) -> None:
-        if self.days < 1:
-            raise ConfigError(f"days must be >= 1, got {self.days}")
-        if self.posts_per_day < 1:
-            raise ConfigError(f"posts_per_day must be >= 1, got {self.posts_per_day}")
+        check_count("days", self.days, 1, high=None)
+        if self.days > (date.max - self.start).days + 1:
+            raise ConfigError(f"days: {self.days} days from {self.start} run past {date.max}")
+        check_count("posts_per_day", self.posts_per_day, 1)
+        check_count("days * posts_per_day", self.days * self.posts_per_day, 1)
+        check_count("seed", self.seed, 0, high=None)
         if not 0.0 < self.male_share < 1.0:
             raise ConfigError(f"male_share must be in (0,1), got {self.male_share}")
         if not -1.0 < self.phi < 1.0:
@@ -294,21 +313,17 @@ def generate_corpus(cfg: SynthConfig, corpus_path, truth_path=None) -> GroundTru
 
     n_filler = len(_FILLER)
     n_pron = len(PRONOUN_CHOICES)
+    p = cfg.posts_per_day
+    term_pools = [pools[e] for e in emotions]
     with _open_text_out(corpus_path) as out:
         for day_idx in range(cfg.days):
-            day_str = (cfg.start + timedelta(days=day_idx)).isoformat()
-            p = cfg.posts_per_day
             base = day_idx * p
             is_male = rng.random(p) < cfg.male_share
-            match = {}
-            for emotion in emotions:
-                rate = np.where(
-                    is_male, truth.male[emotion][day_idx], truth.female[emotion][day_idx]
-                )
-                match[emotion] = rng.random(p) < rate
-            any_match = np.zeros(p, dtype=bool)
-            for emotion in emotions:
-                any_match |= match[emotion]
+            match = [
+                rng.random(p) < np.where(is_male, truth.male[e][day_idx], truth.female[e][day_idx])
+                for e in emotions
+            ]
+            any_match = np.logical_or.reduce(match)
             pron = rng.random(p) < np.where(any_match, pron_rate_emotional, cfg.pronoun_rate)
             followers = rng.integers(100, 100_001, size=p)
             decoy_low = rng.random(p) < 0.5
@@ -317,29 +332,31 @@ def generate_corpus(cfg: SynthConfig, corpus_path, truth_path=None) -> GroundTru
             seconds = rng.integers(0, 86_400, size=p)
             word_counts = rng.integers(2, 6, size=p)
             filler_idx = rng.integers(0, n_filler, size=(p, 5))
-            term_idx = {e: rng.integers(0, len(pools[e]), size=p) for e in emotions}
+            term_idx = [rng.integers(0, len(pool), size=p) for pool in term_pools]
             pron_idx = rng.integers(0, n_pron, size=p)
-            for i in range(p):
-                words = [_FILLER[j] for j in filler_idx[i, : word_counts[i]]]
-                for emotion in emotions:
-                    if match[emotion][i]:
-                        words.append(pools[emotion][term_idx[emotion][i]])
-                if pron[i]:
-                    words.append(PRONOUN_CHOICES[pron_idx[i]])
-                text = " ".join(words)
-                if decoy_flags[base + i]:
-                    fol = low_vals[i] if decoy_low[i] else high_vals[i]
-                else:
-                    fol = followers[i]
-                sec = int(seconds[i])
-                hh, rem = divmod(sec, 3600)
-                mm, ss = divmod(rem, 60)
-                gender = "male" if is_male[i] else "female"
-                out.write(
-                    f'{{"id":"p{base + i}","created_at":"{day_str}T{hh:02d}:{mm:02d}:{ss:02d}Z",'
-                    f'"text":"{text}","author_gender":"{gender}","author_followers":{fol},'
+
+            day = np.datetime64(cfg.start + timedelta(days=day_idx), "s")
+            stamps = np.datetime_as_string(day + seconds.astype("timedelta64[s]"), unit="s")
+            fol = np.where(decoy_flags[base : base + p],
+                           np.where(decoy_low, low_vals, high_vals), followers)
+            # -1: the post gets no term of that emotion, or no pronoun
+            terms = zip(*(np.where(m, t, -1).tolist() for m, t in zip(match, term_idx)))
+            pronouns = np.where(pron, pron_idx, -1).tolist()
+            lines = []
+            for i, fill, n, picks, j, stamp, male, f in zip(
+                range(base, base + p), filler_idx.tolist(), word_counts.tolist(), terms,
+                pronouns, stamps.tolist(), is_male.tolist(), fol.tolist(),
+            ):
+                words = [_FILLER[k] for k in fill[:n]]
+                words += [pool[t] for pool, t in zip(term_pools, picks) if t >= 0]
+                if j >= 0:
+                    words.append(PRONOUN_CHOICES[j])
+                lines.append(
+                    f'{{"id":"p{i}","created_at":"{stamp}Z","text":"{" ".join(words)}",'
+                    f'"author_gender":"{"male" if male else "female"}","author_followers":{f},'
                     f'"is_retweet":false}}\n'
                 )
+            out.write("".join(lines))
     if truth_path is not None:
         truth.write_csv(truth_path)
     return truth
@@ -370,8 +387,8 @@ def generate_survey(
     """
     import numpy as np
 
-    if respondents < 0:
-        raise ConfigError(f"respondents must be >= 0, got {respondents}")
+    check_count("respondents", respondents, 0)
+    check_count("seed", seed, 0, high=None)
     emotions = tuple(emotions) if emotions is not None else truth.emotions
     unknown = [e for e in emotions if e not in truth.emotions]
     if unknown:
@@ -406,27 +423,26 @@ def generate_scores(
     prevalence (independent noise per record, clipped to [0, 1])."""
     import numpy as np
 
-    if per_day < 1:
-        raise ConfigError(f"per_day must be >= 1, got {per_day}")
-    if noise_sd < 0.0:
-        raise ConfigError(f"noise_sd must be >= 0, got {noise_sd}")
+    check_count("per_day", per_day, 1)
+    check_noise("noise_sd", noise_sd)
+    check_count("seed", seed, 0, high=None)
     emotions = tuple(emotions) if emotions is not None else truth.emotions
     unknown = [e for e in emotions if e not in truth.emotions]
     if unknown:
         raise ConfigError(f"unknown emotions {unknown}; truth has {truth.emotions}")
     rng = np.random.default_rng(seed)
-    population = {emotion: truth.population(emotion) for emotion in emotions}
+    population = np.array([truth.population(e) for e in emotions]).T.tolist()
+    names = [f'"{e}":' for e in emotions]
     with _open_text_out(path) as out:
-        for day_idx, day in enumerate(truth.dates()):
-            day_str = day.isoformat()
-            noise = rng.normal(0.0, noise_sd, size=(per_day, len(emotions))) if noise_sd else None
-            for i in range(per_day):
-                parts = []
-                for k, emotion in enumerate(emotions):
-                    value = float(population[emotion][day_idx])
-                    if noise is not None:
-                        value = min(1.0, max(0.0, value + float(noise[i, k])))
-                    parts.append(f'"{emotion}":{value!r}')
-                out.write(
-                    f'{{"id":"s{day_idx}_{i}","date":"{day_str}","scores":{{{",".join(parts)}}}}}\n'
-                )
+        for day_idx, (day, values) in enumerate(zip(truth.dates(), population)):
+            if noise_sd:
+                noise = rng.normal(0.0, noise_sd, size=(per_day, len(emotions)))
+                rows = np.clip(values + noise, 0.0, 1.0).tolist()
+            else:
+                rows = [values] * per_day
+            date_part = f'"date":"{day.isoformat()}","scores":{{'
+            lines = []
+            for i, row in enumerate(rows):
+                scores = ",".join([f"{name}{v!r}" for name, v in zip(names, row)])
+                lines.append(f'{{"id":"s{day_idx}_{i}",{date_part}{scores}}}}}\n')
+            out.write("".join(lines))

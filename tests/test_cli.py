@@ -54,6 +54,28 @@ class TestSynth:
     def test_bad_rate(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x"), "--male-share", "2.0"]) == 1
 
+    # Values numpy would refuse with a traceback, some after the corpus is
+    # written; every count here is refused before any draw.
+    @pytest.mark.parametrize("flags, named", [
+        (["--seed", "-1"], "seed"),
+        (["--survey-seed", "-1"], "--survey-seed"),
+        (["--score-seed", "-1"], "--score-seed"),
+        (["--score-noise", "nan"], "--score-noise"),
+        (["--score-noise", "inf"], "--score-noise"),
+        (["--start", "9999-12-01", "--days", "40"], "days"),
+        (["--respondents", "100000000000000000000"], "--respondents"),
+        (["--posts-per-day", "100000000000000000000"], "posts_per_day"),
+        (["--scores-per-day", "100000000000000000000"], "--scores-per-day"),
+    ], ids=["seed", "survey-seed", "score-seed", "score-noise-nan", "score-noise-inf",
+            "start-past-9999", "respondents", "posts-per-day", "scores-per-day"])
+    def test_bad_flag_refused_before_writing(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), "--days", "14", "--posts-per-day", "5",
+                     *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert not out.exists()
+
 
 class TestSignal:
     def test_writes_outputs(self, workspace, tmp_path):

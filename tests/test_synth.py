@@ -2,6 +2,7 @@
 
 import csv
 import gzip
+import hashlib
 import json
 import math
 from datetime import date, timedelta
@@ -9,6 +10,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from emoscope.cli import main
 from emoscope.corpus import FilterConfig, StreamCounts, stream_posts
 from emoscope.errors import ConfigError
 from emoscope.lexicon import MultiLexiconMatcher, demo_lexicon, tokenize
@@ -43,6 +45,9 @@ class TestSynthConfig:
             {"pronoun_rate": -0.2},
             {"prevalence": {}},
             {"prevalence": {"sadness": (0.9, 0.95), "anxiety": (0.5, 0.5)}, "amplitude": 0.2},
+            {"seed": -1},
+            {"start": date(9999, 12, 1), "days": 40},
+            {"days": 120, "posts_per_day": 2**62},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -306,3 +311,30 @@ class TestGenerateScores:
         for line in path.read_text().splitlines():
             for value in json.loads(line)["scores"].values():
                 assert 0.0 <= value <= 1.0
+
+
+# The raw bytes synth writes, on a run that takes every branch of the
+# corpus loop (decoys, a step change, a separate pronoun rate for matching
+# posts). Amplitude 0 plants constant rates, so truth.csv holds exact sums
+# of its base rates rather than tanh values, whose last bit may depend on
+# the CPU.
+PINNED_SYNTH_ARGS = ["--days", "175", "--posts-per-day", "6", "--seed", "3", "--amplitude", "0",
+                     "--decoy-fraction", "0.1", "--scores-per-day", "3",
+                     "--step", "sadness=40:0.01", "--pronoun-rate-emotional", "0.4"]
+PINNED_SYNTH = {
+    "corpus.ndjson": "ff9bd9ed58d210c0b5b81831dcc81c0e404c399f2291d0a119bf650ffa6af5e3",
+    "scores.ndjson": "fd260d3184a3e16ff99ebc1ec98ba372dc55c6c3a5faeef25a5ddedc00edd1a1",
+    "survey.csv": "a46c599f2b390c440ef3e3801b269058cfafb8ef3a60f3b81e77486f1ceabdfe",
+    "truth.csv": "7303c82d302175bd3aa7ba4773017bd275570803128cd45ce7995ddb9ed6de11",
+}
+
+
+def test_synth_output_bytes_pinned(tmp_path):
+    plain, packed = tmp_path / "plain", tmp_path / "packed"
+    assert main(["synth", "--out", str(plain), *PINNED_SYNTH_ARGS]) == 0
+    assert main(["synth", "--out", str(packed), "--gzip", *PINNED_SYNTH_ARGS]) == 0
+    digests = {name: hashlib.sha256((plain / name).read_bytes()).hexdigest()
+               for name in PINNED_SYNTH}
+    assert digests == PINNED_SYNTH
+    with gzip.open(packed / "corpus.ndjson.gz", "rb") as fh:
+        assert fh.read() == (plain / "corpus.ndjson").read_bytes()
