@@ -39,6 +39,7 @@ from .synth import (
     generate_corpus,
     generate_scores,
     generate_survey,
+    planted_truth,
     weekly_anchors,
 )
 
@@ -115,6 +116,7 @@ def cmd_synth(args) -> int:
     check_noise("--score-noise", args.score_noise)
     check_count("--score-seed", args.score_seed, 0, high=None)
     anchors = weekly_anchors(cfg.start, cfg.days)
+    planted_truth(cfg)  # a step change may push a planted rate out of (0, 1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     corpus_name = "corpus.ndjson.gz" if args.gzip else "corpus.ndjson"

@@ -36,7 +36,6 @@ from .signals import (
     gender_rescale,
     load_survey,
     paired_values,
-    split_periods,
     stream_scores,
     weekly_align,
     write_csv,
@@ -313,54 +312,52 @@ class ValidationRow:
 
 def validate_pair(
     survey: SurveySeries, weekly: WeeklySeries, stratum: str, cfg: PipelineConfig
-) -> tuple[ValidationRow, list[tuple[str, np.ndarray, np.ndarray]]]:
+) -> tuple[ValidationRow, np.ndarray, np.ndarray, list[str]]:
     """Full battery on one (survey emotion, signal, stratum) combination,
-    but for running its permutation tests.
-
-    Correlations are split at cfg.split_date; the permutation, DCCA, HAC
-    and KPSS statistics use the whole pairwise-complete series. Every
-    statistic failing its precondition is skipped with a recorded reason
-    instead of failing the run. Returns the row and, for each permutation
-    p-value field (perm_p, dcca_p) whose test is defined, that field with
-    the pairs to test; `run_validation` runs the tests of all rows at once.
+    `weekly` aligned to the survey's anchors, but for running its
+    permutation tests. Every statistic uses the pairwise-complete weeks:
+    the correlations those before cfg.split_date (historical) or from it on
+    (prediction), the other statistics all of them. A statistic failing its
+    precondition is skipped with a recorded reason. Returns the row, the
+    paired (signal, survey) arrays and the permutation p-value fields whose
+    test is defined; `run_validation` runs the tests of all rows at once.
     """
     row = ValidationRow(survey_emotion=survey.emotion, signal=weekly.name, stratum=stratum)
-    tests = []
+    fields: list[str] = []
 
     def guard(label, fn):
         try:
             return fn()
-        except (StatError, SignalError) as err:
+        except StatError as err:
             row.notes.append(f"{label} skipped: {err}")
             return None
 
     x, y, anchors = paired_values(weekly, survey)
     row.n_full = len(anchors)
+    split = cfg.split_date
+    if not survey.anchors or survey.anchors[0] >= split:
+        row.notes.append(f"split skipped: empty historical period before {split}")
+    elif survey.anchors[-1] < split:
+        row.notes.append(f"split skipped: empty prediction period from {split}")
+    else:
+        import numpy as np
 
-    halves = guard("split", lambda: split_periods(weekly, survey, cfg.split_date))
-    if halves is not None:
-        for tag, (sig_part, sur_part) in zip(("historical", "prediction"), halves):
-            xp, yp, ap = paired_values(sig_part, sur_part)
-            n = len(ap)
-            if tag == "historical":
-                row.n1 = n
-            else:
-                row.n2 = n
+        early = np.array([a < split for a in anchors], dtype=bool)
+        for k, tag, period in ((1, "historical", early), (2, "prediction", ~early)):
+            n = int(period.sum())
+            setattr(row, f"n{k}", n)
             if n < 8:
                 row.notes.append(f"{tag} period too short (n={n})")
                 continue
-            res = guard(f"{tag} r", lambda: correlate(xp, yp))
-            if res is None:
-                continue
-            if tag == "historical":
-                row.r1, row.r1_lo, row.r1_hi, row.r1_p = res.r, res.ci_low, res.ci_high, res.p
-            else:
-                row.r2, row.r2_lo, row.r2_hi, row.r2_p = res.r, res.ci_low, res.ci_high, res.p
+            res = guard(f"{tag} r", lambda: correlate(x[period], y[period]))
+            if res is not None:
+                for suffix, value in zip(("", "_lo", "_hi", "_p"),
+                                         (res.r, res.ci_low, res.ci_high, res.p)):
+                    setattr(row, f"r{k}{suffix}", value)
 
     def permutation(label, field):
-        pair = guard(label, lambda: permutation_pair(x, y))
-        if pair is not None:
-            tests.append((field, *pair))
+        if guard(label, lambda: permutation_pair(x, y)) is not None:
+            fields.append(field)
 
     permutation("permutation", "perm_p")
     dcca_result = guard("dcca", lambda: dcca(x, y, window=cfg.dcca_window))
@@ -375,7 +372,7 @@ def validate_pair(
         if kp is not None:
             row.kpss_stat = kp.statistic
             row.kpss_band = kp.verdict_band
-    return row, tests
+    return row, x, y, fields
 
 
 def _weekly_pairs(cfg: PipelineConfig, bundle: SignalBundle, surveys, extra_stratified=False):
@@ -405,27 +402,20 @@ def run_validation(
     surveys = load_survey_map(cfg)
     if bundle is None:
         bundle = build_signals(cfg)
-    rows: list[ValidationRow] = []
-    tested: list[tuple[ValidationRow, tuple[str, ...], np.ndarray, np.ndarray]] = []
-    for survey, stratum, weekly in _weekly_pairs(cfg, bundle, surveys, extra_stratified):
-        row, tests = validate_pair(survey, weekly, stratum, cfg)
-        rows.append(row)
-        if tests:  # every test of a row runs on the same pairs
-            _, x, y = tests[0]
-            tested.append((row, tuple(field for field, _, _ in tests), x, y))
+    pairs = _weekly_pairs(cfg, bundle, surveys, extra_stratified)
+    results = [validate_pair(survey, weekly, stratum, cfg) for survey, stratum, weekly in pairs]
+    tested = [result for result in results if result[3]]
     if tested:
         statistics = {"perm_p": None, "dcca_p": dcca_statistic(cfg.dcca_window)}
+        tested_rows, xs, ys, row_fields = zip(*tested)
         p_values = permutation_test(
-            [x for _, _, x, _ in tested],
-            [y for _, _, _, y in tested],
-            [tuple(statistics[field] for field in fields) for _, fields, _, _ in tested],
-            n_perm=cfg.permutations,
-            seed=cfg.seed,
+            xs, ys, [tuple(statistics[field] for field in fields) for fields in row_fields],
+            n_perm=cfg.permutations, seed=cfg.seed,
         )
-        for (row, fields, _, _), row_p in zip(tested, p_values):
+        for row, fields, row_p in zip(tested_rows, row_fields, p_values):
             for field, p in zip(fields, row_p):
                 setattr(row, field, p)
-    return rows
+    return [row for row, *_ in results]
 
 
 def _fmt(value, spec=".4g") -> str:

@@ -301,39 +301,6 @@ def load_survey(path) -> list[SurveySeries]:
     ]
 
 
-def _subset_weekly(series: WeeklySeries, anchors: tuple[date, ...]) -> WeeklySeries:
-    return WeeklySeries(
-        name=series.name,
-        anchors=anchors,
-        values={a: series.values[a] for a in anchors if a in series.values},
-        coverage={a: series.coverage[a] for a in anchors if a in series.coverage},
-    )
-
-
-def _subset_survey(series: SurveySeries, anchors: tuple[date, ...]) -> SurveySeries:
-    return SurveySeries(
-        emotion=series.emotion,
-        anchors=anchors,
-        percent={a: series.percent[a] for a in anchors if a in series.percent},
-    )
-
-
-def split_periods(
-    signal: WeeklySeries, survey: SurveySeries, split_date: date
-) -> tuple[tuple[WeeklySeries, SurveySeries], tuple[WeeklySeries, SurveySeries]]:
-    """Split an aligned pair into historical (anchor < split_date) and
-    prediction (anchor >= split_date) halves; an empty half is an error."""
-    lo_sig = _subset_weekly(signal, tuple(a for a in signal.anchors if a < split_date))
-    hi_sig = _subset_weekly(signal, tuple(a for a in signal.anchors if a >= split_date))
-    lo_sur = _subset_survey(survey, tuple(a for a in survey.anchors if a < split_date))
-    hi_sur = _subset_survey(survey, tuple(a for a in survey.anchors if a >= split_date))
-    if not lo_sig.anchors or not lo_sur.anchors:
-        raise SignalError(f"empty historical period before {split_date}")
-    if not hi_sig.anchors or not hi_sur.anchors:
-        raise SignalError(f"empty prediction period from {split_date}")
-    return (lo_sig, lo_sur), (hi_sig, hi_sur)
-
-
 def paired_values(signal: WeeklySeries, survey: SurveySeries) -> tuple[np.ndarray, np.ndarray, list[date]]:
     """Pairwise-complete (signal, survey) arrays over the anchors both cover."""
     import numpy as np

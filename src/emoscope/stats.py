@@ -34,6 +34,8 @@ def _clean_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation on pairwise-complete values."""
+    import numpy as np
+
     x, y = _clean_pair(x, y)
     n = len(x)
     if n < 3:
@@ -42,7 +44,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     yc = y - y.mean()
     sx = math.sqrt(xc @ xc)
     sy = math.sqrt(yc @ yc)
-    if sx == 0.0 or sy == 0.0:
+    # a constant x whose mean rounds has nonzero norms, so test its spread too
+    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0 or sx * sy == 0.0:
         raise StatError("correlation undefined for a constant series")
     r = (xc @ yc) / (sx * sy)
     return float(min(1.0, max(-1.0, r)))

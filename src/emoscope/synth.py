@@ -13,7 +13,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ConfigError
@@ -204,8 +203,12 @@ class GroundTruth:
         ))
 
 
-def _build_truth(cfg: SynthConfig, rng: np.random.Generator) -> GroundTruth:
+def planted_truth(cfg: SynthConfig, rng: np.random.Generator | None = None) -> GroundTruth:
+    """The truth generate_corpus plants: the first draws of `rng`, by default
+    a new generator of cfg.seed. ConfigError where a rate leaves (0, 1)."""
     import numpy as np
+
+    rng = rng or np.random.default_rng(cfg.seed)
 
     male: dict[str, np.ndarray] = {}
     female: dict[str, np.ndarray] = {}
@@ -297,7 +300,7 @@ def generate_corpus(cfg: SynthConfig, corpus_path, truth_path=None) -> GroundTru
 
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    truth = _build_truth(cfg, rng)
+    truth = planted_truth(cfg, rng)
     pools = _term_pools(cfg)
     _check_vocabulary(cfg, pools)
     emotions = truth.emotions

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import emoscope
+from emoscope.cli import main
 
 # The API the README's "Python API" section documents; the rest is reached
 # through its submodule.
@@ -59,3 +60,17 @@ def test_exports_are_the_documented_api():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Python API\n", 1)[1].split("\n## ", 1)[0]
     assert set(re.findall(r"`(\w+)`", section)) >= API - {"__version__"}
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert main(["synth", "--out", str(tmp_path / "work"), "--days", "120",
+                 "--posts-per-day", "20"]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    cfg = emoscope.load_config(tmp_path / "work" / "pipeline.ini")
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(cfg.pairs) > 0  # one rescaled row per pair
+    assert [line.split()[:2] for line in lines] == [list(pair) for pair in cfg.pairs]

@@ -55,7 +55,9 @@ class TestSynth:
         assert main(["synth", "--out", str(tmp_path / "x"), "--male-share", "2.0"]) == 1
 
     # Values numpy would refuse with a traceback, some after the corpus is
-    # written; every count here is refused before any draw.
+    # written; every count here is refused before any draw. A step change
+    # that pushes a planted rate out of (0, 1) is refused after the draws
+    # of the planted truth, before --out is made.
     @pytest.mark.parametrize("flags, named", [
         (["--seed", "-1"], "seed"),
         (["--survey-seed", "-1"], "--survey-seed"),
@@ -66,8 +68,9 @@ class TestSynth:
         (["--respondents", "100000000000000000000"], "--respondents"),
         (["--posts-per-day", "100000000000000000000"], "posts_per_day"),
         (["--scores-per-day", "100000000000000000000"], "--scores-per-day"),
+        (["--step", "sadness=5:0.99"], "sadness: planted prevalence leaves (0, 1)"),
     ], ids=["seed", "survey-seed", "score-seed", "score-noise-nan", "score-noise-inf",
-            "start-past-9999", "respondents", "posts-per-day", "scores-per-day"])
+            "start-past-9999", "respondents", "posts-per-day", "scores-per-day", "step"])
     def test_bad_flag_refused_before_writing(self, tmp_path, capsys, flags, named):
         out = tmp_path / "x"
         assert main(["synth", "--out", str(out), "--days", "14", "--posts-per-day", "5",

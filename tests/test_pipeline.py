@@ -5,12 +5,14 @@ permutation calls behind `validate`, checked against one call per test."""
 import csv
 import dataclasses
 import json
+import math
+from datetime import date, timedelta
 
 import pytest
 
 from emoscope import corpus, stats
 from emoscope.cli import main
-from emoscope.config import expand_inputs, load_config
+from emoscope.config import PipelineConfig, expand_inputs, load_config
 from emoscope.corpus import StreamCounts, stream_posts
 from emoscope.lexicon import contains_third_person, load_lexicon, tokenize
 from emoscope.pipeline import (
@@ -25,8 +27,8 @@ from emoscope.pipeline import (
     thirdperson_rows,
     validate_pair,
 )
-from emoscope.signals import GENDER_STRATA, paired_values, weekly_align
-from emoscope.stats import dcca_statistic, permutation_test
+from emoscope.signals import GENDER_STRATA, SurveySeries, WeeklySeries, paired_values, weekly_align
+from emoscope.stats import correlate, dcca_statistic, permutation_test
 
 from oracles import daily_fraction, lexicon_predicate, matches_explicit_report, matches_lexicon
 
@@ -234,14 +236,15 @@ def test_run_permutation_p_equals_per_row_calls(tmp_path):
         weekly = weekly_align(bundle.stratum_signal(signal, stratum), survey.anchors,
                               window_days=cfg.week_length, offset_days=cfg.week_offset,
                               name=signal)
-        alone, tests = validate_pair(survey, weekly, stratum, cfg)
+        alone, pair_x, pair_y, fields = validate_pair(survey, weekly, stratum, cfg)
         assert dataclasses.replace(row, perm_p=None, dcca_p=None) == alone
+        x, y, _ = paired_values(weekly, survey)
+        assert pair_x.tolist() == x.tolist() and pair_y.tolist() == y.tolist()
         if survey.emotion == "flat":
-            assert tests == [] and row.perm_p is None and row.dcca_p is None
+            assert fields == [] and row.perm_p is None and row.dcca_p is None
             assert any(note.startswith("permutation skipped:") for note in row.notes)
             continue
-        assert [field for field, _, _ in tests] == ["perm_p", "dcca_p"]
-        x, y, _ = paired_values(weekly, survey)
+        assert fields == ["perm_p", "dcca_p"]
         sizes.add(len(x))
         kw = {"n_perm": cfg.permutations, "seed": cfg.seed}
         assert row.perm_p == permutation_test(x, y, **kw)
@@ -249,6 +252,81 @@ def test_run_permutation_p_equals_per_row_calls(tmp_path):
         p_values += [row.perm_p, row.dcca_p]
     assert sizes == {20, 28}
     assert sum(p > 20 / (cfg.permutations + 1) for p in p_values) >= 10, p_values
+
+
+# The pre-registration layout: 106 weekly field dates, 2019-06-24 to
+# 2021-06-28, split on 2020-11-01 into 71 historical and 35 prediction weeks.
+WEEKS = tuple(date(2019, 6, 24) + timedelta(weeks=i) for i in range(106))
+SPLIT = date(2020, 11, 1)
+
+
+def _split_row(split=SPLIT, signal=None):
+    """validate_pair's row for a signal and a survey over WEEKS that both
+    move from week to week; `signal` replaces the signal's values."""
+    if signal is None:
+        signal = {a: 0.2 + 0.01 * math.sin(i) for i, a in enumerate(WEEKS)}
+    survey = SurveySeries("sadness", WEEKS,
+                          percent={a: 50 + 10 * math.cos(i / 3) for i, a in enumerate(WEEKS)})
+    weekly = WeeklySeries("sadness", WEEKS, values=signal)
+    row, *_ = validate_pair(survey, weekly, "all", PipelineConfig(split_date=split))
+    return row
+
+
+class TestPeriodSplit:
+    """The correlations of a row see the complete weeks before split_date
+    (n1, r1) or from it on (n2, r2); the other statistics see all of them."""
+
+    def test_preregistration_split(self):
+        assert WEEKS[-1] == date(2021, 6, 28)
+        row = _split_row()
+        assert (row.n1, row.n2, row.n_full) == (71, 35, 106)
+        assert None not in (row.r1, row.r1_lo, row.r1_hi, row.r1_p,
+                            row.r2, row.r2_lo, row.r2_hi, row.r2_p)
+        assert not any("period" in note or " r skipped" in note for note in row.notes)
+
+    def test_periods_hold_the_complete_weeks(self):
+        signal = {a: 0.2 + 0.01 * math.sin(i) for i, a in enumerate(WEEKS) if i not in (3, 90)}
+        row = _split_row(signal=signal)
+        assert (row.n1, row.n2, row.n_full) == (70, 34, 104)
+        x = [signal[a] for a in WEEKS[71:] if a in signal]
+        y = [50 + 10 * math.cos(i / 3) for i, a in enumerate(WEEKS) if i >= 71 and a in signal]
+        res = correlate(x, y)
+        assert (row.r2, row.r2_lo, row.r2_hi, row.r2_p) == (res.r, res.ci_low, res.ci_high, res.p)
+
+    def test_anchor_on_split_date_goes_to_prediction(self):
+        row = _split_row(split=WEEKS[20])
+        assert (row.n1, row.n2) == (20, 86)
+
+    @pytest.mark.parametrize("split, note", [
+        (date(2019, 1, 1), "split skipped: empty historical period before 2019-01-01"),
+        (WEEKS[0], "split skipped: empty historical period before 2019-06-24"),
+        (date(2022, 1, 1), "split skipped: empty prediction period from 2022-01-01"),
+    ], ids=["before-first", "on-first", "after-last"])
+    def test_empty_period(self, split, note):
+        row = _split_row(split=split)
+        assert row.notes[0] == note
+        assert not any(n.startswith("split") for n in row.notes[1:])
+        assert (row.n1, row.r1, row.n2, row.r2) == (None, None, None, None)
+        assert row.n_full == 106 and row.dcca_rho is not None
+
+    @pytest.mark.parametrize("split, note, n1, n2", [
+        (WEEKS[5], "historical period too short (n=5)", 5, 101),
+        (WEEKS[-7], "prediction period too short (n=7)", 99, 7),
+    ], ids=["historical", "prediction"])
+    def test_short_period(self, split, note, n1, n2):
+        row = _split_row(split=split)
+        assert note in row.notes
+        assert (row.n1, row.n2) == (n1, n2)
+        short, long = ("r1", "r2") if n1 < n2 else ("r2", "r1")
+        assert getattr(row, short) is None and getattr(row, long) is not None
+
+    def test_flat_period_is_skipped_not_correlated(self):
+        # the mean of 71 copies of 0.1 rounds: x - mean(x) is not all 0
+        signal = {a: 0.1 if a < SPLIT else 0.2 + 0.01 * math.sin(i)
+                  for i, a in enumerate(WEEKS)}
+        row = _split_row(signal=signal)
+        assert "historical r skipped: correlation undefined for a constant series" in row.notes
+        assert row.r1 is None and row.n1 == 71 and row.r2 is not None
 
 
 def test_run_validation_rows_do_not_depend_on_cpus(weak_workspace, monkeypatch):

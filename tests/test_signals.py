@@ -19,7 +19,6 @@ from emoscope.signals import (
     gender_rescale,
     load_survey,
     paired_values,
-    split_periods,
     stream_scores,
     weekly_align,
     write_daily_csv,
@@ -429,44 +428,6 @@ def _survey(anchor_values, emotion="sad"):
 
     anchors = tuple(sorted(anchor_values))
     return SurveySeries(emotion=emotion, anchors=anchors, percent=dict(anchor_values))
-
-
-class TestSplitPeriods:
-    @staticmethod
-    def _weekly_anchors(first, n):
-        return [first + timedelta(weeks=i) for i in range(n)]
-
-    def test_preregistration_split(self):
-        anchors = self._weekly_anchors(date(2019, 6, 24), 106)
-        assert anchors[-1] == date(2021, 6, 28)
-        values = {a: float(i) for i, a in enumerate(anchors)}
-        pcts = {a: 50.0 for a in anchors}
-        (hist_sig, hist_sur), (pred_sig, pred_sur) = split_periods(
-            _weekly(values), _survey(pcts), date(2020, 11, 1)
-        )
-        assert len(hist_sig.anchors) == 71
-        assert len(pred_sig.anchors) == 35
-        assert len(hist_sur.anchors) == 71
-        assert len(pred_sur.anchors) == 35
-
-    def test_anchor_on_split_goes_to_prediction(self):
-        anchors = [date(2020, 10, 26), date(2020, 11, 1), date(2020, 11, 8)]
-        values = {a: 1.0 for a in anchors}
-        pcts = {a: 10.0 for a in anchors}
-        (hist_sig, _), (pred_sig, _) = split_periods(
-            _weekly(values), _survey(pcts), date(2020, 11, 1)
-        )
-        assert hist_sig.anchors == (date(2020, 10, 26),)
-        assert pred_sig.anchors == (date(2020, 11, 1), date(2020, 11, 8))
-
-    def test_empty_side_rejected(self):
-        anchors = [date(2020, 10, 26), date(2020, 11, 2)]
-        values = {a: 1.0 for a in anchors}
-        pcts = {a: 10.0 for a in anchors}
-        with pytest.raises(SignalError):
-            split_periods(_weekly(values), _survey(pcts), date(2019, 1, 1))
-        with pytest.raises(SignalError):
-            split_periods(_weekly(values), _survey(pcts), date(2022, 1, 1))
 
 
 class TestPairedValues:

@@ -82,6 +82,22 @@ class TestPearson:
         with pytest.raises(StatError):
             pearson([1, 1, 1], [1, 2, 3])
 
+    def test_spread_that_underflows_when_squared(self):
+        with pytest.raises(StatError, match="constant series"):
+            pearson([0.0, 1e-200, 0.0, 2e-200], [1.0, 2.0, 3.0, 5.0])
+
+    @pytest.mark.parametrize("n", [12, 30, 71])
+    @pytest.mark.parametrize("value", [0.1, 0.7, 33.3])
+    def test_constant_series_with_inexact_mean(self, value, n):
+        x = np.full(n, value)
+        assert (x - x.mean()).any()  # the mean rounds: the centred norm is not 0
+        y = np.sin(np.arange(n))
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(StatError, match="constant series"):
+                pearson(a, b)
+            with pytest.raises(StatError, match="constant series"):
+                correlate(a, b)
+
     def test_length_mismatch(self):
         with pytest.raises(StatError):
             pearson([1, 2, 3], [1, 2])
