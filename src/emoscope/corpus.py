@@ -460,13 +460,10 @@ def _forked_child(work: Callable, part, fd: int) -> NoReturn:
         os._exit(code)
 
 
-def fork_map(
-    work: Callable[[A], T], parts: Sequence[A], what: str, local: Callable[[A], T] | None = None
-) -> Iterator[T]:
-    """work(part) of every part, in order: this process runs parts[0] (with
-    `local` instead of `work` where given) and a forked child each other
-    part, which sends its result back through a pipe as a pickle. One part
-    forks nothing.
+def fork_map(work: Callable[[A], T], parts: Sequence[A], what: str) -> Iterator[T]:
+    """work(part) of every part, in order: this process runs parts[0] and a
+    forked child each other part, which sends its result back through a
+    pipe as a pickle. One part forks nothing.
 
     Every child has ended when this returns. The results then come out in
     part order, and a child's exception is raised where its result would
@@ -494,7 +491,7 @@ def fork_map(
             finally:
                 os.close(w)
             children.append((pid, r))
-        first = (local or work)(parts[0])
+        first = work(parts[0])
         for _, r in children:
             with open(r, "rb", closefd=False) as fh:
                 payloads.append(fh.read())
@@ -533,10 +530,11 @@ def scan_shards(
     input order, k being the number of usable CPUs (1 off Linux).
 
     This process scans the first group and a forked child each other one
-    (`fork_map`); k = 1 forks nothing. Every RecordError of the first group
-    reaches on_error, then at most max_errors of each later group, in input
-    order. An exception that ends a group's scan is raised only once every
-    group before it succeeded: a one-process scan would have met it first.
+    (`fork_map`); k = 1 forks nothing. At most max_errors RecordErrors of
+    each group reach on_error, in input order, once the group is scanned:
+    the first max_errors calls are those of a one-process scan. An
+    exception that ends a group's scan is raised only once every group
+    before it succeeded: a one-process scan would have met it first.
     """
     # The scan commands never load numpy, and `validate` loads it only for
     # its statistics, after the scan, so a scan forks before any BLAS thread
@@ -557,8 +555,7 @@ def scan_shards(
 
     results = []
     groups = shard_groups(paths, _usable_cpus())
-    for result, errors in fork_map(sampled, groups, "corpus scan",
-                                   local=lambda group: (scan(group, on_error), ())):
+    for result, errors in fork_map(sampled, groups, "corpus scan"):
         if on_error is not None:
             for err in errors:
                 on_error(err)

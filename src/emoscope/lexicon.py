@@ -43,13 +43,19 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _check_term(term: str, what: str) -> None:
+def _check_term(term: str, what: str, stem: bool = False, where: str = "") -> None:
+    """Refuse a term that no token of `tokenize` can equal or, for a prefix
+    stem, start with: one the tokenizer would split, drop or rewrite, as it
+    does "self-harm", "don’t" and "https". `where` ("file:line: ") starts
+    the error."""
     if not term:
-        raise LexiconError(f"empty {what}")
-    if term != term.lower():
-        raise LexiconError(f"{what} must be lowercase: {term!r}")
-    if any(ch.isspace() for ch in term):
-        raise LexiconError(f"{what} must be a single token: {term!r}")
+        raise LexiconError(f"{where}empty {what}")
+    probe = term + "a" if stem else term
+    tokens = tokenize(probe)
+    if tokens != [probe]:
+        raise LexiconError(
+            f"{where}{what} {term!r} can never match: the tokenizer reads {probe!r} as {tokens}"
+        )
 
 
 @dataclass(frozen=True)
@@ -57,8 +63,9 @@ class Lexicon:
     """A named term list: exact whole tokens plus prefix stems.
 
     A token matches if it equals an exact term or starts with a prefix
-    stem ("cry" covers crying, cried, ...). Terms are lowercase single
-    tokens; matching is token-level only, never substring.
+    stem ("cry" covers crying, cried, ...). Every term is a token that
+    `tokenize` can produce, and every stem followed by a letter is one;
+    matching is token-level only, never substring.
     """
 
     name: str
@@ -73,7 +80,7 @@ class Lexicon:
         for term in self.exact_terms:
             _check_term(term, "term")
         for stem in self.prefix_terms:
-            _check_term(stem, "prefix stem")
+            _check_term(stem, "prefix stem", stem=True)
 
     def __len__(self) -> int:
         return len(self.exact_terms) + len(self.prefix_terms)
@@ -98,10 +105,12 @@ def load_lexicon(path, name: str | None = None) -> Lexicon:
                     raise LexiconError(f"{path}:{line_no}: bare wildcard")
                 if "*" in stem:
                     raise LexiconError(f"{path}:{line_no}: '*' only allowed at the end: {term!r}")
+                _check_term(stem, "prefix stem", stem=True, where=f"{path}:{line_no}: ")
                 prefix.add(stem)
             else:
                 if "*" in term:
                     raise LexiconError(f"{path}:{line_no}: '*' only allowed at the end: {term!r}")
+                _check_term(term, "term", where=f"{path}:{line_no}: ")
                 exact.add(term)
     if not exact and not prefix:
         raise LexiconError(f"{path}: no terms found")
@@ -227,12 +236,9 @@ class ReportTemplateSet:
             for adj in adjectives:
                 _check_term(adj, "adjective")
 
-    def emotions(self) -> tuple[str, ...]:
-        return tuple(self.emotion_terms)
-
 
 class ExplicitReportMatcher:
-    """Evaluates every requested emotion's report templates in one scan.
+    """Evaluates the report templates of each of `emotions` in one scan.
 
     Templates sharing a (prefix, suffix) shape are merged into a single
     adjective table, and the tables are indexed by the first token of their
@@ -241,9 +247,7 @@ class ExplicitReportMatcher:
     prefix can match anywhere and is searched at every position.
     """
 
-    def __init__(self, templates: ReportTemplateSet, emotions: Sequence[str] | None = None):
-        if emotions is None:
-            emotions = templates.emotions()
+    def __init__(self, templates: ReportTemplateSet, emotions: Sequence[str]):
         unknown = [e for e in emotions if e not in templates.emotion_terms]
         if unknown:
             raise LexiconError(
@@ -298,23 +302,9 @@ THIRD_PERSON_PRONOUNS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class PronounList:
-    """Token set used for third-person detection."""
-
-    tokens: frozenset[str] = THIRD_PERSON_PRONOUNS
-
-    def __post_init__(self):
-        if not self.tokens:
-            raise LexiconError("pronoun list must be non-empty")
-        for tok in self.tokens:
-            _check_term(tok, "pronoun")
-
-
-def contains_third_person(tokens: Sequence[str], pronouns: PronounList | None = None) -> bool:
-    """True iff any token is a third-person pronoun (exact token match)."""
-    vocab = THIRD_PERSON_PRONOUNS if pronouns is None else pronouns.tokens
-    return not vocab.isdisjoint(tokens)
+def contains_third_person(tokens: Sequence[str]) -> bool:
+    """True iff any token is one of THIRD_PERSON_PRONOUNS (exact token match)."""
+    return not THIRD_PERSON_PRONOUNS.isdisjoint(tokens)
 
 
 DEMO_LEXICON_NAMES = ("sadness", "anxiety", "positive")

@@ -20,7 +20,6 @@ from .lexicon import (
     ExplicitReportMatcher,
     Lexicon,
     MultiLexiconMatcher,
-    PronounList,
     contains_third_person,
     load_lexicon,
     tokenize,
@@ -100,7 +99,7 @@ def scan_corpus(
     cfg: PipelineConfig,
     matcher: MultiLexiconMatcher | None,
     report_matcher: ExplicitReportMatcher | None = None,
-    pronouns: PronounList | None = None,
+    pronouns: bool = False,
     on_error: Callable[[RecordError], None] | None = None,
     scores: bool = False,
 ) -> tuple[StreamCounts, dict[tuple[date, int, int], int], tuple[str, ...], int, tuple | None]:
@@ -108,11 +107,11 @@ def scan_corpus(
     index, match mask), with gender index 1 male, 2 female, 0 unknown.
 
     The lexicons of `matcher` take the low mask bits, the report emotions
-    of `report_matcher` (as report_<emotion>) the next ones, and the bit
-    after them marks a third-person pronoun from `pronouns`. A matcher
-    left None is never run and sets no bits; with none, the corpus is not
-    read. Returns (counts, table, signal name of each mask bit, index of
-    the pronoun bit, scores).
+    of `report_matcher` (as report_<emotion>) the next ones, and, with
+    `pronouns`, the bit after them marks a post that contains_third_person.
+    A matcher left None is never run and sets no bits; with none and no
+    `pronouns`, the corpus is not read. Returns (counts, table, signal name
+    of each mask bit, index of the pronoun bit, scores).
 
     With `scores`, cfg's score file rides the same pass as one uncut shard
     after the corpus, so one process adds its scores in line order; scores
@@ -122,10 +121,9 @@ def scan_corpus(
 
     The inputs are scanned by corpus.scan_shards, in up to one process per
     usable CPU. Counts and tables are summed in input order, so the result
-    equals a one-process scan's, key order included. Every malformed record
-    of the first shard group reaches on_error, then at most
-    _MAX_ERROR_SAMPLES of each later group: the first _MAX_ERROR_SAMPLES
-    calls are a one-process scan's.
+    equals a one-process scan's, key order included. At most
+    _MAX_ERROR_SAMPLES malformed records of each shard group reach
+    on_error: the first _MAX_ERROR_SAMPLES calls are a one-process scan's.
     """
     signals = () if matcher is None else tuple(matcher.names)
     report_bits = (
@@ -134,7 +132,7 @@ def scan_corpus(
     )
     signals += tuple(f"report_{e}" for e in report_bits)
     pronoun_bit = len(signals)
-    read_corpus = bool(signals) or pronouns is not None
+    read_corpus = bool(signals) or pronouns
     inputs = expand_inputs(cfg) if read_corpus else []
     found = scores and cfg.score_path is not None and Path(cfg.score_path).is_file()
     if found:
@@ -152,7 +150,7 @@ def scan_corpus(
             if report_matcher is not None:
                 for emotion in report_matcher.match(tokens):
                     mask |= report_bits[emotion]
-            if pronouns is not None and contains_third_person(tokens, pronouns):
+            if pronouns and contains_third_person(tokens):
                 mask |= 1 << pronoun_bit
             # identity tests: hashing an Enum member is a Python-level call
             gender = post.author_gender
@@ -203,7 +201,7 @@ def build_signals(cfg: PipelineConfig) -> SignalBundle:
             errors.append(str(err))
 
     counts, table, names, _, scores = scan_corpus(
-        cfg, matcher, report_matcher, None, on_error, bool(cfg.score_emotions)
+        cfg, matcher, report_matcher, False, on_error, bool(cfg.score_emotions)
     )
     # per day: posts per gender index, then the same three per signal bit
     agg: dict[date, list[int]] = {}
@@ -452,10 +450,10 @@ def _corr_cell(r, lo, hi, p) -> str:
     return f"{r:.3f}{significance_marker(p)} [{lo:.3f}, {hi:.3f}]"
 
 
-def _stat_cell(value, p, digits=3) -> str:
+def _stat_cell(value, p) -> str:
     if value is None:
         return "skipped"
-    cell = f"{value:.{digits}f}"
+    cell = f"{value:.3f}"
     if p is not None:
         cell += significance_marker(p)
     return cell
@@ -602,17 +600,17 @@ def finalize_proportion_row(row: ProportionRow) -> ProportionRow:
 
 
 def thirdperson_rows(
-    cfg: PipelineConfig, pronouns: PronounList | None = None
+    cfg: PipelineConfig,
 ) -> tuple[StreamCounts, ProportionRow, list[ProportionRow]]:
-    """Pronoun incidence per lexicon stratum, from one corpus scan.
+    """Third-person pronoun incidence per lexicon stratum, from one corpus
+    scan.
 
     Returns (ingestion counts, baseline row over all posts, per-lexicon rows).
     """
     if not cfg.lexicons:
         raise ConfigError("thirdperson needs at least one lexicon")
     matcher = MultiLexiconMatcher(_load_lexicons(cfg))
-    pronouns = pronouns or PronounList()
-    counts, table, names, pronoun_bit, _ = scan_corpus(cfg, matcher, pronouns=pronouns)
+    counts, table, names, pronoun_bit, _ = scan_corpus(cfg, matcher, pronouns=True)
     cells = [[0, 0, 0, 0] for _ in names]  # with_k, with_n, without_k, without_n
     base_k = 0
     for (_, _, mask), n in table.items():

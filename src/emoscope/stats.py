@@ -34,27 +34,36 @@ def _clean_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation on pairwise-complete values."""
-    import numpy as np
-
     x, y = _clean_pair(x, y)
     n = len(x)
     if n < 3:
         raise StatError(f"need at least 3 paired observations, have {n}")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = math.sqrt(xc @ xc)
-    sy = math.sqrt(yc @ yc)
-    # a constant x whose mean rounds has nonzero norms, so test its spread too
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0 or sx * sy == 0.0:
-        raise StatError("correlation undefined for a constant series")
-    r = (xc @ yc) / (sx * sy)
+    scale = _spread(x, y, "correlation")
+    r = ((x - x.mean()) @ (y - y.mean())) / scale
     return float(min(1.0, max(-1.0, r)))
 
 
-def fisher_ci(r: float, n: int, level: float = 0.95) -> tuple[float, float]:
-    """Confidence interval for a correlation via the atanh (Fisher z) transform."""
-    if not 0.0 < level < 1.0:
-        raise StatError(f"level must be in (0,1), got {level}")
+def _spread(x: np.ndarray, y: np.ndarray, what: str) -> float:
+    """|xc| |yc| of the centred series, the denominator of r. Raises
+    StatError where `what` is undefined: for a constant series (tested by
+    its range, as a constant whose mean rounds has a nonzero norm), or for
+    a product that is not a normal float, as when a spread of 1e-200
+    squares to zero."""
+    import numpy as np
+
+    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+        raise StatError(f"{what} undefined for a constant series")
+    xc = x - x.mean()
+    yc = y - y.mean()
+    scale = math.sqrt(xc @ xc) * math.sqrt(yc @ yc)
+    if scale < sys.float_info.min:
+        raise StatError(f"{what} undefined: the centred sum of squares underflows")
+    return scale
+
+
+def fisher_ci(r: float, n: int) -> tuple[float, float]:
+    """95% confidence interval for a correlation via the atanh (Fisher z)
+    transform."""
     if n < 4:
         raise StatError(f"interval needs n >= 4, have {n}")
     if abs(r) >= 1.0:
@@ -62,7 +71,7 @@ def fisher_ci(r: float, n: int, level: float = 0.95) -> tuple[float, float]:
     from statistics import NormalDist  # not loaded by the scan commands
 
     z = math.atanh(r)
-    half = NormalDist().inv_cdf(0.5 + level / 2.0) / math.sqrt(n - 3)
+    half = NormalDist().inv_cdf(0.975) / math.sqrt(n - 3)
     return math.tanh(z - half), math.tanh(z + half)
 
 
@@ -85,16 +94,15 @@ class CorrelationResult:
     ci_low: float
     ci_high: float
     p: float
-    level: float = 0.95
 
 
-def correlate(x, y, level: float = 0.95) -> CorrelationResult:
-    """Pearson r with Fisher-z interval and two-sided p in one call."""
+def correlate(x, y) -> CorrelationResult:
+    """Pearson r with its 95% Fisher-z interval and two-sided p in one call."""
     x, y = _clean_pair(x, y)
     r = pearson(x, y)
     n = len(x)
-    lo, hi = fisher_ci(r, n, level)
-    return CorrelationResult(r=r, n=n, ci_low=lo, ci_high=hi, p=correlation_p(r, n), level=level)
+    lo, hi = fisher_ci(r, n)
+    return CorrelationResult(r=r, n=n, ci_low=lo, ci_high=hi, p=correlation_p(r, n))
 
 
 # Bytes per (permutations x observations) work array. Small chunks keep the
@@ -135,57 +143,33 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.nda
 pearson.rows = _pearson_rows
 
 
-def _index_chunks(seed: int, n: int, block: int, n_perm: int):
+def _index_chunks(seed: int, n: int, n_perm: int):
     """Permutation indices into x, in (k, n) chunks drawn from one stream,
     that of np.random.default_rng(seed).
 
-    Each row shuffles the units (observations, or consecutive blocks of
-    `block` observations with a shorter last block) exactly as
-    rng.permutation(n_units) would, so the stream does not depend on the
-    chunk size.
+    Each row shuffles the observations exactly as rng.permutation(n) would,
+    so the stream does not depend on the chunk size.
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    n_units = -(-n // block)
-    units = np.arange(n_units)
+    units = np.arange(n)
     per_chunk = max(1, _CHUNK_BYTES // (8 * n))
     for done in range(0, n_perm, per_chunk):
         k = min(per_chunk, n_perm - done)
-        order = rng.permuted(np.tile(units, (k, 1)), axis=1)
-        if block == 1:
-            yield order
-        else:
-            flat = (order[:, :, None] * block + np.arange(block)).reshape(k, -1)
-            yield flat[flat < n].reshape(k, n)
+        yield rng.permuted(np.tile(units, (k, 1)), axis=1)
 
 
 def permutation_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     """The observations a permutation test of x against y runs on: the
     pairwise-complete values. Raises StatError where the test is
-    undefined, for fewer than 3 pairs or a constant series."""
-    import numpy as np
-
+    undefined, for fewer than 3 pairs or where r is (see `_spread`)."""
     x, y = _clean_pair(x, y)
     n = len(x)
     if n < 3:
         raise StatError(f"need at least 3 paired observations, have {n}")
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        raise StatError("permutation test undefined for a constant series")
+    _spread(x, y, "permutation test")
     return x, y
-
-
-def _row_kernel(statistic, x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    import numpy as np
-
-    kernel = getattr(statistic or pearson, "rows", None)
-    if kernel is not None:
-        return kernel(x, y)
-
-    def rows(X):
-        return np.array([statistic(row, y) for row in X], dtype=float)
-
-    return rows
 
 
 # Permuted values (permutations x observations x statistics) per process,
@@ -198,7 +182,7 @@ def _row_kernel(statistic, x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray
 _MIN_FORK_WORK = 1 << 22
 
 
-def _hit_counts(tests, n_perm: int, seed: int, block: int) -> list[list[int]]:
+def _hit_counts(tests, n_perm: int, seed: int) -> list[list[int]]:
     """Permutations reaching each observed statistic of each test (x, [(row
     kernel, bar), ...]): one draw of the shuffles per n, and each row's
     permuted x gathered once per chunk for all its statistics."""
@@ -209,7 +193,7 @@ def _hit_counts(tests, n_perm: int, seed: int, block: int) -> list[list[int]]:
     for i, (x, _) in enumerate(tests):
         by_n.setdefault(len(x), []).append(i)
     for n, members in by_n.items():
-        for idx in _index_chunks(seed, n, block, n_perm):
+        for idx in _index_chunks(seed, n, n_perm):
             for i in members:
                 x, kernels = tests[i]
                 X = x[idx]
@@ -239,27 +223,24 @@ def permutation_test(
     statistic=None,
     n_perm: int = 10_000,
     seed: int | None = None,
-    block: int = 1,
 ) -> float | tuple[float, ...] | list:
-    """Two-sided permutation p-value, shuffling x while y stays fixed.
+    """Two-sided permutation p-value, shuffling the observations of x while
+    y stays fixed.
 
-    `statistic` defaults to the Pearson correlation. Any statistic sees the
-    same seeded shuffles: for a given seed, n and block, Pearson and DCCA
-    p-values come from identical permutations. p = (1 + hits) / (n_perm + 1),
-    the add-one estimator, so p is never exactly zero. A permutation is a hit
-    when |stat| >= |obs| up to 100 machine epsilons relative to |obs|, or,
-    for Pearson, to sum |xc_i yc_i| / (|xc| |yc|), so near-equal
-    statistics (ties up to rounding) count as hits.
+    `statistic` is None for the Pearson correlation or a
+    `dcca_statistic(window)`. Every statistic sees the same seeded
+    shuffles: for a given seed and n, Pearson and DCCA p-values come from
+    identical permutations. p = (1 + hits) / (n_perm + 1), the add-one
+    estimator, so p is never exactly zero. A permutation is a hit when
+    |stat| >= |obs| up to 100 machine epsilons relative to |obs|, or, for
+    Pearson, to sum |xc_i yc_i| / (|xc| |yc|), so near-equal statistics
+    (ties up to rounding) count as hits.
 
-    A statistic with a `rows` attribute (`pearson`, `dcca_statistic`) is
-    evaluated in batches: `statistic.rows(x, y)` returns a kernel mapping a
-    (k, n) array of permuted x to k statistics. Any other callable is called
-    once per permutation. `statistic` may also be a tuple of statistics
-    (None standing for Pearson): the p-value is then a tuple, one p per
-    statistic, all from the same shuffles. `block` > 1 permutes consecutive
-    blocks of that length instead of single observations, an option for
-    autocorrelated series. A seed is mandatory: an unseeded test is not
-    reproducible.
+    Each statistic is evaluated in batches: `(statistic or pearson).rows(x,
+    y)` returns a kernel mapping a (k, n) array of permuted x to k
+    statistics. `statistic` may also be a tuple of statistics: the p-value
+    is then a tuple, one p per statistic, all from the same shuffles. A
+    seed is mandatory: an unseeded test is not reproducible.
 
     x and y may also hold one series per row (a 2-D array, or sequences of
     1-D series of any lengths): row i of x is tested against row i of y and
@@ -277,8 +258,6 @@ def permutation_test(
         raise StatError("seed is required for a reproducible permutation test")
     if n_perm < 1:
         raise StatError(f"n_perm must be >= 1, got {n_perm}")
-    if block < 1:
-        raise StatError(f"block must be >= 1, got {block}")
     batch = np.ndim(x) == 2 if isinstance(x, np.ndarray) else len(x) > 0 and np.ndim(x[0]) == 1
     xs, ys = (x, y) if batch else ([x], [y])
     if len(xs) != len(ys):
@@ -292,7 +271,7 @@ def permutation_test(
         a, b = permutation_pair(a, b)
         kernels = []
         for stat in entry if isinstance(entry, tuple) else (entry,):
-            rows = _row_kernel(stat, a, b)
+            rows = (stat or pearson).rows(a, b)
             obs = abs(rows(a[None, :])[0])
             kernels.append((rows, obs - _TIE_RTOL * getattr(rows, "magnitude", obs)))
         tests.append((a, kernels))
@@ -300,7 +279,7 @@ def permutation_test(
 
     parts = _fork_parts(tests, n_perm, corpus._usable_cpus())
     counted = corpus.fork_map(
-        lambda part: _hit_counts([tests[i] for i in part], n_perm, seed, block),
+        lambda part: _hit_counts([tests[i] for i in part], n_perm, seed),
         parts, "permutation test",
     )
     hits: dict[int, list[int]] = {}

@@ -21,7 +21,6 @@ from .lexicon import (
     MultiLexiconMatcher,
     THIRD_PERSON_PRONOUNS,
     demo_lexicon,
-    tokenize,
 )
 from .signals import write_csv
 
@@ -87,7 +86,8 @@ class SynthConfig:
     rates; a shared per-emotion latent mood (tanh-bounded AR(1)) moves
     each rate by at most `amplitude`, so base +- amplitude must stay
     strictly inside (0, 1). `step_changes` entries (emotion, day index,
-    shift) add a level shift to both genders from that day on.
+    shift) add a level shift to both genders from that day on. Each
+    emotion's terms are those of its demo lexicon.
     """
 
     days: int = 120
@@ -102,7 +102,6 @@ class SynthConfig:
     pronoun_rate: float = 0.15
     pronoun_rate_emotional: float | None = None
     step_changes: tuple[tuple[str, int, float], ...] = ()
-    terms: Mapping[str, Sequence[str]] | None = None
 
     def emotions(self) -> tuple[str, ...]:
         return tuple(self.prevalence)
@@ -142,17 +141,9 @@ class SynthConfig:
                 raise ConfigError(f"step change for unknown emotion {emotion!r}")
             if not 0 <= day_idx < self.days:
                 raise ConfigError(f"step change day {day_idx} outside [0, {self.days})")
-        if self.terms is not None:
-            missing = [e for e in self.prevalence if e not in self.terms]
-            if missing:
-                raise ConfigError(f"no terms given for emotions {missing}")
-        else:
-            unknown = [e for e in self.prevalence if e not in DEMO_LEXICON_NAMES]
-            if unknown:
-                raise ConfigError(
-                    f"emotions {unknown} have no demo lexicon; "
-                    f"pass explicit terms or use {DEMO_LEXICON_NAMES}"
-                )
+        unknown = [e for e in self.prevalence if e not in DEMO_LEXICON_NAMES]
+        if unknown:
+            raise ConfigError(f"emotions {unknown} have no demo lexicon; use {DEMO_LEXICON_NAMES}")
 
 
 @dataclass
@@ -178,10 +169,8 @@ class GroundTruth:
             raise ConfigError(f"{day} outside generated range")
         return idx
 
-    def weekly_population(
-        self, anchors: Sequence[date], window_days: int = 7
-    ) -> dict[str, np.ndarray]:
-        """Window means of the population truth ending at each anchor
+    def weekly_population(self, anchors: Sequence[date]) -> dict[str, np.ndarray]:
+        """7-day window means of the population truth ending at each anchor
         (window clipped at the start of the generated range)."""
         import numpy as np
 
@@ -190,7 +179,7 @@ class GroundTruth:
         for emotion in self.emotions:
             pop = self.population(emotion)
             out[emotion] = np.array(
-                [pop[max(0, i - window_days + 1) : i + 1].mean() for i in idxs]
+                [pop[max(0, i - 6) : i + 1].mean() for i in idxs]
             )
         return out
 
@@ -239,29 +228,20 @@ def planted_truth(cfg: SynthConfig, rng: np.random.Generator | None = None) -> G
 
 
 def _term_pools(cfg: SynthConfig) -> dict[str, tuple[str, ...]]:
-    if cfg.terms is not None:
-        pools = {e: tuple(cfg.terms[e]) for e in cfg.prevalence}
-    else:
-        pools = {}
-        for emotion in cfg.prevalence:
-            lex = demo_lexicon(emotion)
-            pools[emotion] = tuple(sorted(lex.exact_terms)) + tuple(
-                stem + "ing" for stem in sorted(lex.prefix_terms)
-            )
-    for emotion, pool in pools.items():
-        if not pool:
-            raise ConfigError(f"{emotion}: empty term pool")
-        for term in pool:
-            if tokenize(term) != [term]:
-                raise ConfigError(f"{emotion}: term {term!r} does not survive tokenization")
+    """Each emotion's words: its demo lexicon's exact terms and its stems
+    plus "ing", all of them single tokens (see lexicon._check_term)."""
+    pools = {}
+    for emotion in cfg.prevalence:
+        lex = demo_lexicon(emotion)
+        pools[emotion] = tuple(sorted(lex.exact_terms)) + tuple(
+            stem + "ing" for stem in sorted(lex.prefix_terms)
+        )
     return pools
 
 
 def _check_vocabulary(cfg: SynthConfig, pools: Mapping[str, Sequence[str]]) -> None:
     """The planted rates are only exact if every word lands in precisely
     the intended lexicon, so refuse vocabularies with cross-matches."""
-    if cfg.terms is not None:
-        return  # custom terms: the caller owns lexicon consistency
     matcher = MultiLexiconMatcher([demo_lexicon(e) for e in cfg.prevalence])
     for word in _FILLER + PRONOUN_CHOICES:
         hit = matcher.match([word])
@@ -365,26 +345,21 @@ def generate_corpus(cfg: SynthConfig, corpus_path, truth_path=None) -> GroundTru
     return truth
 
 
-def weekly_anchors(start: date, days: int, step: int = 7, first_offset: int = 6) -> list[date]:
-    """Anchor dates every `step` days; the default puts the first anchor at
-    the end of the first full week so every window is complete."""
-    if days < first_offset + 1:
-        raise ConfigError(f"need at least {first_offset + 1} days for one anchor")
-    return [start + timedelta(days=i) for i in range(first_offset, days, step)]
+def weekly_anchors(start: date, days: int) -> list[date]:
+    """Anchor dates every 7 days, the first at the end of the first full
+    week so every window is complete."""
+    if days < 7:
+        raise ConfigError("need at least 7 days for one anchor")
+    return [start + timedelta(days=i) for i in range(6, days, 7)]
 
 
 def generate_survey(
-    truth: GroundTruth,
-    anchors: Sequence[date],
-    path,
-    emotions: Sequence[str] | None = None,
-    respondents: int = 2000,
-    seed: int = 0,
-    window_days: int = 7,
+    truth: GroundTruth, anchors: Sequence[date], path, respondents: int = 2000, seed: int = 0
 ) -> None:
-    """Write a long-form survey CSV sampled from the planted truth.
+    """Write a long-form survey CSV sampled from the planted truth, one row
+    per anchor and emotion of the truth.
 
-    Each percent is a binomial draw (respondents trials) around the
+    Each percent is a binomial draw (respondents trials) around the 7-day
     window mean of the population prevalence; respondents=0 writes the
     noise-free percent instead.
     """
@@ -392,14 +367,10 @@ def generate_survey(
 
     check_count("respondents", respondents, 0)
     check_count("seed", seed, 0, high=None)
-    emotions = tuple(emotions) if emotions is not None else truth.emotions
-    unknown = [e for e in emotions if e not in truth.emotions]
-    if unknown:
-        raise ConfigError(f"unknown emotions {unknown}; truth has {truth.emotions}")
     anchors = list(anchors)
     if anchors != sorted(set(anchors)):
         raise ConfigError("anchors must be strictly increasing")
-    weekly = truth.weekly_population(anchors, window_days)
+    weekly = truth.weekly_population(anchors)
     rng = np.random.default_rng(seed)
 
     def percent(p_true: float) -> float:
@@ -410,7 +381,7 @@ def generate_survey(
     write_csv(path, ["date", "emotion", "percent"], (
         [anchor.isoformat(), emotion, f"{percent(float(weekly[emotion][k])):.10g}"]
         for k, anchor in enumerate(anchors)
-        for emotion in emotions
+        for emotion in truth.emotions
     ))
 
 
@@ -420,19 +391,16 @@ def generate_scores(
     per_day: int = 200,
     noise_sd: float = 0.05,
     seed: int = 0,
-    emotions: Sequence[str] | None = None,
 ) -> None:
     """Write a score NDJSON whose daily means track the planted population
-    prevalence (independent noise per record, clipped to [0, 1])."""
+    prevalence of each emotion of the truth (independent noise per record,
+    clipped to [0, 1])."""
     import numpy as np
 
     check_count("per_day", per_day, 1)
     check_noise("noise_sd", noise_sd)
     check_count("seed", seed, 0, high=None)
-    emotions = tuple(emotions) if emotions is not None else truth.emotions
-    unknown = [e for e in emotions if e not in truth.emotions]
-    if unknown:
-        raise ConfigError(f"unknown emotions {unknown}; truth has {truth.emotions}")
+    emotions = truth.emotions
     rng = np.random.default_rng(seed)
     population = np.array([truth.population(e) for e in emotions]).T.tolist()
     names = [f'"{e}":' for e in emotions]

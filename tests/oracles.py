@@ -9,7 +9,7 @@ from typing import Callable, Iterable, Sequence
 
 from emoscope.corpus import FilterConfig, Post, _post_filter
 from emoscope.errors import LexiconError, RecordError, SignalError
-from emoscope.lexicon import Lexicon, PronounList, ReportTemplateSet, contains_third_person, tokenize
+from emoscope.lexicon import Lexicon, ReportTemplateSet, contains_third_person, tokenize
 from emoscope.signals import GENDER_STRATA, DailySignal
 
 
@@ -139,5 +139,5 @@ def lexicon_predicate(lexicon: Lexicon) -> Callable[[Post], bool]:
     return lambda post: matches_lexicon(tokenize(post.text), lexicon)
 
 
-def pronoun_predicate(pronouns: PronounList | None = None) -> Callable[[Post], bool]:
-    return lambda post: contains_third_person(tokenize(post.text), pronouns)
+def pronoun_predicate() -> Callable[[Post], bool]:
+    return lambda post: contains_third_person(tokenize(post.text))

@@ -259,7 +259,7 @@ def test_criterion_06_planted_signal_recovery(capsys, tmp_path_factory):
         anchors = weekly_anchors(BIG_CFG.start, BIG_CFG.days)
         weekly_rescaled = weekly_align(rescaled, anchors)
         weekly_everyone = weekly_align(everyone, anchors)
-        planted = truth.weekly_population(anchors, window_days=7)["sadness"]
+        planted = truth.weekly_population(anchors)["sadness"]
         got_rescaled = np.array([weekly_rescaled.values[a] for a in anchors])
         got_everyone = np.array([weekly_everyone.values[a] for a in anchors])
 

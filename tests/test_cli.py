@@ -864,12 +864,17 @@ PINNED_CSV = {
     "ws/survey.csv": "2c3b6dbaec478ad6c115953e12b984ef7b2e1b5409a7456c029b09a69aacdc80",
     "ws/truth.csv": "eedb98a4763270f1bb2a1a9b4ec5b6c8160c1e0e3ad4dac26e62784b827f86b6",
 }
+# The text table of validate, the same rows formatted by format_report_table.
+PINNED_TEXT = {
+    "out/validate/report.txt": "207b9edfefd1591f8d413fd5067a3f7385ee5f37093c38d39b530bc4cec21232",
+}
 
 
 @pytest.fixture(scope="module")
 def pinned_outputs(tmp_path_factory):
     """{relative path: sha256} of every CSV written by synth, signal,
-    validate --plot-data, thirdperson (both modes) and auc."""
+    validate --plot-data, thirdperson (both modes) and auc, and of
+    validate's report.txt."""
     root = tmp_path_factory.mktemp("pinned")
     ws, out = root / "ws", root / "out"
     assert main(["synth", "--out", str(ws), "--days", "175", "--posts-per-day", "6", "--seed", "3",
@@ -893,10 +898,10 @@ def pinned_outputs(tmp_path_factory):
                  "--output", str(out / "auc")]) == 0
     return {
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(root.rglob("*.csv"))
+        for path in sorted([*root.rglob("*.csv"), out / "validate" / "report.txt"])
         if path not in (counts, labels)
     }
 
 
 def test_csv_output_bytes_pinned(pinned_outputs):
-    assert pinned_outputs == PINNED_CSV
+    assert pinned_outputs == {**PINNED_CSV, **PINNED_TEXT}

@@ -521,11 +521,6 @@ class TestForkMap:
         assert got == [(1, False), (2, True), (3, True)]
         _no_children_left()
 
-    def test_local_runs_the_first_part(self):
-        got = corpus.fork_map(lambda part: part * 10, [1, 2], "test", local=lambda part: -part)
-        assert list(got) == [-1, 20]
-        _no_children_left()
-
     def test_one_part_forks_nothing(self, monkeypatch):
         monkeypatch.setattr(os, "fork", None)
         assert list(corpus.fork_map(lambda part: part + 1, [1], "test")) == [2]
@@ -572,10 +567,10 @@ class TestScanShards:
         errors = []
         results = corpus.scan_shards(inputs, _scan_names, errors.append, 2)
         assert results == [["a.ndjson.gz"], ["b.ndjson.gz"], ["c.ndjson.gz"]]
-        # all of this process's errors, then at most 2 of each child's
+        # at most 2 of each group's, this process's own included
         a, b, c = map(str, inputs)
         assert [(e.source, e.line_no) for e in errors] == [
-            (a, 1), (a, 2), (a, 3), (b, 1), (b, 2), (c, 1), (c, 2)
+            (a, 1), (a, 2), (b, 1), (b, 2), (c, 1), (c, 2)
         ]
         _no_children_left()
 
@@ -584,6 +579,11 @@ class TestScanShards:
         monkeypatch.setattr(os, "fork", None)
         results = corpus.scan_shards(inputs, _scan_names, None, 20)
         assert results == [["a.ndjson.gz", "b.ndjson.gz", "c.ndjson.gz"]]
+        errors = []
+        results = corpus.scan_shards(inputs, _scan_names, errors.append, 2)
+        assert results == [["a.ndjson.gz", "b.ndjson.gz", "c.ndjson.gz"]]
+        # the first 2 of the one group's, as the first 2 of a sharded scan
+        assert [(e.source, e.line_no) for e in errors] == [(str(inputs[0]), 1), (str(inputs[0]), 2)]
 
     def test_first_failing_group_raises(self, inputs):
         def scan(group, on_error):
