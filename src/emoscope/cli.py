@@ -25,7 +25,6 @@ from .pipeline import (
     run_validation,
     thirdperson_rows,
     write_manifest,
-    write_plot_data,
     write_proportions_csv,
     write_report_csv,
     write_signal_outputs,
@@ -218,12 +217,11 @@ def cmd_validate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     bundle = build_signals(cfg)
     _print_counts(bundle.counts)
-    rows = run_validation(cfg, bundle, extra_stratified=args.stratified)
+    rows = run_validation(cfg, bundle, extra_stratified=args.stratified,
+                          plot_data=out / "plot_data.csv" if args.plot_data else None)
     write_report_csv(rows, out / "report.csv")
     table = format_report_table(rows)
     (out / "report.txt").write_text(table, encoding="utf-8")
-    if args.plot_data:
-        write_plot_data(cfg, bundle, out / "plot_data.csv")
     sys.stdout.write(table)
     print(f"wrote report.csv and report.txt to {out}")
     return 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 import os
 import sys
 import zlib
@@ -27,11 +28,7 @@ class Gender(Enum):
 
 
 _GENDERS = {"male": Gender.MALE, "female": Gender.FEMALE}
-
-
-def _coerce_gender(value) -> Gender:
-    # a JSON list or object is unhashable: only a str is looked up
-    return _GENDERS.get(value, Gender.UNKNOWN) if type(value) is str else Gender.UNKNOWN
+_UNKNOWN = Gender.UNKNOWN
 
 
 @lru_cache(maxsize=None)
@@ -143,8 +140,8 @@ def load_json_object(line: str, line_no: int | None = None, source: str | None =
     return rec
 
 
-def parse_post_record(line: str, line_no: int | None = None, source: str | None = None) -> Post:
-    """Parse one NDJSON record into a Post.
+def post_fields(line: str, line_no: int | None = None, source: str | None = None) -> tuple:
+    """The fields of one NDJSON post record, in Post's order.
 
     A missing author_gender maps to unknown and a missing is_retweet to
     False; anything else absent or mistyped raises RecordError.
@@ -182,17 +179,15 @@ def parse_post_record(line: str, line_no: int | None = None, source: str | None 
     if type(retweet) is not bool:
         raise RecordError("is_retweet is not a boolean", line_no, source)
 
-    return Post(post_id, ts, text, _coerce_gender(rec.get("author_gender")), followers, retweet)
+    gender = rec.get("author_gender")
+    # a JSON list or object is unhashable: only a str is looked up
+    gender = _GENDERS.get(gender, _UNKNOWN) if type(gender) is str else _UNKNOWN
+    return post_id, ts, text, gender, followers, retweet
 
 
-def _post_filter(cfg: FilterConfig) -> Callable[[Post], bool]:
-    """The keep/drop rule of cfg, bounds inclusive on both ends."""
-    low, high, drop_retweets = cfg.min_followers, cfg.max_followers, cfg.exclude_retweets
-
-    def keep(post: Post) -> bool:
-        return not (drop_retweets and post.is_retweet) and low <= post.author_followers <= high
-
-    return keep
+def parse_post_record(line: str, line_no: int | None = None, source: str | None = None) -> Post:
+    """Parse one NDJSON record into a Post (see post_fields)."""
+    return Post._make(post_fields(line, line_no, source))
 
 
 @dataclass
@@ -227,7 +222,7 @@ class StreamCounts:
 
 def open_ndjson(path):
     """Open an NDJSON input for binary reading, transparently decompressing
-    .gz files; lines are decoded one at a time by read_ndjson."""
+    .gz files; lines are decoded one at a time by ndjson_lines."""
     path = Path(path)
     if path.suffix == ".gz":
         return gzip.open(path, "rb")
@@ -337,21 +332,17 @@ def shard_groups(paths: Iterable, parts: int) -> list[list[Shard]]:
     return [group for group in groups if group]
 
 
-def read_ndjson(
+def ndjson_lines(
     paths: Iterable,
-    parse: Callable[[str, int, str], T],
     counts: StreamCounts,
     on_error: Callable[[RecordError], None] | None = None,
-    keep: Callable[[T], bool] | None = None,
-) -> Iterator[T]:
-    """Yield parse(line, line_no, source) for every non-blank line of the
-    NDJSON files (or Shards of them) in order, and those records only that
-    keep accepts.
+) -> Iterator[tuple[str, int, str]]:
+    """(line, line number, source) of every non-blank line of the NDJSON
+    files (or Shards of them), in order, each counted in counts.records.
 
-    A line that is not valid UTF-8 or that parse rejects is counted as
-    malformed (and passed to on_error) without aborting the stream. A
-    damaged .gz input raises RecordError naming the file and the line
-    where it breaks off.
+    A line that is not valid UTF-8 is counted as malformed too (and passed
+    to on_error) without aborting the stream. A damaged .gz input raises
+    RecordError naming the file and the line where it breaks off.
     """
     for path in paths:
         shard = path if isinstance(path, Shard) else Shard(path)
@@ -367,28 +358,18 @@ def read_ndjson(
                         break
                     pos += len(raw)
                     try:
-                        line = raw.decode("utf-8")
-                        if line.isspace():
-                            continue
-                        counts.records += 1
-                        rec = parse(line, line_no, name)
+                        line = raw.decode()
                     except UnicodeDecodeError as err:
                         counts.records += 1
-                        error = RecordError(
-                            f"invalid UTF-8 at byte {err.start} ({err.reason})", line_no, name
-                        )
-                    except RecordError as err:
-                        error = err
-                    else:
-                        if keep is not None and not keep(rec):
-                            counts.dropped += 1
-                            continue
-                        counts.kept += 1
-                        yield rec
+                        counts.malformed += 1
+                        if on_error is not None:
+                            on_error(RecordError(
+                                f"invalid UTF-8 at byte {err.start} ({err.reason})", line_no, name
+                            ))
                         continue
-                    counts.malformed += 1
-                    if on_error is not None:
-                        on_error(error)
+                    if not line.isspace():
+                        counts.records += 1
+                        yield line, line_no, name
             except GZIP_ERRORS as err:
                 raise damaged_stream(err, line_no, name) from None
 
@@ -413,7 +394,9 @@ def stream_posts(
     counts: StreamCounts | None = None,
     on_error: Callable[[RecordError], None] | None = None,
 ) -> Iterator[Post]:
-    """Yield filtered posts from NDJSON files in order.
+    """Yield filtered posts from NDJSON files in order: a post is dropped
+    if it is a retweet and retweets are excluded, or if its follower count
+    is outside the bounds (inclusive on both ends).
 
     Malformed lines are counted (and passed to on_error) without aborting
     the stream. Blank lines are ignored entirely. A damaged .gz input
@@ -421,8 +404,22 @@ def stream_posts(
     """
     if counts is None:
         counts = StreamCounts()
-    keep = None if filter_config is None else _post_filter(filter_config)
-    return read_ndjson(paths, parse_post_record, counts, on_error, keep)
+    low, high, drop_retweets = (0, math.inf, False) if filter_config is None else (
+        filter_config.min_followers, filter_config.max_followers, filter_config.exclude_retweets)
+    new = tuple.__new__
+    for line, line_no, source in ndjson_lines(paths, counts, on_error):
+        try:
+            fields = post_fields(line, line_no, source)
+        except RecordError as err:
+            counts.malformed += 1
+            if on_error is not None:
+                on_error(err)
+            continue
+        if drop_retweets and fields[5] or not low <= fields[4] <= high:
+            counts.dropped += 1
+            continue
+        counts.kept += 1
+        yield new(Post, fields)
 
 
 def _usable_cpus() -> int:

@@ -28,9 +28,11 @@ def tokenize(text: str) -> list[str]:
     stripped so hashtag bodies count as ordinary tokens.
     """
     t = text.lower()
+    dirty = "http" in t or "www" in t
+    if not dirty and t.isascii() and t.replace(" ", "").isalnum():
+        return t.split()  # ASCII letters and digits between spaces: the regex's own tokens
     if "’" in t:
         t = t.replace("’", "'")
-    dirty = "http" in t or "www" in t
     if dirty or "@" in t:
         t = _STRIP_RE.sub(" ", t)
     if "#" in t:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -137,15 +137,16 @@ def scan_corpus(
     found = scores and cfg.score_path is not None and Path(cfg.score_path).is_file()
     if found:
         inputs.append(ScoreShard(cfg.score_path))
-    tz = cfg.tz_offset_minutes
+    shift = timedelta(minutes=cfg.tz_offset_minutes)  # as Post.day, without a call per post
     male, female = Gender.MALE, Gender.FEMALE
 
     def scan(group, on_error):
         counts = StreamCounts()
         table: dict[tuple[date, int, int], int] = {}
         shard = group[-1] if group and isinstance(group[-1], ScoreShard) else None
-        for post in stream_posts(group[:-1] if shard else group, cfg.filter, counts, on_error):
-            tokens = tokenize(post.text)
+        posts = stream_posts(group[:-1] if shard else group, cfg.filter, counts, on_error)
+        for _, timestamp, text, gender, _, _ in posts:
+            tokens = tokenize(text)
             mask = 0 if matcher is None else matcher.match_mask(tokens)
             if report_matcher is not None:
                 for emotion in report_matcher.match(tokens):
@@ -153,8 +154,8 @@ def scan_corpus(
             if pronouns and contains_third_person(tokens):
                 mask |= 1 << pronoun_bit
             # identity tests: hashing an Enum member is a Python-level call
-            gender = post.author_gender
-            key = (post.day(tz), 1 if gender is male else 2 if gender is female else 0, mask)
+            key = ((timestamp + shift).date() if shift else timestamp.date(),
+                   1 if gender is male else 2 if gender is female else 0, mask)
             table[key] = table.get(key, 0) + 1
         if shard is None:
             return counts, table, None
@@ -389,18 +390,25 @@ def _weekly_pairs(cfg: PipelineConfig, bundle: SignalBundle, surveys, extra_stra
 
 
 def run_validation(
-    cfg: PipelineConfig, bundle: SignalBundle | None = None, extra_stratified: bool = False
+    cfg: PipelineConfig,
+    bundle: SignalBundle | None = None,
+    extra_stratified: bool = False,
+    plot_data=None,
 ) -> list[ValidationRow]:
     """`validate_pair` for every configured pair and stratum, then all
     their permutation tests in one `permutation_test` call: the rows share
     one draw of the shuffles per number of pairs n, and Pearson and DCCA
-    share each row's permuted series."""
+    share each row's permuted series.
+
+    With `plot_data`, a path, the same aligned pairs are also written there
+    as a tidy per-anchor CSV for external plotting, in the configured
+    strata only (not the extra_stratified ones)."""
     if not cfg.pairs:
         raise ConfigError("no survey/signal pairs configured ([survey] pairs)")
     surveys = load_survey_map(cfg)
     if bundle is None:
         bundle = build_signals(cfg)
-    pairs = _weekly_pairs(cfg, bundle, surveys, extra_stratified)
+    pairs = list(_weekly_pairs(cfg, bundle, surveys, extra_stratified))
     results = [validate_pair(survey, weekly, stratum, cfg) for survey, stratum, weekly in pairs]
     tested = [result for result in results if result[3]]
     if tested:
@@ -413,6 +421,9 @@ def run_validation(
         for row, fields, row_p in zip(tested_rows, row_fields, p_values):
             for field, p in zip(fields, row_p):
                 setattr(row, field, p)
+    if plot_data is not None:
+        _write_plot_data(cfg, [(survey, stratum, weekly) for survey, stratum, weekly in pairs
+                               if stratum in strata_for(cfg, weekly.name)], plot_data)
     return [row for row, *_ in results]
 
 
@@ -510,15 +521,16 @@ def format_report_table(rows) -> str:
     return _aligned_table(header, body, notes)
 
 
-def write_plot_data(cfg: PipelineConfig, bundle: SignalBundle, path) -> None:
-    """Tidy per-anchor CSV (one row per pair per anchor) for external plotting."""
+def _write_plot_data(cfg: PipelineConfig, pairs, path) -> None:
+    """Tidy per-anchor CSV (one row per pair per anchor) of _weekly_pairs's
+    (survey, stratum, weekly signal) pairs."""
     header = ["survey_emotion", "signal", "stratum", "date", "period", "survey_percent",
               "signal_value"]
     write_csv(path, header, (
         [survey.emotion, weekly.name, stratum, anchor.isoformat(),
          "historical" if anchor < cfg.split_date else "prediction",
          _fmt(survey.percent.get(anchor), ".10g"), _fmt(weekly.values.get(anchor), ".10g")]
-        for survey, stratum, weekly in _weekly_pairs(cfg, bundle, load_survey_map(cfg))
+        for survey, stratum, weekly in pairs
         for anchor in survey.anchors
     ))
 

@@ -9,9 +9,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import Shard, StreamCounts, load_json_object, read_ndjson, read_text
+from .corpus import Shard, StreamCounts, load_json_object, ndjson_lines, read_text
 from .errors import RecordError, SignalError, SurveyError
 
 if TYPE_CHECKING:
@@ -64,39 +64,50 @@ def gender_rescale(male: DailySignal, female: DailySignal, name: str | None = No
     return DailySignal.from_counts(name or male.name, counts)
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    """Per-post classifier scores for one or more emotions."""
+class ScoreRecord(NamedTuple):
+    """Per-post classifier scores for one or more emotions; immutable and
+    equal by value, like corpus.Post."""
 
     id: str
     day: date
     scores: Mapping[str, float]
 
 
-def parse_score_record(line: str, line_no: int | None = None, source: str | None = None) -> ScoreRecord:
+def score_fields(line: str, line_no: int | None = None, source: str | None = None) -> tuple:
+    """The fields of one NDJSON score record, in ScoreRecord's order; a
+    missing or mistyped field, or a score that is not a number, raises
+    RecordError."""
     rec = load_json_object(line, line_no, source)
+    # JSON decodes to exact types, so each check tests the type itself
     rid = rec.get("id")
     if rid is None:
         raise RecordError("missing id", line_no, source)
     raw_day = rec.get("date")
-    if not isinstance(raw_day, str):
+    if type(raw_day) is not str:
         raise RecordError("missing or non-string date", line_no, source)
     try:
         day = date.fromisoformat(raw_day)
     except ValueError:
         raise RecordError(f"unparseable date {raw_day!r}", line_no, source) from None
     scores = rec.get("scores")
-    if not isinstance(scores, dict):
+    if type(scores) is not dict:
         raise RecordError("missing scores object", line_no, source)
-    clean: dict[str, float] = {}
-    for key, value in scores.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+    for key, value in scores.items():  # the decoded dict is this record's own
+        kind = type(value)
+        if kind is float:
+            continue
+        if kind is not int:
             raise RecordError(f"score {key!r} is not a number", line_no, source)
         try:
-            clean[key] = float(value)
+            scores[key] = float(value)
         except OverflowError:  # an integer past float range: out of [0, 1] like any other
-            clean[key] = math.inf if value > 0 else -math.inf
-    return ScoreRecord(id=str(rid), day=day, scores=clean)
+            scores[key] = math.inf if value > 0 else -math.inf
+    return str(rid), day, scores
+
+
+def parse_score_record(line: str, line_no: int | None = None, source: str | None = None) -> ScoreRecord:
+    """Parse one NDJSON record into a ScoreRecord (see score_fields)."""
+    return ScoreRecord._make(score_fields(line, line_no, source))
 
 
 @dataclass
@@ -124,7 +135,17 @@ def stream_scores(
     malformed lines are counted and skipped, like stream_posts."""
     if counts is None:
         counts = StreamCounts()
-    return read_ndjson((path,), parse_score_record, counts, on_error)
+    new = tuple.__new__
+    for line, line_no, source in ndjson_lines((path,), counts, on_error):
+        try:
+            fields = score_fields(line, line_no, source)
+        except RecordError as err:
+            counts.malformed += 1
+            if on_error is not None:
+                on_error(err)
+            continue
+        counts.kept += 1
+        yield new(ScoreRecord, fields)
 
 
 def daily_mean_scores(
@@ -139,16 +160,18 @@ def daily_mean_scores(
     is skipped and counted in counts.rejected_values, its line stays parsed.
     """
     acc: dict[str, dict[date, list[float]]] = {e: {} for e in emotions}
-    for rec in records:
+    for _, day, scores in records:
         for emotion, per_day in acc.items():
-            value = rec.scores.get(emotion)
+            value = scores.get(emotion)
             if value is None:
                 continue
             if not 0.0 <= value <= 1.0:
                 if counts is not None:
                     counts.rejected_values += 1
                 continue
-            row = per_day.setdefault(rec.day, [0.0, 0.0])
+            row = per_day.get(day)
+            if row is None:
+                row = per_day[day] = [0.0, 0.0]
             row[0] += value
             row[1] += 1.0
     return {e: DailySignal.from_counts(f"score_{e}", per_day) for e, per_day in acc.items()}

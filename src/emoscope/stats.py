@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import StatError
@@ -448,20 +449,11 @@ def _dcca_rows(
     return rows
 
 
-def dcca_statistic(window: int = 12) -> Callable[[np.ndarray, np.ndarray], float]:
-    """The dcca coefficient as a permutation statistic.
-
-    Called as stat(x, y) it runs the literal `dcca`; its `rows` attribute is
-    the batch kernel that `permutation_test` uses.
-    """
-
+def dcca_statistic(window: int = 12) -> SimpleNamespace:
+    """The dcca coefficient as a permutation statistic: an object whose
+    `rows(x, y)` is the batch kernel that `permutation_test` uses."""
     bands: dict[int, list] = {}  # the band blocks by n, shared by the rows of every call
-
-    def stat(x, y):
-        return dcca(x, y, window=window).rho
-
-    stat.rows = lambda x, y: _dcca_rows(x, y, window, bands)
-    return stat
+    return SimpleNamespace(rows=lambda x, y: _dcca_rows(x, y, window, bands))
 
 
 def newey_west_lag(n: int) -> int:

@@ -4,13 +4,18 @@ fused, faster forms against, and helpers that only tests need."""
 from __future__ import annotations
 
 import json
+import math
+import re
 from datetime import date, datetime, timedelta, timezone
 from typing import Callable, Iterable, Sequence
 
-from emoscope.corpus import FilterConfig, Post, _post_filter
+import numpy as np
+
+from emoscope.corpus import FilterConfig, Post
 from emoscope.errors import LexiconError, RecordError, SignalError
 from emoscope.lexicon import Lexicon, ReportTemplateSet, contains_third_person, tokenize
 from emoscope.signals import GENDER_STRATA, DailySignal
+from emoscope.stats import dcca, pearson
 
 
 def load_json_object(line: str, line_no=None, source=None) -> dict:
@@ -45,8 +50,11 @@ def serialize_post(post: Post) -> str:
 
 
 def filter_post(post: Post, cfg: FilterConfig) -> bool:
-    """The package's one keep/drop rule, corpus._post_filter, as one call."""
-    return _post_filter(cfg)(post)
+    """The keep rule of stream_posts: not an excluded retweet, and
+    followers within the bounds, inclusive on both ends."""
+    if cfg.exclude_retweets and post.is_retweet:
+        return False
+    return cfg.min_followers <= post.author_followers <= cfg.max_followers
 
 
 def parse_timestamp(raw, line_no=None, source=None) -> datetime:
@@ -72,6 +80,19 @@ def parse_timestamp(raw, line_no=None, source=None) -> datetime:
     if naive - datetime.min < timedelta(days=1) or datetime.max - naive < timedelta(days=1):
         raise out_of_range
     return ts.replace(microsecond=0)
+
+
+_STRIP_RE = re.compile(r"(?<!\w)(?:http|www)\S*|@\w+")
+_TOKEN_RE = re.compile(r"[^\W_]+(?:'[^\W_]+)*")
+
+
+def regex_tokenize(text: str) -> list[str]:
+    """tokenize by its regexes alone, with no plain-text shortcut: URLs
+    and @-mentions out, curly apostrophes straight, '#' a separator, then
+    every run of letters and digits, apostrophes kept inside; a token left
+    starting with http or www is a URL glued to a word and goes too."""
+    t = _STRIP_RE.sub(" ", text.lower().replace("’", "'")).replace("#", " ")
+    return [tok for tok in _TOKEN_RE.findall(t) if not tok.startswith(("http", "www"))]
 
 
 def matches_lexicon(tokens: Sequence[str], lexicon: Lexicon) -> bool:
@@ -141,3 +162,27 @@ def lexicon_predicate(lexicon: Lexicon) -> Callable[[Post], bool]:
 
 def pronoun_predicate() -> Callable[[Post], bool]:
     return lambda post: contains_third_person(tokenize(post.text))
+
+
+def dcca_rho(window: int) -> Callable[[np.ndarray, np.ndarray], float]:
+    """The literal dcca coefficient as a two-argument statistic."""
+    return lambda x, y: dcca(x, y, window=window).rho
+
+
+def loop_permutation_p(x, y, statistic, n_perm, seed):
+    """Scalar oracle: one statistic(x, y) call per shuffle of x, each
+    shuffle an rng.permutation of the observations, with the tie rule of
+    permutation_test."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    rng = np.random.default_rng(seed)
+    obs = abs(statistic(x, y))
+    magnitude = obs
+    if statistic is pearson:  # Pearson ties are measured against its terms
+        xc, yc = x - x.mean(), y - y.mean()
+        magnitude = np.abs(xc) @ np.abs(yc) / math.sqrt((xc @ xc) * (yc @ yc))
+    bar = obs - 100 * np.finfo(float).eps * magnitude
+    hits = 0
+    for _ in range(n_perm):
+        hits += abs(statistic(rng.permutation(x), y)) >= bar
+    return (1 + hits) / (n_perm + 1)

@@ -24,12 +24,12 @@ from emoscope.corpus import (
     _parse_timestamp,
     damaged_stream,
     load_json_object,
+    ndjson_lines,
     parse_post_record,
-    read_ndjson,
     stream_posts,
 )
 from emoscope.errors import ConfigError, RecordError
-from emoscope.signals import parse_score_record
+from emoscope.signals import ScoreRecord, parse_score_record, stream_scores
 
 VALID = json.dumps(
     {
@@ -419,16 +419,19 @@ class TestRecordErrorPickle:
 
 
 def _read_all(paths):
-    """Every (line number, source, line) and error read_ndjson meets."""
+    """Every (line number, source, line) that ndjson_lines yields and
+    starts with "{", with every error met in order: ndjson_lines's own
+    (bad UTF-8) and "not an object" for each other line."""
     counts = StreamCounts()
     errors = []
-
-    def parse(line, line_no, source):
+    records = []
+    for line, line_no, source in ndjson_lines(paths, counts, errors.append):
         if not line.startswith("{"):
-            raise RecordError("not an object", line_no, source)
-        return line_no, source, line
-
-    records = list(read_ndjson(paths, parse, counts, errors.append))
+            counts.malformed += 1
+            errors.append(RecordError("not an object", line_no, source))
+            continue
+        counts.kept += 1
+        records.append((line_no, source, line))
     return records, [str(e) for e in errors], counts.as_dict()
 
 
@@ -497,6 +500,137 @@ class TestShards:
         assert isinstance(shard, os.PathLike)
         assert os.fspath(shard) == str(path)
         assert os.path.getsize(shard) == 30
+
+
+GOOD_POST = st.fixed_dictionaries(
+    {
+        "id": st.text(max_size=3),
+        "created_at": st.sampled_from(["2020-03-01T12:30:45Z", "2020-03-01T23:30:45-02:00"]),
+        "text": st.text(max_size=8),
+        "author_followers": st.sampled_from([0, 99, 100, 5000, 100_000, 100_001]),
+        "is_retweet": st.booleans(),
+    },
+    optional={"author_gender": st.sampled_from(["male", "female", "x"])},
+)
+POST_OBJECT = st.fixed_dictionaries(
+    {
+        "id": st.one_of(st.text(max_size=3), st.integers(), st.none()),
+        "created_at": st.sampled_from(
+            ["2020-03-01T12:30:45Z", "2020-03-01T23:30:45.5-02:00", "2020-03-01 12:30", "x", 5,
+             "0001-01-01T00:00:00Z"]
+        ),
+        "text": st.one_of(st.text(max_size=8), st.none()),
+        "author_followers": st.one_of(
+            st.integers(-5, 200_000), st.floats(-1.0, 200_000.0), st.booleans(), st.none()
+        ),
+    },
+    optional={
+        "author_gender": st.sampled_from(["male", "female", "x", None, ["male"]]),
+        "is_retweet": st.one_of(st.booleans(), st.integers(0, 1)),
+    },
+)
+SCORE_OBJECT = st.fixed_dictionaries(
+    {
+        "id": st.one_of(st.text(max_size=3), st.integers(), st.none()),
+        "date": st.sampled_from(["2020-03-01", "2020-13-01", 5, None]),
+        "scores": st.one_of(
+            st.dictionaries(
+                st.sampled_from(["sad", "joy"]),
+                st.one_of(st.floats(), st.integers(-2, 2), st.just(10**400), st.booleans(),
+                          st.none(), st.text(max_size=2)),
+                max_size=2,
+            ),
+            st.none(),
+            st.lists(st.none(), max_size=1),
+        ),
+    },
+)
+JUNK_LINE = st.one_of(
+    st.sampled_from([b"", b"  ", b"\r", b"{", b"[1]", b"{\xff}", b"\xc3", b'{"id": 1}']),
+    st.binary(max_size=20),
+)
+
+
+def _record_file(*objects):
+    """A strategy for (file bytes, gzip or not): records and junk, any line ends."""
+    line = st.one_of(*(obj.map(lambda obj: json.dumps(obj).encode()) for obj in objects), JUNK_LINE)
+    return st.tuples(
+        st.lists(st.tuples(line, st.sampled_from([b"\n", b"\r\n"])), max_size=8).map(
+            lambda lines: b"".join(text + end for text, end in lines)),
+        st.binary(max_size=1),  # a last line without its newline
+        st.booleans(),
+    ).map(lambda parts: (parts[0] + parts[1], parts[2]))
+
+
+def _per_line(data, parse, keep, source):
+    """The records, error strings and counts of parsing each line alone."""
+    counts = StreamCounts()
+    records, errors = [], []
+    pieces = data.split(b"\n")
+    lines = [piece + b"\n" for piece in pieces[:-1]] + [pieces[-1]] * bool(pieces[-1])
+    for line_no, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            counts.records += 1
+            counts.malformed += 1
+            errors.append(str(RecordError(
+                f"invalid UTF-8 at byte {err.start} ({err.reason})", line_no, source)))
+            continue
+        if line.isspace():
+            continue
+        counts.records += 1
+        try:
+            rec = parse(line, line_no, source)
+        except RecordError as err:
+            counts.malformed += 1
+            errors.append(str(err))
+            continue
+        if keep(rec):
+            counts.kept += 1
+            records.append(rec)
+        else:
+            counts.dropped += 1
+    return repr(records), errors, counts
+
+
+class TestStreamsAgainstLineParsers:
+    """stream_posts and stream_scores against their one-line parsers."""
+
+    @staticmethod
+    def _write(tmp, data, gz):
+        path = Path(tmp) / ("in.ndjson.gz" if gz else "in.ndjson")
+        path.write_bytes(gzip.compress(data, mtime=0) if gz else data)
+        return path
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _record_file(GOOD_POST, POST_OBJECT),
+        st.one_of(
+            st.none(),
+            st.builds(FilterConfig, st.integers(0, 100), st.integers(100, 100_000), st.booleans()),
+        ),
+    )
+    def test_stream_posts(self, file, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = self._write(tmp, *file)
+            counts, errors = StreamCounts(), []
+            posts = list(stream_posts([path], cfg, counts, lambda err: errors.append(str(err))))
+        assert all(type(post) is Post for post in posts)
+        keep = (lambda post: True) if cfg is None else (lambda post: oracles.filter_post(post, cfg))
+        assert (repr(posts), errors, counts) == _per_line(
+            file[0], parse_post_record, keep, str(path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_record_file(SCORE_OBJECT))
+    def test_stream_scores(self, file):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = self._write(tmp, *file)
+            counts, errors = StreamCounts(), []
+            records = list(stream_scores(path, counts, lambda err: errors.append(str(err))))
+        assert all(type(rec) is ScoreRecord for rec in records)
+        assert (repr(records), errors, counts) == _per_line(
+            file[0], parse_score_record, lambda rec: True, str(path))
 
 
 def _scan_names(group, on_error):

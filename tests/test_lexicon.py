@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from emoscope import lexicon
@@ -22,7 +22,22 @@ from emoscope.lexicon import (
     tokenize,
 )
 
-from oracles import matches_explicit_report, matches_lexicon
+from oracles import matches_explicit_report, matches_lexicon, regex_tokenize
+
+# Text pieces for the tokenizer: plain ASCII words and spaces (its split
+# branch) next to everything that must leave it, URL starts inside words
+# and at word starts, and letters whose lowercase is or is not ASCII, such
+# as the Kelvin sign (U+212A), which lowercases to k.
+TOKEN_TEXT = st.lists(
+    st.one_of(
+        st.text(alphabet="abcXYZ019 ", max_size=12),
+        st.sampled_from([" ", "\t", "\n", "'", "’", "@", "#", "http", "www", "xhttp",
+                         "wwwx", " https://t.co/a", "www.a.b", "\u212a", "é", "İ", "ß", "Σ",
+                         "\u3000", "_", "-", "\x1c"]),
+        st.text(max_size=4),
+    ),
+    max_size=12,
+).map("".join)
 
 
 class TestTokenize:
@@ -62,6 +77,16 @@ class TestTokenize:
 
     def test_hashtag_of_url_still_removed(self):
         assert tokenize("#www.spam.com is gone") == ["is", "gone"]
+
+    @given(TOKEN_TEXT)
+    @example("")
+    @example("i am sad today")
+    @example("\u212aind words")
+    @example("so sad\tand\nlow")
+    @example("xhttp is a word, httpx is not")
+    @example("it's #1 @me")
+    def test_matches_regex_reference(self, text):
+        assert tokenize(text) == regex_tokenize(text)
 
     @given(st.text(max_size=200))
     def test_idempotent(self, text):

@@ -10,11 +10,17 @@ from datetime import date, timedelta
 
 import pytest
 
-from emoscope import corpus, stats
+from emoscope import corpus, pipeline, stats
 from emoscope.cli import main
 from emoscope.config import PipelineConfig, expand_inputs, load_config
 from emoscope.corpus import StreamCounts, stream_posts
-from emoscope.lexicon import contains_third_person, load_lexicon, tokenize
+from emoscope.lexicon import (
+    ExplicitReportMatcher,
+    MultiLexiconMatcher,
+    contains_third_person,
+    load_lexicon,
+    tokenize,
+)
 from emoscope.pipeline import (
     ProportionRow,
     ValidationRow,
@@ -182,6 +188,40 @@ def test_thirdperson_equals_brute_force(cfg, posts):
     for row in rows:
         assert [row.with_k, row.with_n, row.without_k, row.without_n] == cells[row.label]
         assert row.with_k > 0 and row.without_k > 0
+
+
+# What bench/spantrace.py rebinds to time the scan's layers: names in
+# pipeline's globals and matcher methods. A scan that stopped calling one
+# would leave its span and counters at zero.
+TRACED = [
+    (pipeline, "stream_posts"),
+    (pipeline, "stream_scores"),
+    (pipeline, "tokenize"),
+    (MultiLexiconMatcher, "match_mask"),
+    (ExplicitReportMatcher, "match"),
+    (pipeline, "contains_third_person"),
+]
+
+
+def test_scan_calls_every_traced_name(cfg, monkeypatch):
+    monkeypatch.setattr(corpus, "_usable_cpus", lambda: 1)  # no call made in a child
+    calls = {name: 0 for _, name in TRACED}
+    for owner, name in TRACED:
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    kept = build_signals(cfg).counts.kept
+    assert thirdperson_rows(cfg)[0].kept == kept
+    assert calls == {
+        "stream_posts": 2,
+        "stream_scores": 1,
+        "tokenize": 2 * kept,
+        "match_mask": 2 * kept,
+        "match": kept,
+        "contains_third_person": kept,
+    }
 
 
 def test_tables_share_one_layout():

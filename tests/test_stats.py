@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from emoscope import corpus, stats
 from emoscope.errors import StatError
 from emoscope.special import betainc, student_t_p
@@ -306,25 +307,6 @@ class TestPermutationTest:
         assert 1 / 100 <= p <= 1.0
 
 
-def _loop_permutation_p(x, y, statistic, n_perm, seed):
-    """Scalar oracle: one statistic call per shuffle of x, each shuffle an
-    rng.permutation of the observations, with the tie rule of
-    permutation_test."""
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    rng = np.random.default_rng(seed)
-    obs = abs(statistic(x, y))
-    magnitude = obs
-    if statistic is pearson:  # Pearson ties are measured against its terms
-        xc, yc = x - x.mean(), y - y.mean()
-        magnitude = np.abs(xc) @ np.abs(yc) / math.sqrt((xc @ xc) * (yc @ yc))
-    bar = obs - 100 * np.finfo(float).eps * magnitude
-    hits = 0
-    for _ in range(n_perm):
-        hits += abs(statistic(rng.permutation(x), y)) >= bar
-    return (1 + hits) / (n_perm + 1)
-
-
 def _ar1_pair(seed, n):
     rng = np.random.default_rng(seed)
     e, f = rng.normal(size=n), rng.normal(size=n)
@@ -343,11 +325,11 @@ class TestPermutationEngine:
         "statistic, oracle, n_perm, n",
         [
             (None, pearson, 999, 50),
-            (dcca_statistic(12), dcca_statistic(12), 999, 50),
+            (dcca_statistic(12), oracles.dcca_rho(12), 999, 50),
             (None, pearson, 4001, 50),
-            (dcca_statistic(12), dcca_statistic(12), 4001, 50),
+            (dcca_statistic(12), oracles.dcca_rho(12), 4001, 50),
             # the validate-battery shape: 156 weeks, window 12
-            (dcca_statistic(12), dcca_statistic(12), 999, 156),
+            (dcca_statistic(12), oracles.dcca_rho(12), 999, 156),
         ],
         ids=["pearson", "dcca", "pearson-4001", "dcca-4001", "dcca-n156"],
     )
@@ -355,7 +337,7 @@ class TestPermutationEngine:
     def test_matches_scalar_loop(self, statistic, oracle, n_perm, n, seed):
         x, y = _ar1_pair(seed, n)
         got = permutation_test(x, y, statistic=statistic, n_perm=n_perm, seed=seed)
-        assert got == _loop_permutation_p(x, y, oracle, n_perm, seed)
+        assert got == oracles.loop_permutation_p(x, y, oracle, n_perm, seed)
 
     def test_theoretical_ties_count_as_hits(self):
         # y splits into two tied groups, so r depends only on which x values
@@ -379,7 +361,7 @@ class TestPermutationEngine:
             if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
                 continue
             got = permutation_test(x, y, n_perm=999, seed=seed)
-            assert got == _loop_permutation_p(x, y, pearson, 999, seed), seed
+            assert got == oracles.loop_permutation_p(x, y, pearson, 999, seed), seed
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -725,7 +707,7 @@ class TestDcca:
         rng = np.random.default_rng(23)
         x, y = rng.normal(size=40), rng.normal(size=40)
         stat = dcca_statistic(window=10)
-        assert stat(x, y) == pytest.approx(dcca(x, y, window=10).rho)
+        assert stat.rows(x, y)(x[None, :])[0] == pytest.approx(dcca(x, y, window=10).rho)
         p = permutation_test(x, y, statistic=stat, n_perm=99, seed=2)
         assert 0.0 < p <= 1.0
 
