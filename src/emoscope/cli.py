@@ -29,7 +29,7 @@ from .pipeline import (
     write_report_csv,
     write_signal_outputs,
 )
-from .signals import ScoreCounts, numbered_rows, stream_scores, write_csv
+from .signals import ScoreCounts, numbered_rows, score_values, stream_scores, write_csv
 from .stats import roc_auc, roc_curve
 from .synth import (
     SynthConfig,
@@ -205,7 +205,7 @@ def cmd_signal(args) -> int:
     written = write_signal_outputs(cfg, bundle, out)
     write_manifest(cfg, bundle, written, out / "manifest.json")
     _print_counts(bundle.counts)
-    for name in bundle.signal_names:
+    for name in cfg.signal_names():
         print(f"matched[{name}] = {bundle.matched[name]}")
     print(f"wrote {len(written)} signal files + manifest.json to {out}")
     return 0
@@ -308,16 +308,10 @@ def cmd_auc(args) -> int:
     scores: dict[str, dict[str, float]] = {e: {} for e in emotions}
     counts = ScoreCounts()
     duplicates = 0  # scores for an (emotion, id) that already had one; the last wins
-    for rec in stream_scores(args.scores, counts):
-        for emotion in emotions:
-            value = rec.scores.get(emotion)
-            if value is None:
-                continue
-            if not 0.0 <= value <= 1.0:
-                counts.rejected_values += 1
-                continue
-            duplicates += rec.id in scores[emotion]
-            scores[emotion][rec.id] = value
+    records = stream_scores(args.scores, counts)
+    for rid, _, emotion, value in score_values(records, emotions, counts):
+        duplicates += rid in scores[emotion]
+        scores[emotion][rid] = value
     print(f"records={counts.records} parsed={counts.parsed} malformed={counts.malformed} "
           f"rejected_values={counts.rejected_values} duplicate_ids={duplicates}")
     out = Path(args.output)

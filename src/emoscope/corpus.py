@@ -8,10 +8,9 @@ import math
 import os
 import sys
 import zlib
-from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence, TypeVar
 
@@ -31,12 +30,6 @@ _GENDERS = {"male": Gender.MALE, "female": Gender.FEMALE}
 _UNKNOWN = Gender.UNKNOWN
 
 
-@lru_cache(maxsize=None)
-def _minutes(n: int) -> timedelta:
-    # one object per offset: building a timedelta costs ten times adding it
-    return timedelta(minutes=n)
-
-
 class Post(NamedTuple):
     """One social-media message, timestamp normalized to UTC (second
     resolution). Immutable, hashable and equal by value, like a tuple."""
@@ -47,12 +40,6 @@ class Post(NamedTuple):
     author_gender: Gender = Gender.UNKNOWN
     author_followers: int = 0
     is_retweet: bool = False
-
-    def day(self, tz_offset_minutes: int = 0) -> date:
-        """Calendar-day bucket; a fixed minute offset shifts the day boundary."""
-        if not tz_offset_minutes:
-            return self.timestamp.date()
-        return (self.timestamp + _minutes(tz_offset_minutes)).date()
 
 
 @dataclass(frozen=True)
@@ -74,7 +61,7 @@ class FilterConfig:
 
 
 # Instants kept: a day clear of either end of the calendar, so that a
-# tz_offset_minutes within +-1440 cannot push Post.day off it.
+# tz_offset_minutes within +-1440 cannot push a post's day off it.
 _EARLIEST = datetime(1, 1, 2, tzinfo=timezone.utc)
 _LATEST = datetime(9999, 12, 31, tzinfo=timezone.utc)
 
@@ -185,30 +172,40 @@ def post_fields(line: str, line_no: int | None = None, source: str | None = None
     return post_id, ts, text, gender, followers, retweet
 
 
-def parse_post_record(line: str, line_no: int | None = None, source: str | None = None) -> Post:
-    """Parse one NDJSON record into a Post (see post_fields)."""
-    return Post._make(post_fields(line, line_no, source))
+_MAX_ERROR_SAMPLES = 20
 
 
 @dataclass
 class StreamCounts:
-    """Exact bookkeeping for one ingestion pass."""
+    """Exact bookkeeping for one ingestion pass, with the errors of its
+    first _MAX_ERROR_SAMPLES malformed records in input order. The errors
+    take no part in equality, repr or as_dict."""
 
     records: int = 0
     malformed: int = 0
     dropped: int = 0
     kept: int = 0
+    errors: list[RecordError] = field(default_factory=list, compare=False, repr=False)
 
     @property
     def parsed(self) -> int:
         return self.records - self.malformed
 
+    def reject(self, err: RecordError) -> None:
+        """Count one malformed record, and keep its error while fewer than
+        _MAX_ERROR_SAMPLES are kept."""
+        self.malformed += 1
+        if len(self.errors) < _MAX_ERROR_SAMPLES:
+            self.errors.append(err)
+
     def add(self, other: StreamCounts) -> None:
-        """Count another pass's records in too."""
+        """Count another pass's records in too, and keep its errors up to
+        the cap: passes added in input order keep a whole pass's first."""
         self.records += other.records
         self.malformed += other.malformed
         self.dropped += other.dropped
         self.kept += other.kept
+        self.errors += other.errors[: _MAX_ERROR_SAMPLES - len(self.errors)]
 
     def as_dict(self) -> dict:
         return {
@@ -332,16 +329,12 @@ def shard_groups(paths: Iterable, parts: int) -> list[list[Shard]]:
     return [group for group in groups if group]
 
 
-def ndjson_lines(
-    paths: Iterable,
-    counts: StreamCounts,
-    on_error: Callable[[RecordError], None] | None = None,
-) -> Iterator[tuple[str, int, str]]:
+def ndjson_lines(paths: Iterable, counts: StreamCounts) -> Iterator[tuple[str, int, str]]:
     """(line, line number, source) of every non-blank line of the NDJSON
     files (or Shards of them), in order, each counted in counts.records.
 
-    A line that is not valid UTF-8 is counted as malformed too (and passed
-    to on_error) without aborting the stream. A damaged .gz input raises
+    A line that is not valid UTF-8 is counted too, as rejected by counts,
+    without aborting the stream. A damaged .gz input raises
     RecordError naming the file and the line where it breaks off.
     """
     for path in paths:
@@ -361,11 +354,9 @@ def ndjson_lines(
                         line = raw.decode()
                     except UnicodeDecodeError as err:
                         counts.records += 1
-                        counts.malformed += 1
-                        if on_error is not None:
-                            on_error(RecordError(
-                                f"invalid UTF-8 at byte {err.start} ({err.reason})", line_no, name
-                            ))
+                        counts.reject(RecordError(
+                            f"invalid UTF-8 at byte {err.start} ({err.reason})", line_no, name
+                        ))
                         continue
                     if not line.isspace():
                         counts.records += 1
@@ -392,13 +383,12 @@ def stream_posts(
     paths: Iterable,
     filter_config: FilterConfig | None = None,
     counts: StreamCounts | None = None,
-    on_error: Callable[[RecordError], None] | None = None,
 ) -> Iterator[Post]:
     """Yield filtered posts from NDJSON files in order: a post is dropped
     if it is a retweet and retweets are excluded, or if its follower count
     is outside the bounds (inclusive on both ends).
 
-    Malformed lines are counted (and passed to on_error) without aborting
+    Malformed lines are counted, as rejected by counts, without aborting
     the stream. Blank lines are ignored entirely. A damaged .gz input
     raises RecordError naming the file and the line where it breaks off.
     """
@@ -407,13 +397,11 @@ def stream_posts(
     low, high, drop_retweets = (0, math.inf, False) if filter_config is None else (
         filter_config.min_followers, filter_config.max_followers, filter_config.exclude_retweets)
     new = tuple.__new__
-    for line, line_no, source in ndjson_lines(paths, counts, on_error):
+    for line, line_no, source in ndjson_lines(paths, counts):
         try:
             fields = post_fields(line, line_no, source)
         except RecordError as err:
-            counts.malformed += 1
-            if on_error is not None:
-                on_error(err)
+            counts.reject(err)
             continue
         if drop_retweets and fields[5] or not low <= fields[4] <= high:
             counts.dropped += 1
@@ -467,6 +455,14 @@ def fork_map(work: Callable[[A], T], parts: Sequence[A], what: str) -> Iterator[
     come, so only once every part before it was taken: a one-process run
     would have met it first. If this process's part raises, the children
     are killed.
+
+    The scan commands never load numpy, and `validate` loads it only for
+    its statistics, after the scan, so a scan forks before any BLAS thread
+    exists; where a caller did load it first, a child still runs the
+    pure-Python scan only and never needs those threads, which fork does
+    not copy. stats.permutation_test forks after numpy loads: from the
+    main thread, between numpy calls, so no BLAS thread is mid-call, and
+    its kernels keep each product on one BLAS thread (_ONE_THREAD_PRODUCT).
     """
     if len(parts) > 1:
         # a child must not write out again what this process buffered
@@ -516,45 +512,3 @@ def _forked_results(first, what: str, children, payloads, statuses) -> Iterator:
             raise err
         yield result
 
-
-def scan_shards(
-    paths: Iterable,
-    scan: Callable[[list[Shard], Callable[[RecordError], None] | None], T],
-    on_error: Callable[[RecordError], None] | None,
-    max_errors: int,
-) -> list[T]:
-    """scan(group, on_error) of each group of shard_groups(paths, k), in
-    input order, k being the number of usable CPUs (1 off Linux).
-
-    This process scans the first group and a forked child each other one
-    (`fork_map`); k = 1 forks nothing. At most max_errors RecordErrors of
-    each group reach on_error, in input order, once the group is scanned:
-    the first max_errors calls are those of a one-process scan. An
-    exception that ends a group's scan is raised only once every group
-    before it succeeded: a one-process scan would have met it first.
-    """
-    # The scan commands never load numpy, and `validate` loads it only for
-    # its statistics, after the scan, so a scan forks before any BLAS thread
-    # exists; where a caller did load it first, a child still runs the
-    # pure-Python scan only and never needs those threads, which fork does
-    # not copy. stats.permutation_test forks after numpy loads: from the
-    # main thread, between numpy calls, so no BLAS thread is mid-call, and
-    # its kernels keep each product on one BLAS thread (_ONE_THREAD_PRODUCT).
-
-    def sampled(group):
-        errors: list[RecordError] = []
-
-        def sample(err):
-            if len(errors) < max_errors:
-                errors.append(err)
-
-        return scan(group, None if on_error is None else sample), errors
-
-    results = []
-    groups = shard_groups(paths, _usable_cpus())
-    for result, errors in fork_map(sampled, groups, "corpus scan"):
-        if on_error is not None:
-            for err in errors:
-                on_error(err)
-        results.append(result)
-    return results

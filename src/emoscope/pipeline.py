@@ -11,10 +11,11 @@ import json
 from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
+from . import corpus
 from .config import PipelineConfig, config_text, expand_inputs
-from .corpus import Gender, StreamCounts, scan_shards, stream_posts
+from .corpus import Gender, StreamCounts, stream_posts
 from .errors import ConfigError, RecordError, SignalError, StatError
 from .lexicon import (
     ExplicitReportMatcher,
@@ -57,8 +58,6 @@ from .stats import (
 if TYPE_CHECKING:
     import numpy as np
 
-_MAX_ERROR_SAMPLES = 20
-
 
 @dataclass
 class SignalBundle:
@@ -68,8 +67,6 @@ class SignalBundle:
     counts: StreamCounts
     score_counts: ScoreCounts | None
     matched: dict[str, int]
-    errors: list[str]
-    signal_names: list[str]
 
     def stratum_signal(self, name: str, stratum: str) -> DailySignal:
         """One signal in one stratum; score signals only exist as 'all',
@@ -100,7 +97,6 @@ def scan_corpus(
     matcher: MultiLexiconMatcher | None,
     report_matcher: ExplicitReportMatcher | None = None,
     pronouns: bool = False,
-    on_error: Callable[[RecordError], None] | None = None,
     scores: bool = False,
 ) -> tuple[StreamCounts, dict[tuple[date, int, int], int], tuple[str, ...], int, tuple | None]:
     """The one pass over the filtered corpus: kept posts per (day, gender
@@ -119,11 +115,11 @@ def scan_corpus(
     None. Errors come in the order one process meets them: a corpus data
     error, no kept post, a missing score file, a score data error.
 
-    The inputs are scanned by corpus.scan_shards, in up to one process per
-    usable CPU. Counts and tables are summed in input order, so the result
-    equals a one-process scan's, key order included. At most
-    _MAX_ERROR_SAMPLES malformed records of each shard group reach
-    on_error: the first _MAX_ERROR_SAMPLES calls are a one-process scan's.
+    The inputs are cut into corpus.shard_groups, one per usable CPU at
+    most, and each group is scanned in a process of its own
+    (corpus.fork_map). Counts, their error samples and tables are summed
+    in input order, so the result equals a one-process scan's, key order
+    included.
     """
     signals = () if matcher is None else tuple(matcher.names)
     report_bits = (
@@ -137,14 +133,14 @@ def scan_corpus(
     found = scores and cfg.score_path is not None and Path(cfg.score_path).is_file()
     if found:
         inputs.append(ScoreShard(cfg.score_path))
-    shift = timedelta(minutes=cfg.tz_offset_minutes)  # as Post.day, without a call per post
+    shift = timedelta(minutes=cfg.tz_offset_minutes)  # built once, not per post
     male, female = Gender.MALE, Gender.FEMALE
 
-    def scan(group, on_error):
+    def scan(group):
         counts = StreamCounts()
         table: dict[tuple[date, int, int], int] = {}
         shard = group[-1] if group and isinstance(group[-1], ScoreShard) else None
-        posts = stream_posts(group[:-1] if shard else group, cfg.filter, counts, on_error)
+        posts = stream_posts(group[:-1] if shard else group, cfg.filter, counts)
         for _, timestamp, text, gender, _, _ in posts:
             tokens = tokenize(text)
             mask = 0 if matcher is None else matcher.match_mask(tokens)
@@ -161,13 +157,14 @@ def scan_corpus(
             return counts, table, None
         score_counts = ScoreCounts()
         try:  # raised by the caller, after the checks that come first
-            means = daily_mean_scores(stream_scores(shard, score_counts, on_error),
+            means = daily_mean_scores(stream_scores(shard, score_counts),
                                       cfg.score_emotions, score_counts)
         except (RecordError, OSError) as err:
             return counts, table, err
         return counts, table, (score_counts, means)
 
-    results = scan_shards(inputs, scan, on_error, _MAX_ERROR_SAMPLES)
+    groups = corpus.shard_groups(inputs, corpus._usable_cpus())
+    results = list(corpus.fork_map(scan, groups, "corpus scan"))
     (counts, table, _), *rest = results
     for part_counts, part_table, _ in rest:
         counts.add(part_counts)
@@ -191,18 +188,10 @@ def build_signals(cfg: PipelineConfig) -> SignalBundle:
     report_matcher = (
         ExplicitReportMatcher(cfg.templates, cfg.report_emotions) if cfg.report_emotions else None
     )
-    signal_names = cfg.signal_names()
-    if not signal_names:
+    if not cfg.signal_names():
         raise ConfigError("no signals configured (lexicons, reports, or scores)")
-
-    errors: list[str] = []
-
-    def on_error(err):
-        if len(errors) < _MAX_ERROR_SAMPLES:
-            errors.append(str(err))
-
     counts, table, names, _, scores = scan_corpus(
-        cfg, matcher, report_matcher, False, on_error, bool(cfg.score_emotions)
+        cfg, matcher, report_matcher, scores=bool(cfg.score_emotions)
     )
     # per day: posts per gender index, then the same three per signal bit
     agg: dict[date, list[int]] = {}
@@ -238,8 +227,6 @@ def build_signals(cfg: PipelineConfig) -> SignalBundle:
         counts=counts,
         score_counts=score_counts,
         matched=matched,
-        errors=errors,
-        signal_names=signal_names,
     )
 
 
@@ -542,7 +529,7 @@ def write_signal_outputs(cfg: PipelineConfig, bundle: SignalBundle, out_dir: Pat
     anchors: tuple[date, ...] = ()
     if cfg.survey_path is not None:
         anchors = survey_anchor_union(load_survey_map(cfg).values())
-    for name in bundle.signal_names:
+    for name in cfg.signal_names():
         for stratum in strata_for(cfg, name):
             daily = bundle.stratum_signal(name, stratum)
             daily_name = f"daily_{name}_{stratum}.csv"
@@ -559,10 +546,16 @@ def write_signal_outputs(cfg: PipelineConfig, bundle: SignalBundle, out_dir: Pat
 
 
 def write_manifest(cfg: PipelineConfig, bundle: SignalBundle, written: list[str], path) -> None:
+    """manifest.json: the counts, matches and output files of a `signal`
+    run, its effective config, and as error_samples the first malformed
+    records, the corpus's before the score file's."""
+    errors = bundle.counts.errors
+    if bundle.score_counts is not None:
+        errors = errors + bundle.score_counts.errors
     manifest = {
         "counts": bundle.counts.as_dict(),
         "matched": dict(sorted(bundle.matched.items())),
-        "error_samples": bundle.errors,
+        "error_samples": [str(err) for err in errors[: corpus._MAX_ERROR_SAMPLES]],
         "files": sorted(written),
         "config": config_text(cfg),
     }

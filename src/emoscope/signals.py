@@ -9,7 +9,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import Shard, StreamCounts, load_json_object, ndjson_lines, read_text
 from .errors import RecordError, SignalError, SurveyError
@@ -105,11 +105,6 @@ def score_fields(line: str, line_no: int | None = None, source: str | None = Non
     return str(rid), day, scores
 
 
-def parse_score_record(line: str, line_no: int | None = None, source: str | None = None) -> ScoreRecord:
-    """Parse one NDJSON record into a ScoreRecord (see score_fields)."""
-    return ScoreRecord._make(score_fields(line, line_no, source))
-
-
 @dataclass
 class ScoreCounts(StreamCounts):
     """Score-file bookkeeping: lines as for posts, plus the score values
@@ -122,58 +117,59 @@ class ScoreCounts(StreamCounts):
 
 
 class ScoreShard(Shard):
-    """A whole score file as one shard of a corpus.scan_shards scan, told
-    apart from the corpus's shards by its class."""
+    """A whole score file as one shard of the corpus scan
+    (pipeline.scan_corpus), told apart from the corpus's shards by its
+    class."""
 
 
-def stream_scores(
-    path,
-    counts: StreamCounts | None = None,
-    on_error: Callable[[RecordError], None] | None = None,
-) -> Iterator[ScoreRecord]:
+def stream_scores(path, counts: StreamCounts | None = None) -> Iterator[ScoreRecord]:
     """Yield score records from one NDJSON file, or a Shard of one;
     malformed lines are counted and skipped, like stream_posts."""
     if counts is None:
         counts = StreamCounts()
     new = tuple.__new__
-    for line, line_no, source in ndjson_lines((path,), counts, on_error):
+    for line, line_no, source in ndjson_lines((path,), counts):
         try:
             fields = score_fields(line, line_no, source)
         except RecordError as err:
-            counts.malformed += 1
-            if on_error is not None:
-                on_error(err)
+            counts.reject(err)
             continue
         counts.kept += 1
         yield new(ScoreRecord, fields)
 
 
-def daily_mean_scores(
-    records: Iterable[ScoreRecord],
-    emotions: Sequence[str],
-    counts: ScoreCounts | None = None,
-) -> dict[str, DailySignal]:
-    """Per-day mean score of every emotion in one pass, keyed by emotion
-    and named score_<emotion>.
-
-    A record without an emotion is ignored for it; a value outside [0, 1]
-    is skipped and counted in counts.rejected_values, its line stays parsed.
-    """
-    acc: dict[str, dict[date, list[float]]] = {e: {} for e in emotions}
-    for _, day, scores in records:
-        for emotion, per_day in acc.items():
+def score_values(
+    records: Iterable[ScoreRecord], emotions: Sequence[str], counts: ScoreCounts
+) -> Iterator[tuple[str, date, str, float]]:
+    """(id, day, emotion, value) of every score of the emotions, in
+    record order and then in the order of `emotions`. A record without an
+    emotion has no value for it; a value outside [0, 1] is skipped and
+    counted in counts.rejected_values, its line stays parsed."""
+    for rid, day, scores in records:
+        for emotion in emotions:
             value = scores.get(emotion)
             if value is None:
                 continue
             if not 0.0 <= value <= 1.0:
-                if counts is not None:
-                    counts.rejected_values += 1
+                counts.rejected_values += 1
                 continue
-            row = per_day.get(day)
-            if row is None:
-                row = per_day[day] = [0.0, 0.0]
-            row[0] += value
-            row[1] += 1.0
+            yield rid, day, emotion, value
+
+
+def daily_mean_scores(
+    records: Iterable[ScoreRecord], emotions: Sequence[str], counts: ScoreCounts
+) -> dict[str, DailySignal]:
+    """Per-day mean score of every emotion in one pass over
+    score_values, keyed by emotion and named score_<emotion>."""
+    acc: dict[str, dict[date, list[float]]] = {e: {} for e in emotions}
+    # tuple(acc): an emotion named twice is still counted once
+    for _, day, emotion, value in score_values(records, tuple(acc), counts):
+        per_day = acc[emotion]
+        row = per_day.get(day)
+        if row is None:
+            row = per_day[day] = [0.0, 0.0]
+        row[0] += value
+        row[1] += 1.0
     return {e: DailySignal.from_counts(f"score_{e}", per_day) for e, per_day in acc.items()}
 
 

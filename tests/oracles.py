@@ -11,10 +11,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from emoscope.corpus import FilterConfig, Post
+from emoscope.corpus import FilterConfig, Post, post_fields
 from emoscope.errors import LexiconError, RecordError, SignalError
 from emoscope.lexicon import Lexicon, ReportTemplateSet, contains_third_person, tokenize
-from emoscope.signals import GENDER_STRATA, DailySignal
+from emoscope.signals import GENDER_STRATA, DailySignal, ScoreRecord, score_fields
 from emoscope.stats import dcca, pearson
 
 
@@ -31,6 +31,21 @@ def load_json_object(line: str, line_no=None, source=None) -> dict:
     if not isinstance(rec, dict):
         raise RecordError("record is not a JSON object", line_no, source)
     return rec
+
+
+def parse_post_record(line: str, line_no=None, source=None) -> Post:
+    """One NDJSON record as a Post (see corpus.post_fields)."""
+    return Post._make(post_fields(line, line_no, source))
+
+
+def parse_score_record(line: str, line_no=None, source=None) -> ScoreRecord:
+    """One NDJSON record as a ScoreRecord (see signals.score_fields)."""
+    return ScoreRecord._make(score_fields(line, line_no, source))
+
+
+def post_day(post: Post, tz_offset_minutes: int = 0) -> date:
+    """A post's calendar day; a fixed minute offset shifts the day boundary."""
+    return (post.timestamp + timedelta(minutes=tz_offset_minutes)).date()
 
 
 def post_record(post: Post) -> dict:
@@ -149,7 +164,7 @@ def daily_fraction(
     for post in posts:
         if gender != "all" and post.author_gender.value != gender:
             continue
-        row = acc.setdefault(post.day(tz_offset_minutes), [0, 0])
+        row = acc.setdefault(post_day(post, tz_offset_minutes), [0, 0])
         row[1] += 1
         if predicate(post):
             row[0] += 1

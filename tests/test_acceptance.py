@@ -240,7 +240,7 @@ def test_criterion_06_planted_signal_recovery(capsys, tmp_path_factory):
         acc: dict = {}
         for post in stream_posts([big["path"]]):
             hit = matcher.match_mask(tokenize(post.text)) & 1
-            row = acc.setdefault(post.day(), [0, 0, 0, 0, 0, 0])
+            row = acc.setdefault(post.timestamp.date(), [0, 0, 0, 0, 0, 0])
             g = post.author_gender.value
             if g == "male":
                 row[1] += 1
@@ -369,7 +369,7 @@ def test_criterion_10_throughput(capsys, tmp_path_factory):
             t0 = time.perf_counter()
             for post in chunk:
                 hit = matcher.match_mask(tokenize(post.text)) & sad_bit
-                row = counts.setdefault(post.day(), [0, 0])
+                row = counts.setdefault(post.timestamp.date(), [0, 0])
                 row[1] += 1
                 if hit:
                     row[0] += 1

@@ -1,5 +1,6 @@
 """The public names exported by the package."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -37,6 +38,9 @@ TEST_ONLY = {
     "post_record",
     "serialize_post",
     "filter_post",
+    "post_day",
+    "parse_post_record",
+    "parse_score_record",
 }
 
 
@@ -53,6 +57,28 @@ def test_test_only_code_is_not_exported():
     for module in ("corpus", "lexicon", "signals", "stats", "special", "pipeline"):
         leaked = TEST_ONLY & set(vars(importlib.import_module(f"emoscope.{module}")))
         assert leaked == set(), module
+
+
+def test_every_definition_is_used_by_the_package_or_exported():
+    """Each module-level function and class of the package is referenced by
+    package code outside its own definition, or is public API: reference
+    code that only tests use lives in tests/oracles.py."""
+    defined, used = set(), set()
+    for path in Path(emoscope.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(stmt.name)
+                names.discard(stmt.name)  # a recursive call is no use
+            used |= names
+    assert defined - used - set(emoscope.__all__) == set()
 
 
 def test_exports_are_the_documented_api():

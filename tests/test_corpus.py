@@ -4,6 +4,7 @@ import gzip
 import json
 import os
 import pickle
+import sys
 import tempfile
 import time
 from datetime import date, datetime, timezone
@@ -25,11 +26,11 @@ from emoscope.corpus import (
     damaged_stream,
     load_json_object,
     ndjson_lines,
-    parse_post_record,
     stream_posts,
 )
 from emoscope.errors import ConfigError, RecordError
-from emoscope.signals import ScoreRecord, parse_score_record, stream_scores
+from emoscope.signals import ScoreRecord, stream_scores
+from oracles import parse_post_record, parse_score_record
 
 VALID = json.dumps(
     {
@@ -59,13 +60,13 @@ class TestParsePostRecord:
 
     def test_day(self):
         post = parse_post_record(VALID)
-        assert post.day() == date(2020, 3, 1)
+        assert oracles.post_day(post) == date(2020, 3, 1)
 
     def test_day_timezone_offset(self):
         rec = json.loads(VALID)
         rec["created_at"] = "2020-03-01T01:30:00Z"
         post = parse_post_record(json.dumps(rec))
-        assert post.day(tz_offset_minutes=-120) == date(2020, 2, 29)
+        assert oracles.post_day(post, tz_offset_minutes=-120) == date(2020, 2, 29)
 
     def test_offset_timestamp_normalized_to_utc(self):
         rec = json.loads(VALID)
@@ -300,7 +301,7 @@ class TestPost:
         "offset, day", [(0, date(2021, 5, 4)), (-183, date(2021, 5, 3)), (1440, date(2021, 5, 5))]
     )
     def test_day(self, offset, day):
-        assert self.POST.day(offset) == day
+        assert oracles.post_day(self.POST, offset) == day
 
 
 
@@ -375,14 +376,15 @@ class TestStreamPosts:
         ids = [p.id for p in stream_posts([a, b], FilterConfig(), StreamCounts())]
         assert ids == ["1", "2"]
 
-    def test_on_error_callback(self, tmp_path):
+    def test_malformed_line_keeps_its_error(self, tmp_path):
         path = tmp_path / "posts.ndjson"
         _write_ndjson(path, ["broken", VALID])
-        seen = []
-        list(stream_posts([path], FilterConfig(), StreamCounts(), on_error=seen.append))
-        assert len(seen) == 1
-        assert isinstance(seen[0], RecordError)
-        assert ":1" in str(seen[0])
+        counts = StreamCounts()
+        list(stream_posts([path], FilterConfig(), counts))
+        assert counts.malformed == 1
+        (err,) = counts.errors
+        assert isinstance(err, RecordError)
+        assert (err.line_no, err.source) == (1, str(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -397,6 +399,37 @@ class TestStreamPosts:
             "filtered": 1,
             "kept": 3,
         }
+
+
+class TestErrorSamples:
+    @staticmethod
+    def _rejected(lines):
+        counts = StreamCounts()
+        for line_no in lines:
+            counts.records += 1
+            counts.reject(RecordError("bad", line_no, "in.ndjson"))
+        return counts
+
+    def test_reject_keeps_the_first_errors(self):
+        counts = self._rejected(range(1, 31))
+        assert counts.malformed == 30
+        assert [err.line_no for err in counts.errors] == list(range(1, 21))
+
+    @pytest.mark.parametrize("cuts", [(), (5,), (5, 12), (0, 19, 20, 21), (25,), (3, 3, 40)])
+    def test_passes_added_in_order_keep_the_first_errors(self, cuts):
+        edges = [1, *(1 + cut for cut in cuts), 45]
+        whole = self._rejected(range(1, 45))
+        merged = self._rejected(range(edges[0], edges[1]))
+        for lo, hi in zip(edges[1:], edges[2:]):
+            merged.add(self._rejected(range(lo, hi)))
+        assert merged == whole  # counts; the errors take no part in ==
+        assert [e.line_no for e in merged.errors] == [e.line_no for e in whole.errors]
+
+    def test_errors_stay_out_of_equality_repr_and_as_dict(self):
+        counts = self._rejected([1])
+        assert counts == StreamCounts(records=1, malformed=1)
+        assert "errors" not in repr(counts)
+        assert counts.as_dict() == StreamCounts(records=1, malformed=1).as_dict()
 
 
 class TestRecordErrorPickle:
@@ -423,16 +456,15 @@ def _read_all(paths):
     starts with "{", with every error met in order: ndjson_lines's own
     (bad UTF-8) and "not an object" for each other line."""
     counts = StreamCounts()
-    errors = []
     records = []
-    for line, line_no, source in ndjson_lines(paths, counts, errors.append):
-        if not line.startswith("{"):
-            counts.malformed += 1
-            errors.append(RecordError("not an object", line_no, source))
-            continue
-        counts.kept += 1
-        records.append((line_no, source, line))
-    return records, [str(e) for e in errors], counts.as_dict()
+    with mock.patch.object(corpus, "_MAX_ERROR_SAMPLES", sys.maxsize):
+        for line, line_no, source in ndjson_lines(paths, counts):
+            if not line.startswith("{"):
+                counts.reject(RecordError("not an object", line_no, source))
+                continue
+            counts.kept += 1
+            records.append((line_no, source, line))
+    return records, [str(e) for e in counts.errors], counts.as_dict()
 
 
 SHARD_LINE = st.one_of(
@@ -614,10 +646,12 @@ class TestStreamsAgainstLineParsers:
     def test_stream_posts(self, file, cfg):
         with tempfile.TemporaryDirectory() as tmp:
             path = self._write(tmp, *file)
-            counts, errors = StreamCounts(), []
-            posts = list(stream_posts([path], cfg, counts, lambda err: errors.append(str(err))))
+            counts = StreamCounts()
+            with mock.patch.object(corpus, "_MAX_ERROR_SAMPLES", sys.maxsize):
+                posts = list(stream_posts([path], cfg, counts))
         assert all(type(post) is Post for post in posts)
         keep = (lambda post: True) if cfg is None else (lambda post: oracles.filter_post(post, cfg))
+        errors = [str(err) for err in counts.errors]
         assert (repr(posts), errors, counts) == _per_line(
             file[0], parse_post_record, keep, str(path))
 
@@ -626,19 +660,13 @@ class TestStreamsAgainstLineParsers:
     def test_stream_scores(self, file):
         with tempfile.TemporaryDirectory() as tmp:
             path = self._write(tmp, *file)
-            counts, errors = StreamCounts(), []
-            records = list(stream_scores(path, counts, lambda err: errors.append(str(err))))
+            counts = StreamCounts()
+            with mock.patch.object(corpus, "_MAX_ERROR_SAMPLES", sys.maxsize):
+                records = list(stream_scores(path, counts))
         assert all(type(rec) is ScoreRecord for rec in records)
+        errors = [str(err) for err in counts.errors]
         assert (repr(records), errors, counts) == _per_line(
             file[0], parse_score_record, lambda rec: True, str(path))
-
-
-def _scan_names(group, on_error):
-    """A scan for scan_shards: the shard files, and three errors per group."""
-    if on_error is not None:
-        for line_no in (1, 2, 3):
-            on_error(RecordError("seen", line_no, os.fspath(group[0])))
-    return [os.path.basename(shard) for shard in group]
 
 
 def _no_children_left():
@@ -647,7 +675,7 @@ def _no_children_left():
 
 
 class TestForkMap:
-    """The fork helper under scan_shards and permutation_test."""
+    """The fork helper under the corpus scan and permutation_test."""
 
     def test_results_in_part_order(self):
         parent = os.getpid()
@@ -684,76 +712,16 @@ class TestForkMap:
             list(corpus.fork_map(work, [0, 1], "checksum"))
         _no_children_left()
 
-
-class TestScanShards:
-    @pytest.fixture
-    def inputs(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(corpus, "_MIN_SHARD_BYTES", 1)
-        monkeypatch.setattr(corpus, "_usable_cpus", lambda: 3)
-        paths = []
-        for name in "abc":
-            path = tmp_path / f"{name}.ndjson.gz"
-            path.write_bytes(gzip.compress(b"{}\n" * 100, mtime=0))
-            paths.append(path)
-        return paths
-
-    def test_results_and_errors_in_input_order(self, inputs):
-        errors = []
-        results = corpus.scan_shards(inputs, _scan_names, errors.append, 2)
-        assert results == [["a.ndjson.gz"], ["b.ndjson.gz"], ["c.ndjson.gz"]]
-        # at most 2 of each group's, this process's own included
-        a, b, c = map(str, inputs)
-        assert [(e.source, e.line_no) for e in errors] == [
-            (a, 1), (a, 2), (b, 1), (b, 2), (c, 1), (c, 2)
-        ]
-        _no_children_left()
-
-    def test_one_group_forks_nothing(self, inputs, monkeypatch):
-        monkeypatch.setattr(corpus, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(os, "fork", None)
-        results = corpus.scan_shards(inputs, _scan_names, None, 20)
-        assert results == [["a.ndjson.gz", "b.ndjson.gz", "c.ndjson.gz"]]
-        errors = []
-        results = corpus.scan_shards(inputs, _scan_names, errors.append, 2)
-        assert results == [["a.ndjson.gz", "b.ndjson.gz", "c.ndjson.gz"]]
-        # the first 2 of the one group's, as the first 2 of a sharded scan
-        assert [(e.source, e.line_no) for e in errors] == [(str(inputs[0]), 1), (str(inputs[0]), 2)]
-
-    def test_first_failing_group_raises(self, inputs):
-        def scan(group, on_error):
-            if os.path.basename(group[0]) != "a.ndjson.gz":
-                raise RecordError("broken", 9, os.fspath(group[0]))
-            return _scan_names(group, on_error)
-
-        errors = []
-        with pytest.raises(RecordError) as info:
-            corpus.scan_shards(inputs, scan, errors.append, 20)
-        assert (info.value.line_no, info.value.source) == (9, str(inputs[1]))
-        assert [e.source for e in errors] == [str(inputs[0])] * 3
-        _no_children_left()
-
-    def test_own_group_failing_kills_the_others(self, inputs):
+    def test_own_part_failing_kills_the_others(self):
         parent = os.getpid()
 
-        def scan(group, on_error):
+        def work(part):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             time.sleep(60)
 
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            corpus.scan_shards(inputs, scan, None, 20)
+            list(corpus.fork_map(work, [0, 1, 2], "test"))
         assert time.monotonic() - started < 30
-        _no_children_left()
-
-    def test_child_ending_without_a_result(self, inputs):
-        parent = os.getpid()
-
-        def scan(group, on_error):
-            if os.getpid() != parent:
-                os._exit(3)
-            return []
-
-        with pytest.raises(ChildProcessError, match="exit status 3"):
-            corpus.scan_shards(inputs, scan, None, 20)
         _no_children_left()

@@ -9,6 +9,7 @@ import io
 import json
 import re
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -117,16 +118,16 @@ def _records(data: bytes) -> int:
 )
 def test_any_bytes_end_as_malformed_lines_or_a_located_record_error(lines, gz, damage, reader):
     data = b"".join(line + b"\n" for line in lines)
-    errors: list[RecordError] = []
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(corpus, "_MAX_ERROR_SAMPLES", sys.maxsize):
         path = Path(tmp) / ("input.ndjson.gz" if gz else "input.ndjson")
         path.write_bytes(_damage(gzip.compress(data, mtime=0), damage) if gz else data)
         if reader == "posts":
             counts = StreamCounts()
-            stream = stream_posts([path], FilterConfig(), counts, errors.append)
+            stream = stream_posts([path], FilterConfig(), counts)
         else:
             counts = ScoreCounts()
-            stream = stream_scores(path, counts, errors.append)
+            stream = stream_scores(path, counts)
         try:
             out = list(stream)
         except RecordError as err:
@@ -140,10 +141,10 @@ def test_any_bytes_end_as_malformed_lines_or_a_located_record_error(lines, gz, d
     assert counts.records == counts.parsed + counts.malformed
     assert counts.parsed == counts.kept + counts.dropped
     assert counts.kept == len(out)
-    assert counts.malformed == len(errors)
+    assert counts.malformed == len(counts.errors)
     if reader == "scores":
         assert counts.dropped == 0
-    for err in errors:
+    for err in counts.errors:
         assert str(err).startswith(f"{path}:{err.line_no}: ")
     if not gz or damage is None:
         assert counts.records == _records(data)
@@ -319,6 +320,23 @@ class TestShardedSignal:
         samples = manifest["error_samples"]
         assert len(samples) == 20
         assert [s.split(":")[1] for s in samples] == [str(1 + 3 * i) for i in range(20)]
+
+    def test_error_samples_list_the_corpus_before_the_score_file(self, lexicon_workspace,
+                                                                   tmp_path):
+        lines = [_post_line(i) + b"\n" if i % 6 else b"{broken %d\n" % i for i in range(60)]
+        (tmp_path / "corpus-0.ndjson").write_bytes(b"".join(lines))
+        scores = tmp_path / "scores.ndjson"
+        scores.write_bytes(b"{broken\n" * 30 + _scores(range(10)))
+        ini = _signal_ini(lexicon_workspace, tmp_path, scores)
+        assert _groups(ini) == 3
+        code, _, _, files = _assert_same_runs(ini, tmp_path)
+        assert code == 0
+        manifest = json.loads(files["manifest.json"])
+        assert (manifest["counts"]["malformed"], manifest["score_counts"]["malformed"]) == (10, 30)
+        # the first 20 of all: the corpus's 10, then the score file's first 10
+        assert [tuple(s.split(":")[:2]) for s in manifest["error_samples"]] == [
+            (str(tmp_path / "corpus-0.ndjson"), str(1 + 6 * i)) for i in range(10)
+        ] + [(str(scores), str(n)) for n in range(1, 11)]
 
 
 # The score file rides the same scan as one uncut shard after the corpus:

@@ -224,6 +224,33 @@ def test_scan_calls_every_traced_name(cfg, monkeypatch):
     }
 
 
+def test_sharded_scan_keeps_a_one_process_scans_first_errors(cfg, tmp_path, monkeypatch):
+    """Three shard groups over 30 malformed corpus lines and a score file of
+    25 malformed lines: the counts keep the first 20 errors of each, the
+    errors a one-process scan keeps."""
+    post = ('{"id": "%d", "created_at": "2020-06-01T12:00:00Z", "text": "so sad", '
+            '"author_followers": 500}\n')
+    (tmp_path / "corpus.ndjson").write_text(
+        "".join(post % i if i % 3 else "{broken %d\n" % i for i in range(90)), encoding="utf-8")
+    (tmp_path / "scores.ndjson").write_text("{broken\n" * 25, encoding="utf-8")
+    cfg = dataclasses.replace(cfg, inputs=(str(tmp_path / "corpus.ndjson"),),
+                              score_path=str(tmp_path / "scores.ndjson"))
+    monkeypatch.setattr(corpus, "_MIN_SHARD_BYTES", 1)
+    assert len(corpus.shard_groups([*expand_inputs(cfg), cfg.score_path], 3)) == 3
+    runs = []
+    for cpus in (3, 1):
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: cpus)
+        counts, table, _, _, (score_counts, _) = pipeline.scan_corpus(
+            cfg, None, pronouns=True, scores=True)
+        runs.append((counts, table, [str(e) for e in counts.errors],
+                     score_counts, [str(e) for e in score_counts.errors]))
+    assert runs[0] == runs[1]
+    counts, _, errors, score_counts, score_errors = runs[0]
+    assert (counts.malformed, score_counts.malformed) == (30, 25)
+    assert [int(e.split(":")[1]) for e in errors] == [1 + 3 * i for i in range(20)]
+    assert [int(e.split(":")[1]) for e in score_errors] == list(range(1, 21))
+
+
 def test_tables_share_one_layout():
     assert format_report_table([]) == (
         "pair  n1  r1 [95% CI]  n2  r2 [95% CI]  perm p  DCCA rho  beta  KPSS\n"

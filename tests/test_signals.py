@@ -158,7 +158,7 @@ class TestScores:
                 {"id": "c", "date": "2020-03-03", "scores": {"sad": 0.7}},
             ],
         )
-        sig = daily_mean_scores(stream_scores(p), ["sad"])["sad"]
+        sig = daily_mean_scores(stream_scores(p), ["sad"], ScoreCounts())["sad"]
         assert sig.name == "score_sad"
         assert sig.values[date(2020, 3, 2)] == pytest.approx(0.3)
         assert sig.values[date(2020, 3, 3)] == pytest.approx(0.7)
@@ -215,6 +215,15 @@ class TestScores:
         assert signals["joy"].counts == {}
         assert signals["fear"].counts == {date(2020, 3, 3): (0.3, 1.0)}
 
+    def test_emotion_named_twice_counts_once(self, tmp_path):
+        p = self._score_file(
+            tmp_path, [{"id": "a", "date": "2020-03-02", "scores": {"sad": 0.5, "joy": 1.5}}]
+        )
+        counts = ScoreCounts()
+        signals = daily_mean_scores(stream_scores(p, counts), ["sad", "joy", "sad", "joy"], counts)
+        assert counts.rejected_values == 1
+        assert signals["sad"].counts == {date(2020, 3, 2): (0.5, 1.0)}
+
     def test_missing_emotion_ignored(self, tmp_path):
         p = self._score_file(
             tmp_path,
@@ -223,7 +232,7 @@ class TestScores:
                 {"id": "b", "date": "2020-03-03", "scores": {"sad": 0.4}},
             ],
         )
-        sig = daily_mean_scores(stream_scores(p), ["sad"])["sad"]
+        sig = daily_mean_scores(stream_scores(p), ["sad"], ScoreCounts())["sad"]
         assert date(2020, 3, 2) not in sig.values
         assert sig.values[date(2020, 3, 3)] == pytest.approx(0.4)
 

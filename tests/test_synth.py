@@ -98,7 +98,7 @@ class TestCorpusShape:
         assert counts.records == SMALL.days * SMALL.posts_per_day
         assert counts.malformed == 0
         assert counts.kept == counts.records  # no decoys configured
-        days = {p.day() for p in posts}
+        days = {p.timestamp.date() for p in posts}
         assert len(days) == SMALL.days
         assert min(days) == SMALL.start
 
