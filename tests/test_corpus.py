@@ -16,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from emoscope import corpus
+from emoscope import corpus, pipeline
+from emoscope.config import PipelineConfig
 from emoscope.corpus import (
     FilterConfig,
     Gender,
@@ -724,4 +725,61 @@ class TestForkMap:
         with pytest.raises(KeyboardInterrupt):
             list(corpus.fork_map(work, [0, 1, 2], "test"))
         assert time.monotonic() - started < 30
+        _no_children_left()
+
+
+class TestScanShards:
+    """The corpus scan as pipeline.scan_corpus shards it: corpus.fork_map
+    over corpus.shard_groups, one group per usable CPU."""
+
+    POST = ('{"id": "%d", "created_at": "2020-06-01T12:00:00Z", "text": "so sad", '
+            '"author_followers": 500}\n')
+
+    @pytest.fixture
+    def cfg(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus, "_MIN_SHARD_BYTES", 1)
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: 3)
+        paths = []
+        for name in "abc":
+            path = tmp_path / f"{name}.ndjson.gz"
+            lines = "".join(self.POST % i if i % 3 else "{}\n" for i in range(90))
+            path.write_bytes(gzip.compress(lines.encode(), mtime=0))
+            paths.append(str(path))
+        assert len(corpus.shard_groups(paths, 3)) == 3
+        return PipelineConfig(inputs=tuple(paths))
+
+    def test_one_group_forks_nothing(self, cfg, monkeypatch):
+        counts, table, _, _, _ = pipeline.scan_corpus(cfg, None, pronouns=True)
+        _no_children_left()
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", None)
+        one_counts, one_table, _, _, _ = pipeline.scan_corpus(cfg, None, pronouns=True)
+        assert (one_counts, one_table) == (counts, table)
+        assert (counts.malformed, counts.kept) == (90, 180)
+        # the first 20 of the one group's, as the first 20 of a sharded scan
+        first = [(cfg.inputs[0], 1 + 3 * i) for i in range(20)]
+        assert [(e.source, e.line_no) for e in one_counts.errors] == first
+        assert [(e.source, e.line_no) for e in counts.errors] == first
+
+    def test_first_failing_group_raises(self, cfg):
+        for path in cfg.inputs[1:]:
+            Path(path).write_bytes(b"not gzip\n")
+        with pytest.raises(RecordError) as info:
+            pipeline.scan_corpus(cfg, None, pronouns=True)
+        assert (info.value.line_no, info.value.source) == (1, cfg.inputs[1])
+        assert "corrupt or truncated gzip stream" in str(info.value)
+        _no_children_left()
+
+    def test_child_ending_without_a_result(self, cfg, monkeypatch):
+        parent = os.getpid()
+        stream = pipeline.stream_posts
+
+        def stream_posts(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return stream(*args)
+
+        monkeypatch.setattr(pipeline, "stream_posts", stream_posts)
+        with pytest.raises(ChildProcessError, match=r"^corpus scan process \d+ .*exit status 3"):
+            pipeline.scan_corpus(cfg, None, pronouns=True)
         _no_children_left()
