@@ -238,7 +238,7 @@ def _csv_records(path, required: set[str]):
             raise ConfigError(f"{path}: header must contain {sorted(required)}")
         for line_no, row in numbered_rows(reader):
             yield line_no, dict(zip(header, row + [None] * (len(header) - len(row))))
-    except csv.Error as err:  # a NUL byte before Python 3.11, or a field past csv's limit
+    except csv.Error as err:  # a field past csv's size limit
         raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
 
 

@@ -78,7 +78,7 @@ def _parse_timestamp(raw, line_no, source) -> datetime:
         if ts.tzinfo is timezone.utc and not ts.microsecond and _EARLIEST <= ts < _LATEST:
             return ts
     s = raw.strip()
-    # Python 3.10 fromisoformat rejects the Z suffix.
+    # fromisoformat reads a Z suffix but not a lowercase z (3.11 to 3.13).
     if s.endswith(("Z", "z")):
         s = s[:-1] + "+00:00"
     try:

@@ -45,7 +45,6 @@ from .signals import (
 from .stats import (
     correlate,
     dcca,
-    dcca_statistic,
     kpss,
     lagged_regression_hac,
     percent_difference,
@@ -298,18 +297,18 @@ class ValidationRow:
 
 def validate_pair(
     survey: SurveySeries, weekly: WeeklySeries, stratum: str, cfg: PipelineConfig
-) -> tuple[ValidationRow, np.ndarray, np.ndarray, list[str]]:
+) -> tuple[ValidationRow, tuple[np.ndarray, np.ndarray, int | None] | None]:
     """Full battery on one (survey emotion, signal, stratum) combination,
     `weekly` aligned to the survey's anchors, but for running its
     permutation tests. Every statistic uses the pairwise-complete weeks:
     the correlations those before cfg.split_date (historical) or from it on
     (prediction), the other statistics all of them. A statistic failing its
-    precondition is skipped with a recorded reason. Returns the row, the
-    paired (signal, survey) arrays and the permutation p-value fields whose
-    test is defined; `run_validation` runs the tests of all rows at once.
+    precondition is skipped with a recorded reason. Returns the row and,
+    where its permutation test is defined, the test: the paired (signal,
+    survey) arrays and the DCCA window, None where DCCA is undefined;
+    `run_validation` runs the tests of all rows at once.
     """
     row = ValidationRow(survey_emotion=survey.emotion, signal=weekly.name, stratum=stratum)
-    fields: list[str] = []
 
     def guard(label, fn):
         try:
@@ -341,15 +340,16 @@ def validate_pair(
                                          (res.r, res.ci_low, res.ci_high, res.p)):
                     setattr(row, f"r{k}{suffix}", value)
 
-    def permutation(label, field):
-        if guard(label, lambda: permutation_pair(x, y)) is not None:
-            fields.append(field)
+    def permutation(label):
+        return guard(label, lambda: permutation_pair(x, y)) is not None
 
-    permutation("permutation", "perm_p")
+    tested = permutation("permutation")
+    window = None
     dcca_result = guard("dcca", lambda: dcca(x, y, window=cfg.dcca_window))
     if dcca_result is not None:
         row.dcca_rho = dcca_result.rho
-        permutation("dcca permutation", "dcca_p")
+        if permutation("dcca permutation"):
+            window = cfg.dcca_window
     fit = guard("regression", lambda: lagged_regression_hac(y, x))
     if fit is not None:
         row.beta = fit.beta
@@ -358,7 +358,7 @@ def validate_pair(
         if kp is not None:
             row.kpss_stat = kp.statistic
             row.kpss_band = kp.verdict_band
-    return row, x, y, fields
+    return row, (x, y, window) if tested else None
 
 
 def _weekly_pairs(cfg: PipelineConfig, bundle: SignalBundle, surveys, extra_stratified=False):
@@ -397,21 +397,16 @@ def run_validation(
         bundle = build_signals(cfg)
     pairs = list(_weekly_pairs(cfg, bundle, surveys, extra_stratified))
     results = [validate_pair(survey, weekly, stratum, cfg) for survey, stratum, weekly in pairs]
-    tested = [result for result in results if result[3]]
+    tested = [(row, test) for row, test in results if test is not None]
     if tested:
-        statistics = {"perm_p": None, "dcca_p": dcca_statistic(cfg.dcca_window)}
-        tested_rows, xs, ys, row_fields = zip(*tested)
-        p_values = permutation_test(
-            xs, ys, [tuple(statistics[field] for field in fields) for fields in row_fields],
-            n_perm=cfg.permutations, seed=cfg.seed,
-        )
-        for row, fields, row_p in zip(tested_rows, row_fields, p_values):
-            for field, p in zip(fields, row_p):
-                setattr(row, field, p)
+        xs, ys, windows = zip(*(test for _, test in tested))
+        p_values = permutation_test(xs, ys, windows, n_perm=cfg.permutations, seed=cfg.seed)
+        for (row, _), (perm_p, dcca_p) in zip(tested, p_values):
+            row.perm_p, row.dcca_p = perm_p, dcca_p
     if plot_data is not None:
         _write_plot_data(cfg, [(survey, stratum, weekly) for survey, stratum, weekly in pairs
                                if stratum in strata_for(cfg, weekly.name)], plot_data)
-    return [row for row, *_ in results]
+    return [row for row, _ in results]
 
 
 def _fmt(value, spec=".4g") -> str:

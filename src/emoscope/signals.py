@@ -306,7 +306,7 @@ def load_survey(path) -> list[SurveySeries]:
             elif d < rows[-1][0]:
                 raise SurveyError(f"{path}:{row_no}: dates not increasing for {emotion}")
             rows.append((d, percent))
-    except csv.Error as err:  # a NUL byte before Python 3.11, or a field past csv's limit
+    except csv.Error as err:  # a field past csv's size limit
         raise SurveyError(f"{path}:{reader.line_num}: {err}") from None
     if not per:
         raise SurveyError(f"{path}: no data rows")

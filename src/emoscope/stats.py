@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import StatError
@@ -141,9 +140,6 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.nda
     return rows
 
 
-pearson.rows = _pearson_rows
-
-
 def _index_chunks(seed: int, n: int, n_perm: int):
     """Permutation indices into x, in (k, n) chunks drawn from one stream,
     that of np.random.default_rng(seed).
@@ -219,60 +215,45 @@ def _fork_parts(tests, n_perm: int, cpus: int) -> list[list[int]]:
 
 
 def permutation_test(
-    x,
-    y,
-    statistic=None,
-    n_perm: int = 10_000,
-    seed: int | None = None,
-) -> float | tuple[float, ...] | list:
-    """Two-sided permutation p-value, shuffling the observations of x while
-    y stays fixed.
+    xs, ys, windows, n_perm: int = 10_000, seed: int | None = None
+) -> list[tuple[float, float | None]]:
+    """Two-sided permutation p-values of rows of series pairs, shuffling
+    the observations of x while y stays fixed.
 
-    `statistic` is None for the Pearson correlation or a
-    `dcca_statistic(window)`. Every statistic sees the same seeded
-    shuffles: for a given seed and n, Pearson and DCCA p-values come from
-    identical permutations. p = (1 + hits) / (n_perm + 1), the add-one
-    estimator, so p is never exactly zero. A permutation is a hit when
-    |stat| >= |obs| up to 100 machine epsilons relative to |obs|, or, for
-    Pearson, to sum |xc_i yc_i| / (|xc| |yc|), so near-equal statistics
-    (ties up to rounding) count as hits.
+    Row i tests xs[i] against ys[i] and gives (Pearson p, DCCA p at box
+    size windows[i]); the DCCA p is None where windows[i] is None. Both
+    statistics of a row see the same shuffles, drawn from
+    np.random.default_rng(seed) once per n (pairs left after dropping
+    non-finite ones) for all rows. p = (1 + hits) / (n_perm + 1), the
+    add-one estimator, so p is never exactly zero. A permutation is a hit
+    when |stat| >= |obs| up to 100 machine epsilons relative to |obs|, or,
+    for Pearson, to sum |xc_i yc_i| / (|xc| |yc|), so near-equal statistics
+    (ties up to rounding) count as hits. A seed is mandatory: an unseeded
+    test is not reproducible.
 
-    Each statistic is evaluated in batches: `(statistic or pearson).rows(x,
-    y)` returns a kernel mapping a (k, n) array of permuted x to k
-    statistics. `statistic` may also be a tuple of statistics: the p-value
-    is then a tuple, one p per statistic, all from the same shuffles. A
-    seed is mandatory: an unseeded test is not reproducible.
-
-    x and y may also hold one series per row (a 2-D array, or sequences of
-    1-D series of any lengths): row i of x is tested against row i of y and
-    a list of p-values is returned. `statistic` may then be a list with one
-    entry per row. The shuffles are drawn once per n (pairs left after
-    dropping non-finite ones) and each row's permuted x is gathered once for
-    all its statistics. The rows are split across up to one forked process
-    per usable CPU (`corpus.fork_map`), each of which draws the shuffles
-    itself, so every p-value equals that of the row's own call with one
-    statistic, whatever the number of CPUs.
+    Each statistic is evaluated in batches by a row kernel mapping a (k, n)
+    array of permuted x to k statistics (`_pearson_rows`, `_dcca_rows`).
+    The rows are split across up to one forked process per usable CPU
+    (`corpus.fork_map`), each of which draws the shuffles itself, so every
+    p-value equals that of the row's own one-row call, whatever the number
+    of CPUs.
     """
-    import numpy as np
-
     if seed is None:
         raise StatError("seed is required for a reproducible permutation test")
     if n_perm < 1:
         raise StatError(f"n_perm must be >= 1, got {n_perm}")
-    batch = np.ndim(x) == 2 if isinstance(x, np.ndarray) else len(x) > 0 and np.ndim(x[0]) == 1
-    xs, ys = (x, y) if batch else ([x], [y])
-    if len(xs) != len(ys):
-        raise StatError("x and y must hold equally many series")
-    per_row = statistic if batch and isinstance(statistic, list) else [statistic] * len(xs)
-    if len(per_row) != len(xs):
-        raise StatError("statistic must hold one entry per series")
+    if not len(xs) == len(ys) == len(windows):
+        raise StatError("xs, ys and windows must hold one entry per row")
 
+    bands: dict[tuple[int, int], list] = {}  # the DCCA band blocks by (n, window)
     tests = []
-    for a, b, entry in zip(xs, ys, per_row):
+    for a, b, window in zip(xs, ys, windows):
         a, b = permutation_pair(a, b)
+        row_kernels = [_pearson_rows(a, b)]
+        if window is not None:
+            row_kernels.append(_dcca_rows(a, b, window, bands))
         kernels = []
-        for stat in entry if isinstance(entry, tuple) else (entry,):
-            rows = (stat or pearson).rows(a, b)
+        for rows in row_kernels:
             obs = abs(rows(a[None, :])[0])
             kernels.append((rows, obs - _TIE_RTOL * getattr(rows, "magnitude", obs)))
         tests.append((a, kernels))
@@ -287,10 +268,10 @@ def permutation_test(
     for part, part_hits in zip(parts, counted):
         hits.update(zip(part, part_hits))
     p_values = []
-    for i, entry in enumerate(per_row):
-        p = tuple((1 + h) / (n_perm + 1) for h in hits[i])
-        p_values.append(p if isinstance(entry, tuple) else p[0])
-    return p_values if batch else p_values[0]
+    for i in range(len(tests)):
+        p = [(1 + h) / (n_perm + 1) for h in hits[i]]
+        p_values.append((p[0], p[1] if len(p) == 2 else None))
+    return p_values
 
 
 @dataclass(frozen=True)
@@ -392,7 +373,7 @@ def _dcca_blocks(n: int, window: int) -> list[tuple[slice, slice, np.ndarray]]:
 
 
 def _dcca_rows(
-    x: np.ndarray, y: np.ndarray, window: int, bands: dict[int, list]
+    x: np.ndarray, y: np.ndarray, window: int, bands: dict[tuple[int, int], list]
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Row kernel: the dcca coefficient of every row of X (permutations of
     x) with y, without forming any box of a permuted profile.
@@ -407,7 +388,7 @@ def _dcca_rows(
            M is symmetric and banded (half-bandwidth window - 1), so the
            form is a sum over column blocks of matrix products of a slice
            of the chunk with a block of the band (`_dcca_blocks`, which
-           depends on n and window only and is kept in `bands` by n).
+           depends on n and window only and is kept in `bands` by (n, window)).
     Both work on xc rather than on the profile, whose level cancels in
     the detrending and would cost digits on smooth series: a form built on
     cumulative sums of the profile is O(n) per row but drifted 2e-8 from
@@ -431,9 +412,9 @@ def _dcca_rows(
     for j in range(window):
         g[j : j + m] += ry[:, j]
     G = np.cumsum(g[::-1])[::-1]
-    if n not in bands:
-        bands[n] = _dcca_blocks(n, window)
-    blocks = bands[n]
+    if (n, window) not in bands:
+        bands[n, window] = _dcca_blocks(n, window)
+    blocks = bands[n, window]
     mu = x.mean()
 
     def rows(X: np.ndarray) -> np.ndarray:
@@ -447,13 +428,6 @@ def _dcca_rows(
         return (xc @ G) / np.sqrt(auto * syy)
 
     return rows
-
-
-def dcca_statistic(window: int = 12) -> SimpleNamespace:
-    """The dcca coefficient as a permutation statistic: an object whose
-    `rows(x, y)` is the batch kernel that `permutation_test` uses."""
-    bands: dict[int, list] = {}  # the band blocks by n, shared by the rows of every call
-    return SimpleNamespace(rows=lambda x, y: _dcca_rows(x, y, window, bands))
 
 
 def newey_west_lag(n: int) -> int:

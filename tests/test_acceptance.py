@@ -285,7 +285,7 @@ def test_criterion_07_permutation_calibration(capsys):
             rng = np.random.default_rng(7000 + i)
             x = _ar1(rng, 70, 0.3)
             y = _ar1(rng, 70, 0.3)
-            if permutation_test(x, y, n_perm=1000, seed=i) < 0.05:
+            if permutation_test([x], [y], [None], n_perm=1000, seed=i)[0][0] < 0.05:
                 rejections += 1
         rate = rejections / replicates
         elapsed = time.perf_counter() - t0

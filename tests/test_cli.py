@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -497,7 +498,6 @@ class TestExitCodes:
     def test_console_script(self, tmp_path):
         """The `emoscope` entry point declared in pyproject.toml, run in a
         fresh interpreter the way pip's generated wrapper runs it."""
-        tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
         pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         with open(pyproject, "rb") as fh:
             target = tomllib.load(fh)["project"]["scripts"]["emoscope"]
@@ -905,3 +905,50 @@ def pinned_outputs(tmp_path_factory):
 
 def test_csv_output_bytes_pinned(pinned_outputs):
     assert pinned_outputs == {**PINNED_CSV, **PINNED_TEXT}
+
+
+def _other_interpreters() -> list[str]:
+    """pyenv's CPython versions from 3.11 on, other than this interpreter's."""
+    pyenv = shutil.which("pyenv")
+    if pyenv is None:
+        return []
+    listed = subprocess.run([pyenv, "versions", "--bare"], capture_output=True, text=True,
+                            timeout=60).stdout.split()
+    this = ".".join(map(str, sys.version_info[:3]))
+    return [v for v in listed
+            if (m := re.fullmatch(r"3\.(\d+)\.\d+", v)) and int(m[1]) >= 11 and v != this]
+
+
+def test_other_interpreters_write_the_same_bytes(tmp_path):
+    """`signal` and `thirdperson` under every other interpreter pyenv holds
+    (chosen with PYENV_VERSION) print and write the same bytes as under
+    this one. Each run writes to the same --output, moved aside after it,
+    so even the output dir in manifest.json must match."""
+    versions = _other_interpreters()
+    if not versions:
+        pytest.skip("no pyenv, or no other Python 3.11+ under it")
+    ws = tmp_path / "ws"
+    assert main(["synth", "--out", str(ws), "--days", "40", "--posts-per-day", "30"]) == 0
+    env = dict(os.environ)
+    package_root = str(Path(emoscope.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    out = tmp_path / "out"
+
+    def run(python: list[str], version: str) -> tuple[list[str], dict[str, bytes]]:
+        stdout = []
+        for command in ("signal", "thirdperson"):
+            proc = subprocess.run(
+                [*python, "-m", "emoscope.cli", command, "--config", str(ws / "pipeline.ini"),
+                 "--output", str(out)],
+                capture_output=True, timeout=120, env=dict(env, PYENV_VERSION=version),
+            )
+            assert proc.returncode == 0, (version, command, proc.stderr)
+            stdout.append(proc.stdout)
+        written = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        out.rename(tmp_path / f"out-{version}")
+        return stdout, written
+
+    here = run([sys.executable], ".".join(map(str, sys.version_info[:3])))
+    assert "manifest.json" in here[1] and "thirdperson.csv" in here[1]
+    for version in versions:
+        assert run(["pyenv", "exec", "python"], version) == here, version

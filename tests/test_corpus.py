@@ -281,6 +281,34 @@ class TestDecoderDifferential:
             assert _parse_timestamp(raw, 3, "f").tzinfo is timezone.utc
 
 
+NOON = datetime(2020, 6, 1, 12, 0, tzinfo=timezone.utc)
+
+
+class TestTimestampGrammar:
+    """The created_at grammar, stamp by stamp, against literal outcomes:
+    every stamp below reads as noon UTC on 2020-06-01 or is refused."""
+
+    @pytest.mark.parametrize("raw", [
+        "20200601T120000Z",                # basic format
+        "2020-W23-1T12:00:00Z",            # ISO week date: Monday of week 23
+        "2020-06-01 12:00:00,5+00:00",     # space separator, comma fraction
+        "2020-06-01T12:00:00.123456789Z",  # nine-digit fraction
+        "2020-06-01T12:00:00.5Z",          # one-digit fraction
+        "2020-06-01T12:00:00z",            # lowercase z
+        "  2020-06-01T12:00:00Z ",         # padded with spaces
+        "2020-06-01T12:00:00",             # no zone: taken as UTC
+        "2020-06-01T14:00:00+02:00",       # an offset, converted to UTC
+    ])
+    def test_accepted(self, raw):
+        assert _parse_timestamp(raw, 3, "f.ndjson") == NOON
+
+    @pytest.mark.parametrize("raw", ["2020-06-01T12:00:00 UTC", "yesterday", "2020-13-01T12:00:00Z"])
+    def test_rejected(self, raw):
+        with pytest.raises(RecordError) as err:
+            _parse_timestamp(raw, 3, "f.ndjson")
+        assert str(err.value) == f"f.ndjson:3: unparseable created_at {raw!r}"
+
+
 class TestPost:
     POST = Post("a", datetime(2021, 5, 4, 3, 2, 1, tzinfo=timezone.utc), "hi", Gender.MALE, 5, True)
 

@@ -682,7 +682,7 @@ FILE_EDIT = st.one_of(
     st.tuples(st.just("bytes"), st.floats(0, 1), st.integers(0, 3), st.binary(max_size=4)),
 )
 # the faults these properties were written for: bytes that are not UTF-8,
-# a NUL byte (csv.Error before Python 3.11), a field past csv's size limit
+# a NUL byte (read as data by csv), a field past csv's size limit (csv.Error)
 FILE_FAULTS = [
     [("bytes", 0.5, 0, b"\xff")],
     [("bytes", 0.5, 0, b"\x00")],

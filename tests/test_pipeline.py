@@ -34,7 +34,7 @@ from emoscope.pipeline import (
     validate_pair,
 )
 from emoscope.signals import GENDER_STRATA, SurveySeries, WeeklySeries, paired_values, weekly_align
-from emoscope.stats import correlate, dcca_statistic, permutation_test
+from emoscope.stats import correlate, permutation_test
 
 from oracles import daily_fraction, lexicon_predicate, matches_explicit_report, matches_lexicon
 
@@ -303,19 +303,19 @@ def test_run_permutation_p_equals_per_row_calls(tmp_path):
         weekly = weekly_align(bundle.stratum_signal(signal, stratum), survey.anchors,
                               window_days=cfg.week_length, offset_days=cfg.week_offset,
                               name=signal)
-        alone, pair_x, pair_y, fields = validate_pair(survey, weekly, stratum, cfg)
+        alone, test = validate_pair(survey, weekly, stratum, cfg)
         assert dataclasses.replace(row, perm_p=None, dcca_p=None) == alone
-        x, y, _ = paired_values(weekly, survey)
-        assert pair_x.tolist() == x.tolist() and pair_y.tolist() == y.tolist()
         if survey.emotion == "flat":
-            assert fields == [] and row.perm_p is None and row.dcca_p is None
+            assert test is None and row.perm_p is None and row.dcca_p is None
             assert any(note.startswith("permutation skipped:") for note in row.notes)
             continue
-        assert fields == ["perm_p", "dcca_p"]
+        pair_x, pair_y, window = test
+        x, y, _ = paired_values(weekly, survey)
+        assert pair_x.tolist() == x.tolist() and pair_y.tolist() == y.tolist()
+        assert window == cfg.dcca_window
         sizes.add(len(x))
         kw = {"n_perm": cfg.permutations, "seed": cfg.seed}
-        assert row.perm_p == permutation_test(x, y, **kw)
-        assert row.dcca_p == permutation_test(x, y, dcca_statistic(cfg.dcca_window), **kw)
+        assert [(row.perm_p, row.dcca_p)] == permutation_test([x], [y], [window], **kw)
         p_values += [row.perm_p, row.dcca_p]
     assert sizes == {20, 28}
     assert sum(p > 20 / (cfg.permutations + 1) for p in p_values) >= 10, p_values

@@ -5,7 +5,6 @@ import os
 import sys
 import time
 from statistics import NormalDist
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from emoscope.stats import (
     correlate,
     correlation_p,
     dcca,
-    dcca_statistic,
     fisher_ci,
     kpss,
     kpss_lag,
@@ -91,7 +89,7 @@ class TestPearson:
         with pytest.raises(StatError, match="^correlation undefined: the centred sum of squares"):
             pearson(x, y)
         with pytest.raises(StatError, match="^permutation test undefined: the centred sum"):
-            permutation_test(x, y, n_perm=10, seed=1)
+            permutation_test([x], [y], [None], n_perm=10, seed=1)
 
     @pytest.mark.parametrize("n", [12, 30, 71])
     @pytest.mark.parametrize("value", [0.1, 0.7, 33.3])
@@ -273,37 +271,42 @@ class TestCorrelate:
         assert res.p == pytest.approx(correlation_p(res.r, 30))
 
 
+def _pearson_p(x, y, **kw):
+    """The Pearson p of a one-row permutation test of x against y."""
+    return permutation_test([x], [y], [None], **kw)[0][0]
+
+
 class TestPermutationTest:
     def test_identity_hits_floor(self):
         x = np.arange(40.0)
-        assert permutation_test(x, x, n_perm=999, seed=5) == pytest.approx(1 / 1000)
+        assert _pearson_p(x, x, n_perm=999, seed=5) == pytest.approx(1 / 1000)
 
     def test_deterministic_for_seed(self):
         rng = np.random.default_rng(11)
         x, y = rng.normal(size=25), rng.normal(size=25)
-        a = permutation_test(x, y, n_perm=500, seed=9)
-        b = permutation_test(x, y, n_perm=500, seed=9)
+        a = permutation_test([x], [y], [8], n_perm=500, seed=9)
+        b = permutation_test([x], [y], [8], n_perm=500, seed=9)
         assert a == b
 
     def test_seed_required(self):
         with pytest.raises(StatError):
-            permutation_test([1, 2, 3, 4], [1, 2, 3, 4], n_perm=10)
+            permutation_test([[1, 2, 3, 4]], [[1, 2, 3, 4]], [None], n_perm=10)
 
     def test_constant_rejected(self):
         with pytest.raises(StatError):
-            permutation_test([1, 1, 1, 1], [1, 2, 3, 4], n_perm=10, seed=1)
+            _pearson_p([1, 1, 1, 1], [1, 2, 3, 4], n_perm=10, seed=1)
 
     def test_null_p_is_large(self):
         rng = np.random.default_rng(7)
         x, y = rng.normal(size=60), rng.normal(size=60)
-        assert permutation_test(x, y, n_perm=2000, seed=1) > 0.05
+        assert _pearson_p(x, y, n_perm=2000, seed=1) > 0.05
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_p_in_unit_interval(self, seed):
         rng = np.random.default_rng(seed)
         x, y = rng.normal(size=12), rng.normal(size=12)
-        p = permutation_test(x, y, n_perm=99, seed=seed)
+        p = _pearson_p(x, y, n_perm=99, seed=seed)
         assert 1 / 100 <= p <= 1.0
 
 
@@ -322,21 +325,22 @@ class TestPermutationEngine:
     """The chunked engine against the scalar loop it replaced: equal p."""
 
     @pytest.mark.parametrize(
-        "statistic, oracle, n_perm, n",
+        "window, oracle, n_perm, n",
         [
             (None, pearson, 999, 50),
-            (dcca_statistic(12), oracles.dcca_rho(12), 999, 50),
+            (12, oracles.dcca_rho(12), 999, 50),
             (None, pearson, 4001, 50),
-            (dcca_statistic(12), oracles.dcca_rho(12), 4001, 50),
+            (12, oracles.dcca_rho(12), 4001, 50),
             # the validate-battery shape: 156 weeks, window 12
-            (dcca_statistic(12), oracles.dcca_rho(12), 999, 156),
+            (12, oracles.dcca_rho(12), 999, 156),
         ],
         ids=["pearson", "dcca", "pearson-4001", "dcca-4001", "dcca-n156"],
     )
     @pytest.mark.parametrize("seed", [3, 17])
-    def test_matches_scalar_loop(self, statistic, oracle, n_perm, n, seed):
+    def test_matches_scalar_loop(self, window, oracle, n_perm, n, seed):
         x, y = _ar1_pair(seed, n)
-        got = permutation_test(x, y, statistic=statistic, n_perm=n_perm, seed=seed)
+        [(pearson_p, dcca_p)] = permutation_test([x], [y], [window], n_perm=n_perm, seed=seed)
+        got = pearson_p if window is None else dcca_p
         assert got == oracles.loop_permutation_p(x, y, oracle, n_perm, seed)
 
     def test_theoretical_ties_count_as_hits(self):
@@ -349,7 +353,7 @@ class TestPermutationEngine:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             hits = sum(set(rng.permutation(6)[3:].tolist()) in extremes for _ in range(999))
-            assert permutation_test(x, y, n_perm=999, seed=seed) == (1 + hits) / 1000
+            assert _pearson_p(x, y, n_perm=999, seed=seed) == (1 + hits) / 1000
 
     def test_integer_series_ties_match_scalar_loop(self):
         # r_obs is 0 in exact arithmetic on some of these, so a tolerance
@@ -360,7 +364,7 @@ class TestPermutationEngine:
             y = rng.integers(0, 3, 12).astype(float)
             if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
                 continue
-            got = permutation_test(x, y, n_perm=999, seed=seed)
+            got = _pearson_p(x, y, n_perm=999, seed=seed)
             assert got == oracles.loop_permutation_p(x, y, pearson, 999, seed), seed
 
     @given(
@@ -380,7 +384,7 @@ class TestPermutationEngine:
             x = np.cumsum(x)
         x = x * 10.0**log_scale + offset
         y = rng.normal(size=n)
-        rows = dcca_statistic(window).rows(x, y)
+        rows = stats._dcca_rows(x, y, window, {})
         X = np.stack([x] + [rng.permutation(x) for _ in range(4)])
         for got, row in zip(rows(X), X):
             assert abs(got - dcca(row, y, window=window).rho) <= 1e-10
@@ -391,11 +395,11 @@ class TestPermutationEngine:
         # slices of rows, here of 1 to 3 rows
         x, y = _ar1_pair(window, 120)
         X = np.stack([x] + [np.random.default_rng(i).permutation(x) for i in range(6)])
-        whole = dcca_statistic(window).rows(x, y)(X)
+        whole = stats._dcca_rows(x, y, window, {})(X)
         for rows_per_product in (1, 2, 3):
             size = max(b.size for _, _, b in stats._dcca_blocks(120, window))
             monkeypatch.setattr(stats, "_ONE_THREAD_PRODUCT", size * rows_per_product)
-            sliced = dcca_statistic(window).rows(x, y)(X)
+            sliced = stats._dcca_rows(x, y, window, {})(X)
             np.testing.assert_allclose(sliced, whole, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("window", [4, 12, 16])
@@ -415,7 +419,7 @@ class TestPermutationEngine:
         rng = np.random.default_rng(n * 100 + window)
         x = np.cumsum(rng.normal(size=n)) * 10.0 + 300.0
         y = rng.normal(size=n)
-        rows = dcca_statistic(window).rows(x, y)
+        rows = stats._dcca_rows(x, y, window, {})
         X = np.stack([x] + [rng.permutation(x) for _ in range(6)])
         for got, row in zip(rows(X), X):
             assert abs(got - dcca(row, y, window=window).rho) <= 1e-10
@@ -430,51 +434,48 @@ def _weak_pair(seed, n, nan_at=()):
     return x, y
 
 
+def _assert_rows_equal_calls(pairs, windows, **kw):
+    """One permutation_test call for all rows against one call per row:
+    equal p, bit for bit. Returns the rows' p-values."""
+    calls = [permutation_test([x], [y], [w], **kw)[0] for (x, y), w in zip(pairs, windows)]
+    assert permutation_test([x for x, _ in pairs], [y for _, y in pairs], windows, **kw) == calls
+    return calls
+
+
 class TestPermutationBatch:
     """Many pairs in one `permutation_test` call against one call per
     pair: equal p, bit for bit."""
 
     N_PERM = 1999
 
-    def _assert_batch_equals_calls(self, pairs, statistic, seed=7, n_perm=N_PERM):
-        xs = [x for x, _ in pairs]
-        ys = [y for _, y in pairs]
-        kw = {"n_perm": n_perm, "seed": seed}
-        calls = [permutation_test(x, y, statistic, **kw) for x, y in pairs]
-        assert permutation_test(xs, ys, statistic, **kw) == calls
-        assert permutation_test(np.array(xs), np.array(ys), statistic, **kw) == calls
-        return calls
-
     def test_weak_signals_above_the_floor(self):
         pairs = [_weak_pair(seed, 60) for seed in range(6)]
-        p = []
-        for statistic in (None, dcca_statistic(12)):
-            p += self._assert_batch_equals_calls(pairs, statistic)
+        rows = _assert_rows_equal_calls(pairs, [12] * 6, n_perm=self.N_PERM, seed=7)
+        p = [v for row in rows for v in row]
         assert sum(v > 20 / (self.N_PERM + 1) for v in p) >= 8, p
 
     def test_mixed_n_in_one_call(self):
         nan_weeks = [(), (3,), (0, 17, 40), (5, 6, 7, 8, 59), (), (3,)]
         pairs = [_weak_pair(seed, 60, nan_at) for seed, nan_at in enumerate(nan_weeks)]
-        for statistic in (None, dcca_statistic(12)):
-            self._assert_batch_equals_calls(pairs, statistic)
+        for window in (None, 12):
+            _assert_rows_equal_calls(pairs, [window] * 6, n_perm=self.N_PERM, seed=7)
 
     def test_one_row_and_no_rows(self):
         x, y = _weak_pair(1, 30)
-        assert permutation_test([x], [y], seed=1, n_perm=99) == [
-            permutation_test(x, y, seed=1, n_perm=99)
-        ]
-        assert permutation_test(np.empty((0, 30)), np.empty((0, 30)), seed=1) == []
+        [(p, dcca_p)] = permutation_test([x], [y], [None], seed=1, n_perm=99)
+        assert p == oracles.loop_permutation_p(x, y, pearson, 99, 1) and dcca_p is None
+        assert permutation_test([], [], [], seed=1) == []
 
     def test_batch_raises_what_a_call_raises(self):
         good = np.arange(6.0)
         for bad in ([1.0] * 6, [1.0, 2.0] + [np.nan] * 4):
             with pytest.raises(StatError) as called:
-                permutation_test(bad, good, seed=1, n_perm=10)
+                permutation_test([bad], [good], [None], seed=1, n_perm=10)
             with pytest.raises(StatError) as batched:
-                permutation_test([good, bad], [good, good], seed=1, n_perm=10)
+                permutation_test([good, bad], [good, good], [None, None], seed=1, n_perm=10)
             assert str(batched.value) == str(called.value)
-        with pytest.raises(StatError, match="equally many"):
-            permutation_test([good, good], [good], seed=1, n_perm=10)
+        with pytest.raises(StatError, match="one entry per row"):
+            permutation_test([good, good], [good], [None, None], seed=1, n_perm=10)
 
 
 def _no_children_left():
@@ -482,27 +483,29 @@ def _no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _pearson_checked(check):
-    """The Pearson statistic, its row kernel calling check() before it
+def _check_pearson_rows(monkeypatch, check):
+    """Make the Pearson row kernel of each row, x, call check(x) before it
     evaluates each batch of rows: the observed value, then each chunk of
-    shuffles."""
+    shuffles. The kernels are built before any fork, so the children run
+    the checks too."""
+    pearson_rows = stats._pearson_rows
 
     def rows(x, y):
-        kernel = pearson.rows(x, y)
+        kernel = pearson_rows(x, y)
 
         def checked(X):
-            check()
+            check(x)
             return kernel(X)
 
         return checked
 
-    return SimpleNamespace(rows=rows)
+    monkeypatch.setattr(stats, "_pearson_rows", rows)
 
 
 class TestPermutationProcesses:
     """One pass for every statistic of every row, its rows split across
-    forked processes: each p equals the row's own call with one statistic,
-    whatever the number of CPUs."""
+    forked processes: each p equals the row's own call, whatever the number
+    of CPUs."""
 
     N_PERM = 999
 
@@ -521,27 +524,31 @@ class TestPermutationProcesses:
         return forked
 
     def _rows(self):
-        """Rows at n = 60 and 44 (two NaN weeks and a shorter series),
-        with and without a DCCA statistic, and one with DCCA at two windows."""
-        dcca12 = dcca_statistic(12)
+        """Rows at n = 60, 58 (two NaN weeks) and 44 (a shorter series),
+        with and without DCCA."""
         pairs = [_weak_pair(seed, 60, (5, 40) if seed % 3 == 1 else ()) for seed in range(6)]
         pairs += [_weak_pair(seed, 44) for seed in (6, 7)]
-        statistics = [(None, dcca12), None, (None, dcca12), (dcca12,), (None,),
-                      (None, dcca12, dcca_statistic(8)), (dcca12, None), None]
-        return pairs, statistics
+        return pairs, [12, None, 12, 12, None, None, 12, None]
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_each_p_equals_its_own_call(self, forks, monkeypatch, cpus):
         monkeypatch.setattr(corpus, "_usable_cpus", lambda: cpus)
-        pairs, statistics = self._rows()
-        kw = {"n_perm": self.N_PERM, "seed": 4}
-        got = permutation_test([x for x, _ in pairs], [y for _, y in pairs], statistics, **kw)
+        pairs, windows = self._rows()
+        _assert_rows_equal_calls(pairs, windows, n_perm=self.N_PERM, seed=4)
         assert len(forks) == cpus - 1
-        for (x, y), stat, p in zip(pairs, statistics, got):
-            if isinstance(stat, tuple):
-                assert p == tuple(permutation_test(x, y, s, **kw) for s in stat)
-            else:
-                assert p == permutation_test(x, y, stat, **kw)
+        _no_children_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_windows_mixed_at_one_n(self, forks, monkeypatch, cpus):
+        # the DCCA band blocks are shared by the rows of a call and depend
+        # on n and the window: rows of one n at windows 8 and 12, and rows
+        # without DCCA between them
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: cpus)
+        pairs = [_weak_pair(seed, 50) for seed in range(6)]
+        windows = [8, None, 12, 12, None, 8]
+        rows = _assert_rows_equal_calls(pairs, windows, n_perm=self.N_PERM, seed=3)
+        assert len(forks) == cpus - 1
+        assert [dcca_p is None for _, dcca_p in rows] == [w is None for w in windows]
         _no_children_left()
 
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -549,13 +556,12 @@ class TestPermutationProcesses:
         monkeypatch.setattr(corpus, "_usable_cpus", lambda: cpus)
         x, y = _weak_pair(1, 50)
         kw = {"n_perm": self.N_PERM, "seed": 2}
-        dcca12 = dcca_statistic(12)
-        assert permutation_test([x], [y], [(None, dcca12)], **kw) == [
-            (permutation_test(x, y, **kw), permutation_test(x, y, dcca12, **kw))]
+        assert permutation_test([x], [y], [12], **kw) == [(
+            oracles.loop_permutation_p(x, y, pearson, self.N_PERM, 2),
+            oracles.loop_permutation_p(x, y, oracles.dcca_rho(12), self.N_PERM, 2),
+        )]
         assert forks == []
-        pairs = [_weak_pair(seed, 50) for seed in (1, 2)]
-        got = permutation_test([x for x, _ in pairs], [y for _, y in pairs], **kw)
-        assert got == [permutation_test(x, y, **kw) for x, y in pairs]
+        _assert_rows_equal_calls([_weak_pair(seed, 50) for seed in (1, 2)], [None, None], **kw)
         assert len(forks) == 1
         _no_children_left()
 
@@ -564,8 +570,8 @@ class TestPermutationProcesses:
         monkeypatch.setattr(os, "fork", None)
         pairs = [_weak_pair(seed, 60) for seed in range(3)]
         assert 3 * 60 * 2 * self.N_PERM < 2 * stats._MIN_FORK_WORK
-        permutation_test([x for x, _ in pairs], [y for _, y in pairs],
-                         (None, dcca_statistic(12)), n_perm=self.N_PERM, seed=1)
+        permutation_test([x for x, _ in pairs], [y for _, y in pairs], [12] * 3,
+                         n_perm=self.N_PERM, seed=1)
 
     def test_one_pass_draws_one_stream_per_n(self, monkeypatch):
         monkeypatch.setattr(corpus, "_usable_cpus", lambda: 1)
@@ -577,14 +583,14 @@ class TestPermutationProcesses:
             return chunks(seed, n, n_perm)
 
         monkeypatch.setattr(stats, "_index_chunks", counting_chunks)
-        pairs, statistics = self._rows()
-        permutation_test([x for x, _ in pairs], [y for _, y in pairs], statistics,
+        pairs, windows = self._rows()
+        permutation_test([x for x, _ in pairs], [y for _, y in pairs], windows,
                          n_perm=self.N_PERM, seed=4)
         assert sorted(drawn) == [44, 58, 60]
 
     def test_statistics_must_match_the_rows(self):
         x, y = _weak_pair(1, 30)
-        with pytest.raises(StatError, match="one entry per series"):
+        with pytest.raises(StatError, match="one entry per row"):
             permutation_test([x, x], [y, y], [None], seed=1, n_perm=10)
 
     def test_child_error_surfaces_in_input_order(self, forks, monkeypatch):
@@ -594,15 +600,15 @@ class TestPermutationProcesses:
         parent = os.getpid()
         pairs = [_weak_pair(seed, 40) for seed in range(3)]
 
-        def failing(tag):
-            def check():
-                if os.getpid() != parent:
-                    raise StatError(f"row {tag} failed")
-            return _pearson_checked(check)
+        def check(x):
+            row = next(i for i, (a, _) in enumerate(pairs) if np.array_equal(a, x))
+            if row and os.getpid() != parent:
+                raise StatError(f"row {row} failed")
 
+        _check_pearson_rows(monkeypatch, check)
         with pytest.raises(StatError, match="row 1 failed"):
-            permutation_test([x for x, _ in pairs], [y for _, y in pairs],
-                             [None, failing(1), failing(2)], seed=1, n_perm=99)
+            permutation_test([x for x, _ in pairs], [y for _, y in pairs], [None] * 3,
+                             seed=1, n_perm=99)
         assert len(forks) == 2
         _no_children_left()
 
@@ -613,7 +619,7 @@ class TestPermutationProcesses:
 
         pairs = [_weak_pair(seed, 40) for seed in range(2)]
 
-        def check():
+        def check(x):
             if os.getpid() == parent:
                 calls.append(1)
                 if len(calls) > len(pairs):  # past both observed values, on the shuffles
@@ -621,10 +627,11 @@ class TestPermutationProcesses:
             else:
                 time.sleep(60)
 
+        _check_pearson_rows(monkeypatch, check)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            permutation_test([x for x, _ in pairs], [y for _, y in pairs],
-                             _pearson_checked(check), seed=1, n_perm=99)
+            permutation_test([x for x, _ in pairs], [y for _, y in pairs], [None, None],
+                             seed=1, n_perm=99)
         assert time.monotonic() - started < 30
         assert len(forks) == 1
         _no_children_left()
@@ -702,14 +709,6 @@ class TestDcca:
     def test_series_shorter_than_window(self):
         with pytest.raises(StatError):
             dcca(np.arange(10.0), np.arange(10.0), window=12)
-
-    def test_statistic_factory_for_permutation(self):
-        rng = np.random.default_rng(23)
-        x, y = rng.normal(size=40), rng.normal(size=40)
-        stat = dcca_statistic(window=10)
-        assert stat.rows(x, y)(x[None, :])[0] == pytest.approx(dcca(x, y, window=10).rho)
-        p = permutation_test(x, y, statistic=stat, n_perm=99, seed=2)
-        assert 0.0 < p <= 1.0
 
 
 def _hc0_cov(design, resid):
