@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .config import PATH, SCHEMA, PipelineConfig, config_text, format_ini, load_config
 from .corpus import read_text
-from .errors import ConfigError, EmoscopeError, StatError
+from .errors import ConfigError, EmoscopeError, StatError, writing
 from .pipeline import (
     ProportionRow,
     build_signals,
@@ -84,6 +84,11 @@ def _parse_step_spec(items) -> tuple[tuple[str, int, float], ...]:
     return tuple(steps)
 
 
+def _write_text(path: Path, text: str) -> None:
+    with writing(path):
+        path.write_text(text, encoding="utf-8")
+
+
 _PIPELINE_HEADER = """\
 # Generated alongside the synthetic corpus; `emoscope validate --config
 # pipeline.ini` runs the full battery against the planted survey.
@@ -136,7 +141,7 @@ def cmd_synth(args) -> int:
     emotions = truth.emotions
     for emotion in emotions:
         text = (resources.files("emoscope") / "data" / f"{emotion}.txt").read_text("utf-8")
-        (lexdir / f"{emotion}.txt").write_text(text, encoding="utf-8")
+        _write_text(lexdir / f"{emotion}.txt", text)
 
     n = len(anchors)
     split_idx = min(max(round(0.67 * n), 8), n - 8) if n >= 16 else n // 2
@@ -152,7 +157,7 @@ def cmd_synth(args) -> int:
     )
     sections = ("corpus", "lexicons", "scores", "survey", "signals", "validate", "output")
     ini = format_ini(config_text(pipeline, sections))
-    (out / "pipeline.ini").write_text(_PIPELINE_HEADER + ini, encoding="utf-8")
+    _write_text(out / "pipeline.ini", _PIPELINE_HEADER + ini)
 
     total = cfg.days * cfg.posts_per_day
     print(f"wrote {total} posts over {cfg.days} days to {out / corpus_name}")
@@ -221,7 +226,7 @@ def cmd_validate(args) -> int:
                           plot_data=out / "plot_data.csv" if args.plot_data else None)
     write_report_csv(rows, out / "report.csv")
     table = format_report_table(rows)
-    (out / "report.txt").write_text(table, encoding="utf-8")
+    _write_text(out / "report.txt", table)
     sys.stdout.write(table)
     print(f"wrote report.csv and report.txt to {out}")
     return 0

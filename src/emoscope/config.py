@@ -311,13 +311,24 @@ def format_ini(sections: Mapping[str, Mapping[str, str]]) -> str:
 
 
 def expand_inputs(cfg: PipelineConfig) -> list[Path]:
-    """Expand input globs to a sorted file list; nothing found is an error."""
+    """Expand input globs, each to a sorted file list. A pattern that
+    matches nothing is an error, and so is a file (compared resolved) that
+    two patterns match, whose posts would be counted twice."""
     if not cfg.inputs:
         raise ConfigError("no corpus inputs configured ([corpus] input)")
     files: list[Path] = []
+    matched_by: dict[Path, str] = {}  # resolved file -> the pattern that matched it
     for pattern in cfg.inputs:
         hits = sorted(globlib.glob(pattern))
         if not hits:
             raise ConfigError(f"no input files match {pattern!r}")
-        files.extend(Path(h) for h in hits)
+        for hit in hits:
+            path = Path(hit)
+            key = path.resolve()
+            if key in matched_by:
+                raise ConfigError(
+                    f"input file {hit} is matched by both {matched_by[key]!r} and {pattern!r}"
+                )
+            matched_by[key] = pattern
+            files.append(path)
     return files

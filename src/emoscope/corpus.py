@@ -102,7 +102,7 @@ _scan_json = json.JSONDecoder().scan_once
 _JSON_WHITESPACE = " \t\n\r"
 
 
-def load_json_object(line: str, line_no: int | None = None, source: str | None = None) -> dict:
+def load_json_object(line: str, line_no: int, source: str) -> dict:
     """Decode one NDJSON line that must hold a JSON object."""
     if line.startswith("{"):
         # fast path; whatever it does not accept json.loads reads again,
@@ -127,7 +127,7 @@ def load_json_object(line: str, line_no: int | None = None, source: str | None =
     return rec
 
 
-def post_fields(line: str, line_no: int | None = None, source: str | None = None) -> tuple:
+def post_fields(line: str, line_no: int, source: str) -> tuple:
     """The fields of one NDJSON post record, in Post's order.
 
     A missing author_gender maps to unknown and a missing is_retweet to
@@ -217,22 +217,8 @@ class StreamCounts:
         }
 
 
-def open_ndjson(path):
-    """Open an NDJSON input for binary reading, transparently decompressing
-    .gz files; lines are decoded one at a time by ndjson_lines."""
-    path = Path(path)
-    if path.suffix == ".gz":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
 # What reading a damaged .gz raises: truncation, bad header or CRC, bad data.
-GZIP_ERRORS = (EOFError, gzip.BadGzipFile, zlib.error)
-
-
-def damaged_stream(err: Exception, line_no: int, source: str) -> RecordError:
-    """The data error for a .gz that breaks off after line `line_no`."""
-    return RecordError(f"corrupt or truncated gzip stream ({err})", line_no + 1, source)
+_GZIP_ERRORS = (EOFError, gzip.BadGzipFile, zlib.error)
 
 
 @dataclass(frozen=True)
@@ -329,13 +315,16 @@ def shard_groups(paths: Iterable, parts: int) -> list[list[Shard]]:
     return [group for group in groups if group]
 
 
-def ndjson_lines(paths: Iterable, counts: StreamCounts) -> Iterator[tuple[str, int, str]]:
-    """(line, line number, source) of every non-blank line of the NDJSON
-    files (or Shards of them), in order, each counted in counts.records.
-
-    A line that is not valid UTF-8 is counted too, as rejected by counts,
-    without aborting the stream. A damaged .gz input raises
-    RecordError naming the file and the line where it breaks off.
+def read_records(
+    paths: Iterable, parse: Callable[[str, int, str], T | None], counts: StreamCounts
+) -> Iterator[T]:
+    """parse(line, line number, source) of every non-blank line of the
+    NDJSON files (or Shards of them), in order, each line counted in
+    counts.records. A line that is not valid UTF-8, or whose parse raises
+    RecordError, is counted as rejected by counts without aborting the
+    stream; a None result is counted as dropped, any other as kept and
+    yielded. A damaged .gz input raises RecordError naming the file and
+    the line where it breaks off.
     """
     for path in paths:
         shard = path if isinstance(path, Shard) else Shard(path)
@@ -343,7 +332,7 @@ def ndjson_lines(paths: Iterable, counts: StreamCounts) -> Iterator[tuple[str, i
         line_no = shard.first_line - 1
         pos = shard.start  # where the next line starts
         stop = sys.maxsize if shard.stop is None else shard.stop
-        with open_ndjson(name) as fh:
+        with (gzip.open if Path(name).suffix == ".gz" else open)(name, "rb") as fh:
             try:
                 fh.seek(pos)
                 for line_no, raw in enumerate(fh, shard.first_line):
@@ -358,11 +347,22 @@ def ndjson_lines(paths: Iterable, counts: StreamCounts) -> Iterator[tuple[str, i
                             f"invalid UTF-8 at byte {err.start} ({err.reason})", line_no, name
                         ))
                         continue
-                    if not line.isspace():
-                        counts.records += 1
-                        yield line, line_no, name
-            except GZIP_ERRORS as err:
-                raise damaged_stream(err, line_no, name) from None
+                    if line.isspace():
+                        continue
+                    counts.records += 1
+                    try:
+                        record = parse(line, line_no, name)
+                    except RecordError as err:
+                        counts.reject(err)
+                        continue
+                    if record is None:
+                        counts.dropped += 1
+                    else:
+                        counts.kept += 1
+                        yield record
+            except _GZIP_ERRORS as err:
+                raise RecordError(f"corrupt or truncated gzip stream ({err})",
+                                  line_no + 1, name) from None
 
 
 def read_text(path) -> str:
@@ -384,30 +384,25 @@ def stream_posts(
     filter_config: FilterConfig | None = None,
     counts: StreamCounts | None = None,
 ) -> Iterator[Post]:
-    """Yield filtered posts from NDJSON files in order: a post is dropped
-    if it is a retweet and retweets are excluded, or if its follower count
-    is outside the bounds (inclusive on both ends).
+    """The filtered posts of NDJSON files, in order, as a generator: a post
+    is dropped if it is a retweet and retweets are excluded, or if its
+    follower count is outside the bounds (inclusive on both ends).
 
     Malformed lines are counted, as rejected by counts, without aborting
     the stream. Blank lines are ignored entirely. A damaged .gz input
     raises RecordError naming the file and the line where it breaks off.
     """
-    if counts is None:
-        counts = StreamCounts()
     low, high, drop_retweets = (0, math.inf, False) if filter_config is None else (
         filter_config.min_followers, filter_config.max_followers, filter_config.exclude_retweets)
     new = tuple.__new__
-    for line, line_no, source in ndjson_lines(paths, counts):
-        try:
-            fields = post_fields(line, line_no, source)
-        except RecordError as err:
-            counts.reject(err)
-            continue
+
+    def parse(line, line_no, source):
+        fields = post_fields(line, line_no, source)
         if drop_retweets and fields[5] or not low <= fields[4] <= high:
-            counts.dropped += 1
-            continue
-        counts.kept += 1
-        yield new(Post, fields)
+            return None
+        return new(Post, fields)
+
+    return read_records(paths, parse, StreamCounts() if counts is None else counts)
 
 
 def _usable_cpus() -> int:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule that names
+the file in an error met while writing it."""
+
+import os
+from contextlib import contextmanager
 
 
 class EmoscopeError(Exception):
@@ -39,3 +43,16 @@ class SignalError(EmoscopeError):
 
 class StatError(EmoscopeError):
     """A statistic is undefined for the given input (constant series, |r|=1, ...)."""
+
+
+@contextmanager
+def writing(path):
+    """Run the block that writes `path`. An OSError raised in it that names
+    no file (a failed write or close, say) is given `path` as its filename,
+    so its message names the file."""
+    try:
+        yield
+    except OSError as err:
+        if err.filename is None:
+            err.filename = os.fspath(path)
+        raise

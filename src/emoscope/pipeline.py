@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from . import corpus
 from .config import PipelineConfig, config_text, expand_inputs
 from .corpus import Gender, StreamCounts, stream_posts
-from .errors import ConfigError, RecordError, SignalError, StatError
+from .errors import ConfigError, RecordError, SignalError, StatError, writing
 from .lexicon import (
     ExplicitReportMatcher,
     Lexicon,
@@ -29,7 +29,6 @@ from .signals import (
     GENDER_STRATA,
     DailySignal,
     ScoreCounts,
-    ScoreShard,
     SurveySeries,
     WeeklySeries,
     daily_mean_scores,
@@ -97,22 +96,24 @@ def scan_corpus(
     report_matcher: ExplicitReportMatcher | None = None,
     pronouns: bool = False,
     scores: bool = False,
-) -> tuple[StreamCounts, dict[tuple[date, int, int], int], tuple[str, ...], int, tuple | None]:
+) -> tuple[StreamCounts, dict[tuple[date, int, int], int], tuple[str, ...], tuple | None]:
     """The one pass over the filtered corpus: kept posts per (day, gender
     index, match mask), with gender index 1 male, 2 female, 0 unknown.
 
     The lexicons of `matcher` take the low mask bits, the report emotions
     of `report_matcher` (as report_<emotion>) the next ones, and, with
-    `pronouns`, the bit after them marks a post that contains_third_person.
+    `pronouns`, bit len(names) marks a post that contains_third_person.
     A matcher left None is never run and sets no bits; with none and no
-    `pronouns`, the corpus is not read. Returns (counts, table, signal name
-    of each mask bit, index of the pronoun bit, scores).
+    `pronouns`, the corpus is not read. Returns (counts, table, names:
+    the signal name of each lower mask bit, scores).
 
     With `scores`, cfg's score file rides the same pass as one uncut shard
     after the corpus, so one process adds its scores in line order; scores
     is then (ScoreCounts, daily_mean_scores of cfg.score_emotions), else
-    None. Errors come in the order one process meets them: a corpus data
-    error, no kept post, a missing score file, a score data error.
+    None. That shard is told apart by identity: a corpus glob may match
+    the score file too. Errors come in the order one process meets them:
+    a corpus data error, no kept post, a missing score file, a score data
+    error.
 
     The inputs are cut into corpus.shard_groups, one per usable CPU at
     most, and each group is scanned in a process of its own
@@ -129,16 +130,17 @@ def scan_corpus(
     pronoun_bit = len(signals)
     read_corpus = bool(signals) or pronouns
     inputs = expand_inputs(cfg) if read_corpus else []
-    found = scores and cfg.score_path is not None and Path(cfg.score_path).is_file()
-    if found:
-        inputs.append(ScoreShard(cfg.score_path))
+    score_shard = None
+    if scores and cfg.score_path is not None and Path(cfg.score_path).is_file():
+        score_shard = corpus.Shard(cfg.score_path)
+        inputs.append(score_shard)
     shift = timedelta(minutes=cfg.tz_offset_minutes)  # built once, not per post
     male, female = Gender.MALE, Gender.FEMALE
 
     def scan(group):
         counts = StreamCounts()
         table: dict[tuple[date, int, int], int] = {}
-        shard = group[-1] if group and isinstance(group[-1], ScoreShard) else None
+        shard = score_shard if group and group[-1] is score_shard else None
         posts = stream_posts(group[:-1] if shard else group, cfg.filter, counts)
         for _, timestamp, text, gender, _, _ in posts:
             tokens = tokenize(text)
@@ -171,12 +173,12 @@ def scan_corpus(
             table[key] = table.get(key, 0) + n
     if read_corpus and counts.kept == 0:
         raise SignalError("no posts left after filtering")
-    if scores and not found:
+    if scores and score_shard is None:
         raise ConfigError(f"score file not found: {cfg.score_path}")
     score_part = results[-1][2]
     if isinstance(score_part, Exception):
         raise score_part
-    return counts, table, signals, pronoun_bit, score_part
+    return counts, table, signals, score_part
 
 
 def build_signals(cfg: PipelineConfig) -> SignalBundle:
@@ -189,7 +191,7 @@ def build_signals(cfg: PipelineConfig) -> SignalBundle:
     )
     if not cfg.signal_names():
         raise ConfigError("no signals configured (lexicons, reports, or scores)")
-    counts, table, names, _, scores = scan_corpus(
+    counts, table, names, scores = scan_corpus(
         cfg, matcher, report_matcher, scores=bool(cfg.score_emotions)
     )
     # per day: posts per gender index, then the same three per signal bit
@@ -556,7 +558,7 @@ def write_manifest(cfg: PipelineConfig, bundle: SignalBundle, written: list[str]
     }
     if bundle.score_counts is not None:
         manifest["score_counts"] = bundle.score_counts.as_dict()
-    with open(path, "w", encoding="utf-8") as fh:
+    with writing(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -610,11 +612,11 @@ def thirdperson_rows(
     if not cfg.lexicons:
         raise ConfigError("thirdperson needs at least one lexicon")
     matcher = MultiLexiconMatcher(_load_lexicons(cfg))
-    counts, table, names, pronoun_bit, _ = scan_corpus(cfg, matcher, pronouns=True)
+    counts, table, names, _ = scan_corpus(cfg, matcher, pronouns=True)
     cells = [[0, 0, 0, 0] for _ in names]  # with_k, with_n, without_k, without_n
     base_k = 0
     for (_, _, mask), n in table.items():
-        k = n if mask >> pronoun_bit & 1 else 0
+        k = n if mask >> len(names) & 1 else 0
         base_k += k
         for idx, cell in enumerate(cells):
             at = 0 if mask >> idx & 1 else 2

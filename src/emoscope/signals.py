@@ -11,8 +11,8 @@ from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import Shard, StreamCounts, load_json_object, ndjson_lines, read_text
-from .errors import RecordError, SignalError, SurveyError
+from .corpus import StreamCounts, load_json_object, read_records, read_text
+from .errors import RecordError, SignalError, SurveyError, writing
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,7 +73,7 @@ class ScoreRecord(NamedTuple):
     scores: Mapping[str, float]
 
 
-def score_fields(line: str, line_no: int | None = None, source: str | None = None) -> tuple:
+def score_fields(line: str, line_no: int, source: str) -> tuple:
     """The fields of one NDJSON score record, in ScoreRecord's order; a
     missing or mistyped field, or a score that is not a number, raises
     RecordError."""
@@ -116,26 +116,15 @@ class ScoreCounts(StreamCounts):
         return {**super().as_dict(), "rejected_values": self.rejected_values}
 
 
-class ScoreShard(Shard):
-    """A whole score file as one shard of the corpus scan
-    (pipeline.scan_corpus), told apart from the corpus's shards by its
-    class."""
+def _score_record(line: str, line_no: int, source: str) -> ScoreRecord:
+    return tuple.__new__(ScoreRecord, score_fields(line, line_no, source))
 
 
 def stream_scores(path, counts: StreamCounts | None = None) -> Iterator[ScoreRecord]:
-    """Yield score records from one NDJSON file, or a Shard of one;
-    malformed lines are counted and skipped, like stream_posts."""
-    if counts is None:
-        counts = StreamCounts()
-    new = tuple.__new__
-    for line, line_no, source in ndjson_lines((path,), counts):
-        try:
-            fields = score_fields(line, line_no, source)
-        except RecordError as err:
-            counts.reject(err)
-            continue
-        counts.kept += 1
-        yield new(ScoreRecord, fields)
+    """The score records of one NDJSON file, or a Shard of one, in order,
+    as a generator; malformed lines are counted and skipped, like
+    stream_posts."""
+    return read_records((path,), _score_record, StreamCounts() if counts is None else counts)
 
 
 def score_values(
@@ -339,7 +328,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
     pipeline.ProportionRow) declares its columns on its fields with
     pipeline._column, and pipeline._write_table writes it from them.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with writing(path), open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

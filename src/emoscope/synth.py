@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, writing
 from .lexicon import (
     DEMO_LEXICON_NAMES,
     MultiLexiconMatcher,
@@ -259,12 +259,12 @@ def _open_text_out(path):
     p = str(path)
     if p.endswith(".gz"):
         # mtime=0 keeps gzip output byte-identical across runs
-        with open(p, "wb") as raw:
+        with writing(p), open(p, "wb") as raw:
             with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as gz:
                 with io.TextIOWrapper(gz, encoding="utf-8", newline="\n") as out:
                     yield out
     else:
-        with open(p, "w", encoding="utf-8", newline="\n") as out:
+        with writing(p), open(p, "w", encoding="utf-8", newline="\n") as out:
             yield out
 
 

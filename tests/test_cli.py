@@ -1,6 +1,7 @@
 """Subcommand flows, exit codes, and end-to-end recovery of planted effects."""
 
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -403,6 +404,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{corpus}:" in err
         assert "truncated gzip stream" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["signal", "--config", "{ws}/pipeline.ini", "--output", "{out}"],
+        ["validate", "--plot-data", "--config", "{ws}/pipeline.ini", "--output", "{out}"],
+        ["synth", "--out", "{out}", "--days", "30", "--posts-per-day", "10"],
+    ], ids=["signal", "validate", "synth"])
+    def test_write_error_names_the_file(self, workspace, tmp_path, argv):
+        """A write past the file-size limit, set in a child process only and
+        with SIGXFSZ ignored so that the write fails with EFBIG, exits 2
+        naming the file it cut short."""
+        out = tmp_path / "out"
+        script = (
+            "import resource, signal, sys\n"
+            "from emoscope.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (1500, hard))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ)
+        package_root = str(Path(emoscope.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *(a.format(ws=workspace, out=out) for a in argv)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        reason = os.strerror(errno.EFBIG)
+        named = re.fullmatch(rf"error: \[Errno {errno.EFBIG}\] {reason}: '(.+)'\n", proc.stderr)
+        assert named, proc.stderr
+        path = Path(named[1])
+        assert path.parent == out and path.stat().st_size == 1500
 
     def _damaged_line_run(self, tmp_path, capsys, bad: bytes, tz_offset_minutes=0):
         """Insert `bad` as line 6 of a small synth corpus and run `signal`."""

@@ -304,3 +304,15 @@ class TestExpandInputs:
     def test_no_inputs(self):
         with pytest.raises(ConfigError):
             expand_inputs(PipelineConfig())
+
+    @pytest.mark.parametrize("second", ["corpus.ndjson", "corpus*.ndjson", "./corpus.ndjson"])
+    def test_a_file_two_patterns_match_is_refused(self, tmp_path, monkeypatch, second):
+        # read twice, its posts would be counted twice
+        (tmp_path / "corpus.ndjson").write_text("", encoding="utf-8")
+        (tmp_path / "corpus-2.ndjson").write_text("", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        hit = "./corpus.ndjson" if second.startswith("./") else "corpus.ndjson"
+        message = f"input file {hit} is matched by both 'corpus.ndjson' and {second!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            expand_inputs(PipelineConfig(inputs=("corpus.ndjson", second)))
+        assert len(expand_inputs(PipelineConfig(inputs=("corpus.ndjson", "corpus-*")))) == 2

@@ -24,9 +24,8 @@ from emoscope.corpus import (
     Post,
     StreamCounts,
     _parse_timestamp,
-    damaged_stream,
     load_json_object,
-    ndjson_lines,
+    read_records,
     stream_posts,
 )
 from emoscope.errors import ConfigError, RecordError
@@ -470,7 +469,8 @@ class TestRecordErrorPickle:
             RecordError("bad line", 7, "a.ndjson"),
             RecordError("no place"),
             RecordError("no line", source="b.ndjson"),
-            damaged_stream(EOFError("Compressed file ended"), 41, "c.ndjson.gz"),
+            RecordError("corrupt or truncated gzip stream (Compressed file ended)", 42,
+                        "c.ndjson.gz"),
         ],
         ids=["located", "bare", "source-only", "damaged-stream"],
     )
@@ -481,18 +481,18 @@ class TestRecordErrorPickle:
 
 
 def _read_all(paths):
-    """Every (line number, source, line) that ndjson_lines yields and
-    starts with "{", with every error met in order: ndjson_lines's own
-    (bad UTF-8) and "not an object" for each other line."""
+    """Every (line number, source, line) that read_records keeps, with
+    every error met in order: read_records's own (bad UTF-8) and "not an
+    object" for each line that does not start with "{"."""
+
+    def parse(line, line_no, source):
+        if not line.startswith("{"):
+            raise RecordError("not an object", line_no, source)
+        return line_no, source, line
+
     counts = StreamCounts()
-    records = []
     with mock.patch.object(corpus, "_MAX_ERROR_SAMPLES", sys.maxsize):
-        for line, line_no, source in ndjson_lines(paths, counts):
-            if not line.startswith("{"):
-                counts.reject(RecordError("not an object", line_no, source))
-                continue
-            counts.kept += 1
-            records.append((line_no, source, line))
+        records = list(read_records(paths, parse, counts))
     return records, [str(e) for e in counts.errors], counts.as_dict()
 
 
@@ -777,11 +777,11 @@ class TestScanShards:
         return PipelineConfig(inputs=tuple(paths))
 
     def test_one_group_forks_nothing(self, cfg, monkeypatch):
-        counts, table, _, _, _ = pipeline.scan_corpus(cfg, None, pronouns=True)
+        counts, table, _, _ = pipeline.scan_corpus(cfg, None, pronouns=True)
         _no_children_left()
         monkeypatch.setattr(corpus, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(os, "fork", None)
-        one_counts, one_table, _, _, _ = pipeline.scan_corpus(cfg, None, pronouns=True)
+        one_counts, one_table, _, _ = pipeline.scan_corpus(cfg, None, pronouns=True)
         assert (one_counts, one_table) == (counts, table)
         assert (counts.malformed, counts.kept) == (90, 180)
         # the first 20 of the one group's, as the first 20 of a sharded scan

@@ -18,12 +18,12 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from emoscope import corpus
+from emoscope import corpus, pipeline
 from emoscope.cli import main
-from emoscope.config import SCHEMA, expand_inputs, load_config
+from emoscope.config import SCHEMA, PipelineConfig, expand_inputs, load_config
 from emoscope.corpus import FilterConfig, StreamCounts, stream_posts
 from emoscope.errors import RecordError
-from emoscope.signals import ScoreCounts, ScoreShard, stream_scores
+from emoscope.signals import ScoreCounts, stream_scores
 
 
 def _dumps(rec, ascii_only):
@@ -397,12 +397,17 @@ class TestScoreShard:
         ini = _signal_ini(lexicon_workspace, tmp_path, scores)
         inputs = expand_inputs(load_config(ini))
         assert inputs[-1] == scores
+        score_shard = corpus.Shard(scores)
         with mock.patch.object(corpus, "_MIN_SHARD_BYTES", 1):
-            groups = corpus.shard_groups([*inputs, ScoreShard(scores)], 3)
+            groups = corpus.shard_groups([*inputs, score_shard], 3)
         shards = [shard for group in groups for shard in group if shard.path == scores]
-        # read as posts, the file is cut; read as scores, it is one whole shard
-        assert [type(shard) for shard in shards] == [corpus.Shard, corpus.Shard, ScoreShard]
-        assert shards[-1] == ScoreShard(scores)
+        # read as posts, the file is cut; read as scores, it is one whole
+        # shard, the very object given
+        assert [shard is score_shard for shard in shards] == [False, False, True]
+        # in one group, the file read as posts is a whole shard equal to the
+        # score shard, but not it
+        (group,) = corpus.shard_groups([*inputs, score_shard], 1)
+        assert group[-2:] == [score_shard, score_shard] and group[-2] is not score_shard
 
         code, _, _, files = _assert_same_runs(ini, tmp_path)
         assert code == 0
@@ -416,6 +421,29 @@ class TestScoreShard:
         daily = [name for name in files if name.startswith("daily_score_")]
         assert len(daily) == 3
         assert all(files[name] == alone[name] for name in daily)
+
+    def test_score_file_as_the_whole_corpus_of_a_group(self, tmp_path):
+        """The corpus glob matches only the score file, whose lines are
+        posts and scores at once. Cut into two groups, the first holds the
+        file read as posts, a Shard equal to the score shard that starts
+        the second, and reads it as posts all the same."""
+        scores = tmp_path / "corpus-scores.ndjson"
+        records = [{**json.loads(_post_line(i)), **json.loads(_score_line(i))} for i in range(60)]
+        scores.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+        # a path-like score_path, so that the two Shards compare equal
+        cfg = PipelineConfig(inputs=(str(tmp_path / "corpus-*"),), score_path=scores,
+                             score_emotions=("sadness",))
+        with mock.patch.object(corpus, "_MIN_SHARD_BYTES", 1):
+            groups = corpus.shard_groups([*expand_inputs(cfg), corpus.Shard(scores)], 2)
+            assert groups == [[corpus.Shard(scores)], [corpus.Shard(scores)]]
+            runs = []
+            for cpus in (2, 1):
+                with mock.patch.object(corpus, "_usable_cpus", lambda: cpus):
+                    counts, table, _, (score_counts, means) = pipeline.scan_corpus(
+                        cfg, None, pronouns=True, scores=True)
+                runs.append((counts, table, score_counts, means))
+        assert runs[0] == runs[1]
+        assert (counts.kept, score_counts.kept) == (60, 60)
 
     def test_score_signals_only_do_not_read_the_corpus(self, lexicon_workspace, tmp_path):
         data = gzip.compress(_posts(range(30)), mtime=0)

@@ -240,7 +240,7 @@ def test_sharded_scan_keeps_a_one_process_scans_first_errors(cfg, tmp_path, monk
     runs = []
     for cpus in (3, 1):
         monkeypatch.setattr(corpus, "_usable_cpus", lambda: cpus)
-        counts, table, _, _, (score_counts, _) = pipeline.scan_corpus(
+        counts, table, _, (score_counts, _) = pipeline.scan_corpus(
             cfg, None, pronouns=True, scores=True)
         runs.append((counts, table, [str(e) for e in counts.errors],
                      score_counts, [str(e) for e in score_counts.errors]))
