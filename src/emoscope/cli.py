@@ -24,6 +24,7 @@ from .pipeline import (
     format_report_table,
     run_validation,
     thirdperson_rows,
+    validation_surveys,
     write_manifest,
     write_proportions_csv,
     write_report_csv,
@@ -220,9 +221,10 @@ def cmd_validate(args) -> int:
     cfg = _load_config(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    surveys = validation_surveys(cfg)  # a bad survey config is refused before the scan
     bundle = build_signals(cfg)
     _print_counts(bundle.counts)
-    rows = run_validation(cfg, bundle, extra_stratified=args.stratified,
+    rows = run_validation(cfg, bundle, surveys, extra_stratified=args.stratified,
                           plot_data=out / "plot_data.csv" if args.plot_data else None)
     write_report_csv(rows, out / "report.csv")
     table = format_report_table(rows)

@@ -69,22 +69,24 @@ _LATEST = datetime(9999, 12, 31, tzinfo=timezone.utc)
 def _parse_timestamp(raw, line_no, source) -> datetime:
     if not isinstance(raw, str):
         raise RecordError("created_at is not a string", line_no, source)
-    # fast path: a UTC stamp with whole seconds needs no normalizing
+    # fromisoformat reads a Z suffix but neither a lowercase z nor
+    # surrounding whitespace (3.11 to 3.13). So a stamp it reads as it
+    # stands is read exactly, and only one it rejects is read again,
+    # stripped and with its z rewritten.
     try:
         ts = datetime.fromisoformat(raw)
     except ValueError:
-        pass
+        s = raw.strip()
+        if s.endswith(("Z", "z")):
+            s = s[:-1] + "+00:00"
+        try:
+            ts = datetime.fromisoformat(s)
+        except ValueError:
+            raise RecordError(f"unparseable created_at {raw!r}", line_no, source) from None
     else:
+        # fast path: a UTC stamp with whole seconds needs no normalizing
         if ts.tzinfo is timezone.utc and not ts.microsecond and _EARLIEST <= ts < _LATEST:
             return ts
-    s = raw.strip()
-    # fromisoformat reads a Z suffix but not a lowercase z (3.11 to 3.13).
-    if s.endswith(("Z", "z")):
-        s = s[:-1] + "+00:00"
-    try:
-        ts = datetime.fromisoformat(s)
-    except ValueError:
-        raise RecordError(f"unparseable created_at {raw!r}", line_no, source) from None
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)  # zone-less inputs are taken as UTC
     try:

@@ -119,20 +119,16 @@ def load_lexicon(path, name: str | None = None) -> Lexicon:
     return Lexicon(name=name or path.stem, exact_terms=frozenset(exact), prefix_terms=frozenset(prefix))
 
 
-# Most tokens of a corpus repeat an earlier one. Each matcher remembers the
-# mask of up to this many distinct tokens; once full it evicts nothing.
-MATCH_MEMO_SIZE = 1 << 16
-
-
 class MultiLexiconMatcher:
     """Single-pass matcher for several lexicons at once.
 
     Exact terms share one hash map from token to lexicon bitmask; prefix
-    stems are bucketed by stem length. A new token then costs one exact
-    lookup plus one lookup per distinct stem length, independent of the
-    number of lexicons, and a token seen before costs one lookup in a memo
-    of at most MATCH_MEMO_SIZE tokens. Per lexicon it agrees with the
-    literal reference `matches_lexicon` in tests/oracles.py.
+    stems are bucketed by stem length. A token then costs one exact lookup
+    plus one lookup per distinct stem length, independent of the number of
+    lexicons. The matcher remembers nothing: the scan calls it once per
+    distinct word and keeps the masks itself (pipeline._WordMasks). Per
+    lexicon it agrees with the literal reference `matches_lexicon` in
+    tests/oracles.py.
     """
 
     def __init__(self, lexicons: Sequence[Lexicon]):
@@ -151,30 +147,16 @@ class MultiLexiconMatcher:
                 bucket[stem] = bucket.get(stem, 0) | mask
         self._exact = exact
         self._prefixes = tuple(sorted(by_len.items()))
-        self._full = (1 << len(names)) - 1
-        self._memo: dict[str, int] = {}
-
-    def _token_mask(self, tok: str) -> int:
-        mask = self._exact.get(tok, 0)
-        for n, bucket in self._prefixes:
-            if n <= len(tok):
-                mask |= bucket.get(tok[:n], 0)
-        return mask
 
     def match_mask(self, tokens: Sequence[str]) -> int:
         """Bitmask of matched lexicons; bit i corresponds to names[i]."""
         mask = 0
-        memo = self._memo
-        full = self._full
+        exact = self._exact
         for tok in tokens:
-            hit = memo.get(tok)
-            if hit is None:
-                hit = self._token_mask(tok)
-                if len(memo) < MATCH_MEMO_SIZE:
-                    memo[tok] = hit
-            mask |= hit
-            if mask == full:
-                return mask
+            mask |= exact.get(tok, 0)
+            for n, bucket in self._prefixes:
+                if n <= len(tok):
+                    mask |= bucket.get(tok[:n], 0)
         return mask
 
     def match(self, tokens: Sequence[str]) -> set[str]:
@@ -274,6 +256,11 @@ class ExplicitReportMatcher:
             else:
                 self._anywhere.append((suf, adjmap))
         self._starts = frozenset(self._by_start)
+
+    def may_match(self, tokens: Sequence[str]) -> bool:
+        """False only where match(tokens) finds nothing: no token starts a
+        template prefix, and every template has one."""
+        return bool(self._anywhere) or not self._starts.isdisjoint(tokens)
 
     def match(self, tokens: Sequence[str]) -> set[str]:
         found: set[str] = set()

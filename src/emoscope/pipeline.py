@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from datetime import date, timedelta
+from functools import reduce
+from operator import or_
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -90,6 +92,44 @@ def _load_lexicons(cfg: PipelineConfig) -> list[Lexicon]:
     return lexicons
 
 
+# Most words of a corpus repeat an earlier one. Each scan process remembers
+# the mask of up to this many distinct words; once full it evicts nothing.
+MATCH_MEMO_SIZE = 1 << 14
+
+
+class _WordMasks(dict):
+    """The scan's memo: a lowercased word -> the mask bits its tokens set.
+
+    Tokenizing is local to each word: tokenize(text) is the tokens of
+    text.lower().split()'s words in turn. So a post's mask is the OR of its
+    words' masks, and a word is tokenized and matched once, on first sight.
+    A word's mask holds `matcher`'s lexicon bits, `pronoun` where a token is
+    a third-person pronoun, and `flag` where `report_matcher` may match a
+    post holding the word; the scan runs that matcher on flagged posts only.
+    At most MATCH_MEMO_SIZE words are kept: once full, a new word is matched
+    afresh each time and nothing is evicted.
+    """
+
+    def __init__(self, matcher: MultiLexiconMatcher | None, pronoun: int = 0,
+                 report_matcher: ExplicitReportMatcher | None = None, flag: int = 0):
+        super().__init__()
+        self.matcher, self.pronoun = matcher, pronoun
+        self.report_matcher, self.flag = report_matcher, flag
+
+    def __missing__(self, word: str) -> int:
+        # through the module globals and class attributes, as everywhere
+        # in the scan, so that a tracer rebinding them sees each call
+        tokens = tokenize(word)
+        mask = 0 if self.matcher is None else self.matcher.match_mask(tokens)
+        if self.pronoun and contains_third_person(tokens):
+            mask |= self.pronoun
+        if self.flag and self.report_matcher.may_match(tokens):
+            mask |= self.flag
+        if len(self) < MATCH_MEMO_SIZE:
+            self[word] = mask
+        return mask
+
+
 def scan_corpus(
     cfg: PipelineConfig,
     matcher: MultiLexiconMatcher | None,
@@ -104,8 +144,10 @@ def scan_corpus(
     of `report_matcher` (as report_<emotion>) the next ones, and, with
     `pronouns`, bit len(names) marks a post that contains_third_person.
     A matcher left None is never run and sets no bits; with none and no
-    `pronouns`, the corpus is not read. Returns (counts, table, names:
-    the signal name of each lower mask bit, scores).
+    `pronouns`, the corpus is not read. Returns (counts, table, names: the
+    signal name of each lower mask bit, scores). Each process matches each
+    distinct word once (_WordMasks) and report-matches only the posts whose
+    words it flags.
 
     With `scores`, cfg's score file rides the same pass as one uncut shard
     after the corpus, so one process adds its scores in line order; scores
@@ -128,6 +170,7 @@ def scan_corpus(
     )
     signals += tuple(f"report_{e}" for e in report_bits)
     pronoun_bit = len(signals)
+    flag = 0 if report_matcher is None else 1 << (pronoun_bit + 1)  # above every signal bit
     read_corpus = bool(signals) or pronouns
     inputs = expand_inputs(cfg) if read_corpus else []
     score_shard = None
@@ -142,14 +185,14 @@ def scan_corpus(
         table: dict[tuple[date, int, int], int] = {}
         shard = score_shard if group and group[-1] is score_shard else None
         posts = stream_posts(group[:-1] if shard else group, cfg.filter, counts)
+        word_mask = _WordMasks(matcher, 1 << pronoun_bit if pronouns else 0,
+                               report_matcher, flag).__getitem__
         for _, timestamp, text, gender, _, _ in posts:
-            tokens = tokenize(text)
-            mask = 0 if matcher is None else matcher.match_mask(tokens)
-            if report_matcher is not None:
-                for emotion in report_matcher.match(tokens):
+            mask = reduce(or_, map(word_mask, text.lower().split()), 0)
+            if mask & flag:  # only a post that may hold a report is tokenized whole
+                mask ^= flag
+                for emotion in report_matcher.match(tokenize(text)):
                     mask |= report_bits[emotion]
-            if pronouns and contains_third_person(tokens):
-                mask |= 1 << pronoun_bit
             # identity tests: hashing an Enum member is a Python-level call
             key = ((timestamp + shift).date() if shift else timestamp.date(),
                    1 if gender is male else 2 if gender is female else 0, mask)
@@ -378,23 +421,33 @@ def _weekly_pairs(cfg: PipelineConfig, bundle: SignalBundle, surveys, extra_stra
             )
 
 
+def validation_surveys(cfg: PipelineConfig) -> dict[str, SurveySeries]:
+    """The survey series by emotion that cfg.pairs are validated against.
+    A config without pairs is refused before the survey is read."""
+    if not cfg.pairs:
+        raise ConfigError("no survey/signal pairs configured ([survey] pairs)")
+    return load_survey_map(cfg)
+
+
 def run_validation(
     cfg: PipelineConfig,
     bundle: SignalBundle | None = None,
+    surveys: dict[str, SurveySeries] | None = None,
     extra_stratified: bool = False,
     plot_data=None,
 ) -> list[ValidationRow]:
     """`validate_pair` for every configured pair and stratum, then all
     their permutation tests in one `permutation_test` call: the rows share
     one draw of the shuffles per number of pairs n, and Pearson and DCCA
-    share each row's permuted series.
+    share each row's permuted series. `surveys` are validation_surveys(cfg),
+    read here if not given; `bundle` is build_signals(cfg), built here,
+    after the survey is read, if not given.
 
     With `plot_data`, a path, the same aligned pairs are also written there
     as a tidy per-anchor CSV for external plotting, in the configured
     strata only (not the extra_stratified ones)."""
-    if not cfg.pairs:
-        raise ConfigError("no survey/signal pairs configured ([survey] pairs)")
-    surveys = load_survey_map(cfg)
+    if surveys is None:
+        surveys = validation_surveys(cfg)
     if bundle is None:
         bundle = build_signals(cfg)
     pairs = list(_weekly_pairs(cfg, bundle, surveys, extra_stratified))

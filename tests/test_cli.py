@@ -317,6 +317,22 @@ class TestValidateDegenerate:
         assert firsts[0] == "records=141 parsed=140 malformed=1 filtered=0 kept=140"
         assert firsts[1] == firsts[0]
 
+    @pytest.mark.parametrize("survey, error", [
+        ("path = survey.csv", "no survey/signal pairs configured ([survey] pairs)"),
+        ("path = gone.csv\npairs = sad:sadness", "survey file not found: {ws}/gone.csv"),
+    ], ids=["no-pairs", "no-survey-file"])
+    def test_bad_survey_config_is_refused_before_the_scan(self, tmp_path, capsys, survey, error):
+        ws = self._make_workspace(tmp_path)
+        ini = ws / "pipeline.ini"
+        text = ini.read_text(encoding="utf-8")
+        ini.write_text(text.replace("path = survey.csv\npairs = sad:sadness", survey),
+                       encoding="utf-8")
+        (ws / "c.ndjson").unlink()  # a scan would end in its own error
+        assert main(["validate", "--config", str(ini)]) == 1
+        out, err = capsys.readouterr()
+        assert "records=" not in out
+        assert err == f"config error: {error.format(ws=ws)}\n"
+
     def test_constant_signal_is_skipped_not_fatal(self, tmp_path, capsys):
         ws = self._make_workspace(tmp_path)  # every post matches -> fraction 1.0
         code = main(["validate", "--config", str(ws / "pipeline.ini")])

@@ -6,17 +6,26 @@ import csv
 import dataclasses
 import json
 import math
-from datetime import date, timedelta
+import random
+from datetime import date, datetime, timedelta
+from functools import reduce
+from operator import or_
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emoscope import corpus, pipeline, stats
 from emoscope.cli import main
 from emoscope.config import PipelineConfig, expand_inputs, load_config
 from emoscope.corpus import StreamCounts, stream_posts
 from emoscope.lexicon import (
+    THIRD_PERSON_PRONOUNS,
     ExplicitReportMatcher,
+    Lexicon,
     MultiLexiconMatcher,
+    ReportTemplateSet,
     contains_third_person,
     load_lexicon,
     tokenize,
@@ -203,8 +212,17 @@ TRACED = [
 ]
 
 
-def test_scan_calls_every_traced_name(cfg, monkeypatch):
+def test_scan_calls_every_traced_name(cfg, posts, monkeypatch):
+    """Each scan tokenizes and matches each distinct word once (the word
+    memo), and tokenizes whole and report-matches only the posts where a
+    word may start a report."""
     monkeypatch.setattr(corpus, "_usable_cpus", lambda: 1)  # no call made in a child
+    words = {w for post in posts for w in post.text.lower().split()}
+    assert len(words) < pipeline.MATCH_MEMO_SIZE
+    starts = {tpl.split()[0] for tpl in cfg.templates.templates}
+    assert "_" not in starts  # every template has a prefix
+    flagged = sum(1 for post in posts if starts & set(tokenize(post.text)))
+    assert 0 < flagged < len(posts)
     calls = {name: 0 for _, name in TRACED}
     for owner, name in TRACED:
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
@@ -213,15 +231,126 @@ def test_scan_calls_every_traced_name(cfg, monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     kept = build_signals(cfg).counts.kept
-    assert thirdperson_rows(cfg)[0].kept == kept
+    assert thirdperson_rows(cfg)[0].kept == kept == len(posts)
     assert calls == {
         "stream_posts": 2,
         "stream_scores": 1,
-        "tokenize": 2 * kept,
-        "match_mask": 2 * kept,
-        "match": kept,
-        "contains_third_person": kept,
+        "tokenize": 2 * len(words) + flagged,
+        "match_mask": 2 * len(words),
+        "match": flagged,
+        "contains_third_person": len(words),
     }
+
+
+class TestWordMasks:
+    """The scan's memo of word masks, alone."""
+
+    @pytest.mark.parametrize("memo_size", [None, 7])
+    def test_memo_agrees_with_reference_on_repeated_tokens(self, monkeypatch, memo_size):
+        # memo_size 7 fills the memo within the first posts, so most words
+        # are matched afresh after it is full
+        if memo_size is not None:
+            monkeypatch.setattr(pipeline, "MATCH_MEMO_SIZE", memo_size)
+        limit = pipeline.MATCH_MEMO_SIZE
+        rnd = random.Random(7)
+        stems = ["sad", "cry", "worr", "fear", "joy", "hap"]
+        vocab = stems + [s + tail for s in stems for tail in ("", "ing", "ed", "ful", "s")]
+        vocab += ["dog", "rain", "the", "a", "x", "sa", "cr", "wo", "jo"]
+        lexicons = [
+            Lexicon(f"lex{i}", frozenset(rnd.sample(vocab, 3)), frozenset(rnd.sample(stems, 2)))
+            for i in range(4)
+        ]
+        vocab += ["HIS", "they", "i", "I", "am", "#sad", "@sad", "sad,her", "http://sad"]
+        templates = ReportTemplateSet(("i am _",), {"sad": ("sad",)})
+        words = pipeline._WordMasks(MultiLexiconMatcher(lexicons), 1 << 4,
+                                    ExplicitReportMatcher(templates, ("sad",)), 1 << 5)
+        for _ in range(3_000):
+            pool = rnd.sample(vocab, rnd.randint(1, 4))  # few types, many repeats
+            text = " ".join(rnd.choices(pool, k=rnd.randint(0, 9)))
+            tokens = tokenize(text)
+            want = sum(1 << i for i, lex in enumerate(lexicons) if matches_lexicon(tokens, lex))
+            want |= (1 << 4 if THIRD_PERSON_PRONOUNS & set(tokens) else 0)
+            want |= (1 << 5 if "i" in tokens else 0)
+            assert reduce(or_, map(words.__getitem__, text.lower().split()), 0) == want
+            assert len(words) <= limit
+        if memo_size is not None:
+            assert len(words) == limit
+
+    def test_memo_stops_growing_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "MATCH_MEMO_SIZE", 50)
+        sad_cry = Lexicon("sad", frozenset({"sad"}), frozenset({"cry"}))
+        words = pipeline._WordMasks(MultiLexiconMatcher([sad_cry]))
+        for i in range(200):
+            assert [words[w] for w in (f"w{i}", "crying", f"w{i}")] == [0, 1, 0]
+            assert len(words) <= 50
+        assert len(words) == 50
+        kept = dict(words)
+        assert words["sad"] == 1 and words["zzz"] == 0
+        assert dict(words) == kept  # full: nothing added, nothing evicted
+
+
+# Words for the scan's differential test: lexicon terms and stems of the
+# workspace config, report prefixes and adjectives, pronouns, and what the
+# tokenizer strips or splits, in other cases and glued to punctuation.
+SCAN_WORDS = st.sampled_from([
+    "sad", "SAD", "Sadly", "cry", "crying", "worried", "happy", "coffee", "train", "garden",
+    "weather", "today", "Today.", "i", "I", "am", "i'm", "I’m", "so", "not", "he", "Her",
+    "THEM", "they're", "@them", "#sad", "#I", "http://x.co/sad", "www.sad.com", "xhttp", "sad,",
+    "am.", "i,am", "_sad_", "her'", "'him", "ΣΑΣ", "İ",
+])
+SCAN_TEXT = st.lists(
+    st.tuples(st.one_of(SCAN_WORDS, st.text(max_size=5)),
+              st.sampled_from([" ", "  ", "\t", "\n", "\u3000", "\x1c", "\xa0"])),
+    max_size=12,
+).map(lambda parts: "".join(word + space for word, space in parts))
+SCAN_POSTS = st.lists(
+    st.tuples(SCAN_TEXT, st.integers(0, 47), st.sampled_from(["male", "female", "other"])),
+    min_size=1, max_size=30,
+)
+
+
+@pytest.mark.parametrize("templates", [
+    None,  # the workspace config's: every template has a prefix
+    ReportTemplateSet(("_ today", "i am _"), {"sad": ("sad", "train"), "bored": ("garden",)}),
+], ids=["prefixed", "empty-prefix"])
+@pytest.mark.parametrize("cpus", [1, 3])
+@settings(max_examples=40, deadline=None)
+@given(drawn=SCAN_POSTS)
+@example(drawn=[("so sad today", 0, "male"), ("I am  bored, he said", 30, "female"),
+                ("Coffee\ttrain", 47, "other"), ("garden today", 12, "male")])
+def test_scan_table_equals_per_post_oracle(cfg, tmp_path_factory, cpus, templates, drawn):
+    """The table of a scan with lexicons, reports and pronouns equals one
+    built post by post from the whole text's tokens and the literal
+    matchers, with a word bound small enough that the memo fills."""
+    path = tmp_path_factory.mktemp("drawn") / "corpus.ndjson"
+    with open(path, "w", encoding="utf-8") as fh:
+        for text, hour, gender in drawn:
+            stamp = f"2020-06-{1 + hour // 24:02d}T{hour % 24:02d}:30:00Z"
+            fh.write(json.dumps({"id": "p", "created_at": stamp, "text": text,
+                                 "author_gender": gender, "author_followers": 500}) + "\n")
+    cfg = dataclasses.replace(cfg, inputs=(str(path),), templates=templates or cfg.templates)
+    lexicons = [load_lexicon(lex_path, name=name) for name, lex_path in cfg.lexicons]
+    emotions = cfg.report_emotions
+    with mock.patch.object(pipeline, "MATCH_MEMO_SIZE", 3), \
+            mock.patch.object(corpus, "_MIN_SHARD_BYTES", 1), \
+            mock.patch.object(corpus, "_usable_cpus", lambda: cpus):
+        counts, table, names, _ = pipeline.scan_corpus(
+            cfg, MultiLexiconMatcher(lexicons), ExplicitReportMatcher(cfg.templates, emotions),
+            pronouns=True)
+    assert names == tuple(cfg.signal_names()[:len(lexicons) + len(emotions)])
+    want: dict = {}
+    for text, hour, gender in drawn:
+        tokens = tokenize(text)
+        bits = [matches_lexicon(tokens, lex) for lex in lexicons]
+        bits += [matches_explicit_report(tokens, cfg.templates, e) for e in emotions]
+        bits.append(bool(THIRD_PERSON_PRONOUNS & set(tokens)))
+        day = (datetime(2020, 6, 1 + hour // 24, hour % 24, 30)
+               + timedelta(minutes=cfg.tz_offset_minutes)).date()
+        key = (day, {"male": 1, "female": 2}.get(gender, 0),
+               sum(1 << i for i, bit in enumerate(bits) if bit))
+        want[key] = want.get(key, 0) + 1
+    assert counts.kept == len(drawn)
+    assert table == want
 
 
 def test_sharded_scan_keeps_a_one_process_scans_first_errors(cfg, tmp_path, monkeypatch):
