@@ -22,6 +22,7 @@ from .pipeline import (
     finalize_proportion_row,
     format_proportions_table,
     format_report_table,
+    load_survey_map,
     run_validation,
     thirdperson_rows,
     validation_surveys,
@@ -86,8 +87,8 @@ def _parse_step_spec(items) -> tuple[tuple[str, int, float], ...]:
 
 
 def _write_text(path: Path, text: str) -> None:
-    with writing(path):
-        path.write_text(text, encoding="utf-8")
+    with writing(path) as fh:
+        fh.write(text)
 
 
 _PIPELINE_HEADER = """\
@@ -207,8 +208,10 @@ def cmd_signal(args) -> int:
     cfg = _load_config(args)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # a bad survey is refused before the scan, as by validate
+    surveys = {} if cfg.survey_path is None else load_survey_map(cfg)
     bundle = build_signals(cfg)
-    written = write_signal_outputs(cfg, bundle, out)
+    written = write_signal_outputs(cfg, bundle, out, surveys)
     write_manifest(cfg, bundle, written, out / "manifest.json")
     _print_counts(bundle.counts)
     for name in cfg.signal_names():

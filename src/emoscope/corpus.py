@@ -451,7 +451,8 @@ def fork_map(work: Callable[[A], T], parts: Sequence[A], what: str) -> Iterator[
     part order, and a child's exception is raised where its result would
     come, so only once every part before it was taken: a one-process run
     would have met it first. If this process's part raises, the children
-    are killed.
+    are killed. So scan_corpus raises the data error first in input order,
+    the score file's (in the last part) only after the corpus's.
 
     The scan commands never load numpy, and `validate` loads it only for
     its statistics, after the scan, so a scan forks before any BLAS thread

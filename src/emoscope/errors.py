@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the rule that names
-the file in an error met while writing it."""
+"""Exception types shared across the package, and the one opener of every
+file the package writes, which names that file in an error met writing it."""
 
+import gzip
+import io
 import os
 from contextlib import contextmanager
 
@@ -47,12 +49,21 @@ class StatError(EmoscopeError):
 
 @contextmanager
 def writing(path):
-    """Run the block that writes `path`. An OSError raised in it that names
-    no file (a failed write or close, say) is given `path` as its filename,
-    so its message names the file."""
+    """Open `path` to write text: UTF-8, each writer's line ends as written
+    (newline=""), gzip with a fixed header (no name, mtime 0) for a .gz
+    name. An OSError opening, writing or closing it that names no file is
+    given `path` as its filename, so its message names the file."""
+    path = os.fspath(path)
     try:
-        yield
+        if path.endswith(".gz"):
+            with (open(path, "wb") as raw,
+                  gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as gz,
+                  io.TextIOWrapper(gz, encoding="utf-8", newline="") as out):
+                yield out
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as out:
+                yield out
     except OSError as err:
         if err.filename is None:
-            err.filename = os.fspath(path)
+            err.filename = path
         raise

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 from . import corpus
 from .config import PipelineConfig, config_text, expand_inputs
 from .corpus import Gender, StreamCounts, stream_posts
-from .errors import ConfigError, RecordError, SignalError, StatError, writing
+from .errors import ConfigError, SignalError, StatError, writing
 from .lexicon import (
     ExplicitReportMatcher,
     Lexicon,
@@ -153,9 +153,9 @@ def scan_corpus(
     after the corpus, so one process adds its scores in line order; scores
     is then (ScoreCounts, daily_mean_scores of cfg.score_emotions), else
     None. That shard is told apart by identity: a corpus glob may match
-    the score file too. Errors come in the order one process meets them:
-    a corpus data error, no kept post, a missing score file, a score data
-    error.
+    the score file too. Errors come in one order: config errors (no input
+    file matches, no score file) before anything is read, then data errors
+    in input order (fork_map), then no kept post.
 
     The inputs are cut into corpus.shard_groups, one per usable CPU at
     most, and each group is scanned in a process of its own
@@ -174,7 +174,9 @@ def scan_corpus(
     read_corpus = bool(signals) or pronouns
     inputs = expand_inputs(cfg) if read_corpus else []
     score_shard = None
-    if scores and cfg.score_path is not None and Path(cfg.score_path).is_file():
+    if scores:
+        if cfg.score_path is None or not Path(cfg.score_path).is_file():
+            raise ConfigError(f"score file not found: {cfg.score_path}")
         score_shard = corpus.Shard(cfg.score_path)
         inputs.append(score_shard)
     shift = timedelta(minutes=cfg.tz_offset_minutes)  # built once, not per post
@@ -200,11 +202,8 @@ def scan_corpus(
         if shard is None:
             return counts, table, None
         score_counts = ScoreCounts()
-        try:  # raised by the caller, after the checks that come first
-            means = daily_mean_scores(stream_scores(shard, score_counts),
-                                      cfg.score_emotions, score_counts)
-        except (RecordError, OSError) as err:
-            return counts, table, err
+        means = daily_mean_scores(stream_scores(shard, score_counts),
+                                  cfg.score_emotions, score_counts)
         return counts, table, (score_counts, means)
 
     groups = corpus.shard_groups(inputs, corpus._usable_cpus())
@@ -216,12 +215,7 @@ def scan_corpus(
             table[key] = table.get(key, 0) + n
     if read_corpus and counts.kept == 0:
         raise SignalError("no posts left after filtering")
-    if scores and score_shard is None:
-        raise ConfigError(f"score file not found: {cfg.score_path}")
-    score_part = results[-1][2]
-    if isinstance(score_part, Exception):
-        raise score_part
-    return counts, table, signals, score_part
+    return counts, table, signals, results[-1][2]
 
 
 def build_signals(cfg: PipelineConfig) -> SignalBundle:
@@ -280,10 +274,6 @@ def load_survey_map(cfg: PipelineConfig) -> dict[str, SurveySeries]:
     if not Path(cfg.survey_path).is_file():
         raise ConfigError(f"survey file not found: {cfg.survey_path}")
     return {series.emotion: series for series in load_survey(cfg.survey_path)}
-
-
-def survey_anchor_union(surveys) -> tuple[date, ...]:
-    return tuple(sorted({anchor for series in surveys for anchor in series.anchors}))
 
 
 def strata_for(cfg: PipelineConfig, signal: str, extra_stratified: bool = False) -> list[str]:
@@ -572,13 +562,12 @@ def _write_plot_data(cfg: PipelineConfig, pairs, path) -> None:
     ))
 
 
-def write_signal_outputs(cfg: PipelineConfig, bundle: SignalBundle, out_dir: Path) -> list[str]:
-    """Daily (and, when a survey is configured, weekly) CSVs for every
-    signal and stratum; returns the written file names."""
+def write_signal_outputs(cfg: PipelineConfig, bundle: SignalBundle, out_dir: Path,
+                         surveys: dict[str, SurveySeries]) -> list[str]:
+    """Daily (and, given `surveys`, weekly) CSVs for every signal and
+    stratum; returns the written file names."""
     written: list[str] = []
-    anchors: tuple[date, ...] = ()
-    if cfg.survey_path is not None:
-        anchors = survey_anchor_union(load_survey_map(cfg).values())
+    anchors = sorted({anchor for series in surveys.values() for anchor in series.anchors})
     for name in cfg.signal_names():
         for stratum in strata_for(cfg, name):
             daily = bundle.stratum_signal(name, stratum)
@@ -611,7 +600,7 @@ def write_manifest(cfg: PipelineConfig, bundle: SignalBundle, written: list[str]
     }
     if bundle.score_counts is not None:
         manifest["score_counts"] = bundle.score_counts.as_dict()
-    with writing(path), open(path, "w", encoding="utf-8") as fh:
+    with writing(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -328,7 +328,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
     pipeline.ProportionRow) declares its columns on its fields with
     pipeline._column, and pipeline._write_table writes it from them.
     """
-    with writing(path), open(path, "w", newline="", encoding="utf-8") as fh:
+    with writing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

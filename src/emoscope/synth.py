@@ -7,10 +7,7 @@ recovery checks meaningful.
 
 from __future__ import annotations
 
-import gzip
-import io
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -254,20 +251,6 @@ def _check_vocabulary(cfg: SynthConfig, pools: Mapping[str, Sequence[str]]) -> N
                 raise ConfigError(f"term {term!r} matches {sorted(hit)}, expected only {emotion}")
 
 
-@contextmanager
-def _open_text_out(path):
-    p = str(path)
-    if p.endswith(".gz"):
-        # mtime=0 keeps gzip output byte-identical across runs
-        with writing(p), open(p, "wb") as raw:
-            with gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as gz:
-                with io.TextIOWrapper(gz, encoding="utf-8", newline="\n") as out:
-                    yield out
-    else:
-        with writing(p), open(p, "w", encoding="utf-8", newline="\n") as out:
-            yield out
-
-
 def generate_corpus(cfg: SynthConfig, corpus_path, truth_path=None) -> GroundTruth:
     """Write an NDJSON corpus with planted per-day match rates.
 
@@ -298,7 +281,7 @@ def generate_corpus(cfg: SynthConfig, corpus_path, truth_path=None) -> GroundTru
     n_pron = len(PRONOUN_CHOICES)
     p = cfg.posts_per_day
     term_pools = [pools[e] for e in emotions]
-    with _open_text_out(corpus_path) as out:
+    with writing(corpus_path) as out:
         for day_idx in range(cfg.days):
             base = day_idx * p
             is_male = rng.random(p) < cfg.male_share
@@ -404,7 +387,7 @@ def generate_scores(
     rng = np.random.default_rng(seed)
     population = np.array([truth.population(e) for e in emotions]).T.tolist()
     names = [f'"{e}":' for e in emotions]
-    with _open_text_out(path) as out:
+    with writing(path) as out:
         for day_idx, (day, values) in enumerate(zip(truth.dates(), population)):
             if noise_sd:
                 noise = rng.normal(0.0, noise_sd, size=(per_day, len(emotions)))

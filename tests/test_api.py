@@ -81,6 +81,43 @@ def test_every_definition_is_used_by_the_package_or_exported():
     assert defined - used - set(emoscope.__all__) == set()
 
 
+# Where the package may open a file for writing: errors.writing opens
+# every output, and a forked child writes its result to the pipe fork_map
+# gave it.
+WRITERS = {("errors", "writing"), ("corpus", "_forked_child")}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """Whether `call` opens a file for writing: open, io.open, gzip.open or
+    GzipFile with a mode that writes (or one not known until run time), or
+    Path.write_text / write_bytes."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name not in ("open", "GzipFile"):
+        return False
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[1] if len(call.args) > 1 else None)
+    if mode is None:
+        return False  # every opener's default mode reads
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return bool(set(mode.value) & set("wax+"))
+
+
+def test_only_errors_writing_opens_files_for_writing():
+    """errors.writing is the one place an output file is created, so the
+    encoding, line ends, gzip header and error naming are set once."""
+    found = set()  # (module, top-level definition, line)
+    for path in Path(emoscope.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            found |= {(path.stem, getattr(top, "name", None), node.lineno)
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and _opens_for_writing(node)}
+    assert {(module, name) for module, name, _ in found} == WRITERS, sorted(found)
+
+
 def test_exports_are_the_documented_api():
     assert set(emoscope.__all__) == API
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -425,7 +425,9 @@ class TestExitCodes:
         ["signal", "--config", "{ws}/pipeline.ini", "--output", "{out}"],
         ["validate", "--plot-data", "--config", "{ws}/pipeline.ini", "--output", "{out}"],
         ["synth", "--out", "{out}", "--days", "30", "--posts-per-day", "10"],
-    ], ids=["signal", "validate", "synth"])
+        # the compressed corpus reaches the file only as the opener closes it
+        ["synth", "--gzip", "--out", "{out}", "--days", "30", "--posts-per-day", "10"],
+    ], ids=["signal", "validate", "synth", "synth-gzip"])
     def test_write_error_names_the_file(self, workspace, tmp_path, argv):
         """A write past the file-size limit, set in a child process only and
         with SIGXFSZ ignored so that the write fails with EFBIG, exits 2

@@ -465,16 +465,19 @@ class TestScoreShard:
         "posts, score_file, error",
         [
             ("damaged", "damaged", "error: {tmp}/corpus-1.ndjson.gz:"),
-            ("filtered", "damaged", "error: no posts left after filtering"),
-            ("filtered", "missing", "error: no posts left after filtering"),
+            ("damaged", "missing", "config error: score file not found: {tmp}/scores.ndjson.gz"),
+            ("filtered", "damaged", "error: {tmp}/scores.ndjson.gz:"),
+            ("filtered", "missing", "config error: score file not found: {tmp}/scores.ndjson.gz"),
+            ("filtered", "whole", "error: no posts left after filtering"),
             ("kept", "missing", "config error: score file not found: {tmp}/scores.ndjson.gz"),
             ("kept", "damaged", "error: {tmp}/scores.ndjson.gz:"),
         ],
     )
     def test_error_precedence(self, lexicon_workspace, tmp_path, command, posts, score_file,
                               error):
-        """A corpus data error, then no kept post, then a missing score
-        file, then a data error in the score file."""
+        """A missing score file is a config error, met before the scan;
+        then the data errors in input order, the corpus's before the score
+        file's; then no kept post."""
         corpus_data = _posts(range(60))
         if posts == "filtered":
             corpus_data = corpus_data.replace(b'"author_followers": 500', b'"author_followers": 5')
@@ -483,13 +486,42 @@ class TestScoreShard:
             data = gzip.compress(_posts(range(30)), mtime=0)
             (tmp_path / "corpus-1.ndjson.gz").write_bytes(data[: len(data) // 2])
         scores = tmp_path / "scores.ndjson.gz"
-        if score_file == "damaged":
+        if score_file != "missing":
             data = gzip.compress(_scores(range(100)), mtime=0)
-            scores.write_bytes(data[: len(data) // 2])
+            scores.write_bytes(data[: len(data) // 2] if score_file == "damaged" else data)
         code, _, stderr, _ = _assert_same_runs(_signal_ini(lexicon_workspace, tmp_path, scores),
                                                tmp_path, command)
         assert code == (1 if error.startswith("config") else 2)
         assert stderr.startswith(error.format(tmp=tmp_path))
+
+
+@pytest.mark.parametrize("command", ["signal", "validate"])
+@pytest.mark.parametrize("fault, error", [
+    ("no score file", "config error: score file not found: {tmp}/scores.ndjson"),
+    ("no survey", "config error: survey file not found: {tmp}/survey.csv"),
+    ("bad survey", "error: {tmp}/survey.csv:2: bad percent 'bad'"),
+])
+def test_inputs_are_refused_before_the_scan(lexicon_workspace, tmp_path, command, fault, error):
+    """A missing score file or survey, or a bad survey row, ends the run
+    before the corpus is read: the corpus is a damaged .gz, which a scan
+    would refuse with an error of its own, and no counts are printed."""
+    data = gzip.compress(_posts(range(30)), mtime=0)
+    (tmp_path / "corpus-0.ndjson.gz").write_bytes(data[: len(data) // 2])
+    scores = tmp_path / "scores.ndjson"
+    if fault != "no score file":
+        scores.write_bytes(_scores(range(20)))
+    if fault == "bad survey":
+        (tmp_path / "survey.csv").write_text("date,emotion,percent\n2020-06-07,sadness,bad\n",
+                                             encoding="utf-8")
+    elif fault != "no survey":
+        shutil.copy(lexicon_workspace / "survey.csv", tmp_path / "survey.csv")
+    ini = _signal_ini(lexicon_workspace, tmp_path, scores)
+    ini.write_text(ini.read_text(encoding="utf-8").replace(
+        f"{lexicon_workspace}/survey.csv", f"{tmp_path}/survey.csv"), encoding="utf-8")
+    code, stdout, stderr, _ = _assert_same_runs(ini, tmp_path, command)
+    assert code == (1 if error.startswith("config") else 2)
+    assert stderr == error.format(tmp=tmp_path) + "\n"
+    assert "records=" not in stdout
 
 
 # `auc` on arbitrary score and label bytes ends in exit 0, 1 or 2 with a
