@@ -6,16 +6,23 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from datetime import date
 from importlib import resources
 from pathlib import Path
 
-from .config import PATH, SCHEMA, PipelineConfig, config_text, format_ini, load_config
-from .corpus import read_text
-from .errors import ConfigError, EmoscopeError, StatError, writing
+from .config import (
+    PATH,
+    RETIRED,
+    SCHEMA,
+    PipelineConfig,
+    config_text,
+    format_ini,
+    load_config,
+    retired_note,
+)
+from .corpus import read_csv
+from .errors import ConfigError, EmoscopeError, RecordError, StatError, writing
 from .pipeline import (
     ProportionRow,
     build_signals,
@@ -31,7 +38,7 @@ from .pipeline import (
     write_report_csv,
     write_signal_outputs,
 )
-from .signals import ScoreCounts, numbered_rows, score_values, stream_scores, write_csv
+from .signals import ScoreCounts, score_values, stream_scores, write_csv
 from .stats import roc_auc, roc_curve
 from .synth import (
     SynthConfig,
@@ -124,7 +131,6 @@ def cmd_synth(args) -> int:
     anchors = weekly_anchors(cfg.start, cfg.days)
     planted_truth(cfg)  # a step change may push a planted rate out of (0, 1)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     corpus_name = "corpus.ndjson.gz" if args.gzip else "corpus.ndjson"
 
     truth = generate_corpus(cfg, out / corpus_name, truth_path=out / "truth.csv")
@@ -138,12 +144,10 @@ def cmd_synth(args) -> int:
         noise_sd=args.score_noise,
         seed=args.score_seed,
     )
-    lexdir = out / "lexicons"
-    lexdir.mkdir(exist_ok=True)
     emotions = truth.emotions
     for emotion in emotions:
         text = (resources.files("emoscope") / "data" / f"{emotion}.txt").read_text("utf-8")
-        _write_text(lexdir / f"{emotion}.txt", text)
+        _write_text(out / "lexicons" / f"{emotion}.txt", text)
 
     n = len(anchors)
     split_idx = min(max(round(0.67 * n), 8), n - 8) if n >= 16 else n // 2
@@ -155,7 +159,6 @@ def cmd_synth(args) -> int:
         survey_path="survey.csv",
         pairs=tuple((e, e) for e in emotions) + tuple((e, f"score_{e}") for e in emotions),
         split_date=anchors[split_idx],
-        permutations=1000,
     )
     sections = ("corpus", "lexicons", "scores", "survey", "signals", "validate", "output")
     ini = format_ini(config_text(pipeline, sections))
@@ -196,6 +199,9 @@ def _load_config(args):
         value = getattr(args, flag.replace("-", "_"), None)
         if value is not None:
             overrides[row.attr] = row.kind.parse(value, Path.cwd()) if row.kind is PATH else value
+    for _, flag in RETIRED:
+        if getattr(args, flag, None) is not None:
+            retired_note(f"--{flag}")
     return load_config(args.config, overrides)
 
 
@@ -207,7 +213,6 @@ def _print_counts(c) -> None:
 def cmd_signal(args) -> int:
     cfg = _load_config(args)
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     # a bad survey is refused before the scan, as by validate
     surveys = {} if cfg.survey_path is None else load_survey_map(cfg)
     bundle = build_signals(cfg)
@@ -223,7 +228,6 @@ def cmd_signal(args) -> int:
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     surveys = validation_surveys(cfg)  # a bad survey config is refused before the scan
     bundle = build_signals(cfg)
     _print_counts(bundle.counts)
@@ -237,44 +241,24 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _csv_records(path, required: set[str]):
-    """(line number, record) of every row of a CSV input whose header must
-    name the `required` columns, numbered as `numbered_rows` numbers them;
-    a short row leaves its missing cells None."""
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        header = next(reader, None)
-        if header is None or not required <= set(header):
-            raise ConfigError(f"{path}: header must contain {sorted(required)}")
-        for line_no, row in numbered_rows(reader):
-            yield line_no, dict(zip(header, row + [None] * (len(header) - len(row))))
-    except csv.Error as err:  # a field past csv's size limit
-        raise ConfigError(f"{path}:{reader.line_num}: {err}") from None
-
-
 def _read_counts(path) -> list[ProportionRow]:
     """Precomputed-counts mode: CSV label,with_k,with_n,without_k,without_n."""
-    path = Path(path)
     rows: list[ProportionRow] = []
-    for line_no, rec in _csv_records(path, {"label", "with_k", "with_n", "without_k", "without_n"}):
+    columns = ("label", "with_k", "with_n", "without_k", "without_n")
+    for line_no, (label, *counts) in read_csv(path, columns):
         try:
-            row = ProportionRow(
-                label=rec["label"] or "",
-                with_k=int(rec["with_k"]),
-                with_n=int(rec["with_n"]),
-                without_k=int(rec["without_k"]),
-                without_n=int(rec["without_n"]),
-            )
+            with_k, with_n, without_k, without_n = map(int, counts)
         except (TypeError, ValueError):
-            raise ConfigError(f"{path}:{line_no}: counts must be integers") from None
-        if not (0 <= row.with_k <= row.with_n and 0 <= row.without_k <= row.without_n):
-            raise ConfigError(f"{path}:{line_no}: counts must satisfy 0 <= k <= n")
+            raise RecordError("counts must be integers", line_no, path) from None
+        if not (0 <= with_k <= with_n and 0 <= without_k <= without_n):
+            raise RecordError("counts must satisfy 0 <= k <= n", line_no, path)
+        row = ProportionRow(label or "", with_k, with_n, without_k=without_k, without_n=without_n)
         try:
             rows.append(finalize_proportion_row(row))
         except OverflowError:  # a fraction or chi2 past float range
-            raise ConfigError(f"{path}:{line_no}: counts too large") from None
+            raise RecordError("counts too large", line_no, path) from None
     if not rows:
-        raise ConfigError(f"{path}: no count rows")
+        raise RecordError("no count rows", None, path)
     return rows
 
 
@@ -290,7 +274,6 @@ def cmd_thirdperson(args) -> int:
         counts, baseline, rows = thirdperson_rows(cfg)
         out = Path(cfg.output_dir)
         _print_counts(counts)
-    out.mkdir(parents=True, exist_ok=True)
     write_proportions_csv(baseline, rows, out / "thirdperson.csv")
     sys.stdout.write(format_proportions_table(baseline, rows))
     print(f"wrote thirdperson.csv to {out}")
@@ -299,13 +282,13 @@ def cmd_thirdperson(args) -> int:
 
 def _read_labels(path) -> dict[str, dict[str, int]]:
     labels: dict[str, dict[str, int]] = {}
-    for line_no, rec in _csv_records(path, {"id", "emotion", "label"}):
-        emotion, post_id, raw = ((rec[k] or "").strip() for k in ("emotion", "id", "label"))
+    for line_no, cells in read_csv(path, ("emotion", "id", "label")):
+        emotion, post_id, raw = ((cell or "").strip() for cell in cells)
         if raw not in ("0", "1"):
-            raise ConfigError(f"{path}:{line_no}: label must be 0 or 1, got {raw!r}")
+            raise RecordError(f"label must be 0 or 1, got {raw!r}", line_no, path)
         labels.setdefault(emotion, {})[post_id] = int(raw)
     if not labels:
-        raise ConfigError(f"{path}: no label rows")
+        raise RecordError("no label rows", None, path)
     return labels
 
 
@@ -325,7 +308,6 @@ def cmd_auc(args) -> int:
     print(f"records={counts.records} parsed={counts.parsed} malformed={counts.malformed} "
           f"rejected_values={counts.rejected_values} duplicate_ids={duplicates}")
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     summary = []
     computed = 0
     for emotion in emotions:
@@ -404,7 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the full validation battery", formatter_class=fmt)
     p.add_argument("--config", required=True, help="pipeline INI file")
-    _add_overrides(p, "output", "gender-mode", "permutations", "seed", "split-date", "dcca-window")
+    _add_overrides(p, "output", "gender-mode", "split-date", "dcca-window")
+    for _, flag in RETIRED:
+        p.add_argument(f"--{flag}", metavar="N",
+                       help="retired and ignored: p-values come from circular shifts")
     p.add_argument("--stratified", action="store_true",
                    help="add per-gender rows to the report")
     p.add_argument("--plot-data", action="store_true",

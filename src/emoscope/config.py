@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import glob as globlib
+import sys
 from dataclasses import dataclass, field, replace
 from datetime import date
 from operator import attrgetter
@@ -44,8 +45,6 @@ class PipelineConfig:
     tz_offset_minutes: int = 0
     week_length: int = 7
     week_offset: int = 0
-    permutations: int = 10_000
-    seed: int = 1
     dcca_window: int = 12
     output_dir: str = "out"
 
@@ -198,14 +197,22 @@ SCHEMA = (
     Key("signals", "week_offset", "week_offset", INT, "days the window ends before its anchor", lo=0),
     Key("validate", "split_date", "split_date", DATE, "first anchor of the prediction period",
         flag="split-date"),
-    Key("validate", "permutations", "permutations", INT, "permutation count", lo=1000,
-        flag="permutations"),
-    Key("validate", "seed", "seed", INT, "permutation seed", lo=0, flag="seed"),
     Key("validate", "dcca_window", "dcca_window", INT, "DCCA box size", lo=4, flag="dcca-window"),
     Key("output", "dir", "output_dir", PATH, "output directory", flag="output"),
 )
 
 _DEFAULTS = PipelineConfig()
+
+# Keys that once set the permutation count and seed. The p-values now come
+# from every circular shift, which needs neither, so a file or a command
+# line that still gives one is read, told it is ignored, and run.
+RETIRED = (("validate", "permutations"), ("validate", "seed"))
+
+
+def retired_note(where: str) -> None:
+    """Tell stderr that `where`, a retired key or flag, is ignored."""
+    print(f"note: {where} is retired and ignored: p-values come from circular shifts",
+          file=sys.stderr)
 
 
 def _parse(row: Key, raw, base: Path | None):
@@ -257,7 +264,9 @@ def load_config(path, overrides: Mapping[str, object] | None = None) -> Pipeline
             raise ConfigError(f"{path}: unknown section [{section}]; have {sorted(known)}")
         allowed = known[section]
         for key in parser[section]:
-            if None not in allowed and key not in allowed:
+            if (section, key) in RETIRED:
+                retired_note(f"{path}: [{section}] {key}")
+            elif None not in allowed and key not in allowed:
                 raise ConfigError(
                     f"{path}: unknown key {key!r} in [{section}]; have {sorted(allowed)}"
                 )

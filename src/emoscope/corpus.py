@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import gzip
+import io
 import json
 import math
 import os
@@ -381,6 +383,33 @@ def read_text(path) -> str:
                           data.count(b"\n", 0, err.start) + 1, path) from None
 
 
+def read_csv(path, columns: Sequence[str], error=RecordError) -> Iterator[tuple[int, list]]:
+    """(line number, cells) of every data row of a CSV input (the survey,
+    `--counts` or the labels), read by read_text: the row's cells in the
+    named `columns`, in their order, None past the end of a short row.
+    A header name matches a column with case and surrounding spaces
+    aside, the first of two equal names counting. A row whose cells are
+    all blank is left out. The number is the physical line where the row
+    starts, so a quoted field that holds a newline does not shift the
+    rows after it.
+
+    A header that lacks a column, and a field past csv's size limit,
+    raise error(message, line, path), a RecordError: a data error."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = [name.strip().lower() for name in next(reader, [])]
+        if not set(columns) <= set(header):
+            raise error(f"header must name the columns {', '.join(columns)}", None, path)
+        at = [header.index(column) for column in columns]
+        start = reader.line_num + 1
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                yield start, [row[i] if i < len(row) else None for i in at]
+            start = reader.line_num + 1
+    except csv.Error as err:
+        raise error(str(err), reader.line_num, path) from None
+
+
 def stream_posts(
     paths: Iterable,
     filter_config: FilterConfig | None = None,
@@ -458,9 +487,7 @@ def fork_map(work: Callable[[A], T], parts: Sequence[A], what: str) -> Iterator[
     its statistics, after the scan, so a scan forks before any BLAS thread
     exists; where a caller did load it first, a child still runs the
     pure-Python scan only and never needs those threads, which fork does
-    not copy. stats.permutation_test forks after numpy loads: from the
-    main thread, between numpy calls, so no BLAS thread is mid-call, and
-    its kernels keep each product on one BLAS thread (_ONE_THREAD_PRODUCT).
+    not copy.
     """
     if len(parts) > 1:
         # a child must not write out again what this process buffered

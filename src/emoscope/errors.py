@@ -35,7 +35,7 @@ class LexiconError(EmoscopeError):
     """Bad lexicon file, template, or unknown emotion name."""
 
 
-class SurveyError(EmoscopeError):
+class SurveyError(RecordError):
     """Bad survey file."""
 
 
@@ -52,9 +52,12 @@ def writing(path):
     """Open `path` to write text: UTF-8, each writer's line ends as written
     (newline=""), gzip with a fixed header (no name, mtime 0) for a .gz
     name. An OSError opening, writing or closing it that names no file is
-    given `path` as its filename, so its message names the file."""
+    given `path` as its filename, so its message names the file. The
+    file's directory is made here if it is missing, so a command refused
+    before its first output leaves no empty directory behind."""
     path = os.fspath(path)
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         if path.endswith(".gz"):
             with (open(path, "wb") as raw,
                   gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as gz,

@@ -427,11 +427,10 @@ def run_validation(
     plot_data=None,
 ) -> list[ValidationRow]:
     """`validate_pair` for every configured pair and stratum, then all
-    their permutation tests in one `permutation_test` call: the rows share
-    one draw of the shuffles per number of pairs n, and Pearson and DCCA
-    share each row's permuted series. `surveys` are validation_surveys(cfg),
-    read here if not given; `bundle` is build_signals(cfg), built here,
-    after the survey is read, if not given.
+    their shift tests in one `permutation_test` call, which shares the
+    DCCA band blocks of each (n, window) across the rows. `surveys` are
+    validation_surveys(cfg), read here if not given; `bundle` is
+    build_signals(cfg), built here, after the survey is read, if not given.
 
     With `plot_data`, a path, the same aligned pairs are also written there
     as a tidy per-anchor CSV for external plotting, in the configured
@@ -445,7 +444,7 @@ def run_validation(
     tested = [(row, test) for row, test in results if test is not None]
     if tested:
         xs, ys, windows = zip(*(test for _, test in tested))
-        p_values = permutation_test(xs, ys, windows, n_perm=cfg.permutations, seed=cfg.seed)
+        p_values = permutation_test(xs, ys, windows)
         for (row, _), (perm_p, dcca_p) in zip(tested, p_values):
             row.perm_p, row.dcca_p = perm_p, dcca_p
     if plot_data is not None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -11,7 +10,7 @@ from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import StreamCounts, load_json_object, read_records, read_text
+from .corpus import StreamCounts, load_json_object, read_csv, read_records
 from .errors import RecordError, SignalError, SurveyError, writing
 
 if TYPE_CHECKING:
@@ -237,19 +236,9 @@ class SurveySeries:
                 raise SurveyError(f"{self.emotion}: percent {v} on {d} outside [0, 100]")
 
 
-def numbered_rows(reader) -> Iterator[tuple[int, list[str]]]:
-    """(line number, row) of every row left in a csv.reader, blank rows
-    left out. The number is the physical line where the row starts, so a
-    quoted field that holds a newline does not shift the rows after it."""
-    start = reader.line_num + 1
-    for row in reader:
-        if row:
-            yield start, row
-        start = reader.line_num + 1
-
-
 def load_survey(path) -> list[SurveySeries]:
-    """Load a long-form weekly survey CSV with header date,emotion,percent.
+    """Load a long-form weekly survey CSV with header date,emotion,percent
+    (read by corpus.read_csv).
 
     Rows must be date-ordered within each emotion; duplicates are errors.
     Emotions keep first-appearance order.
@@ -257,48 +246,33 @@ def load_survey(path) -> list[SurveySeries]:
     path = Path(path)
     order: list[str] = []
     per: dict[str, list[tuple[date, float]]] = {}
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise SurveyError(f"{path}: empty file")
-        lowered = [h.strip().lower() for h in header]
+    for row_no, cells in read_csv(path, ("date", "emotion", "percent"), SurveyError):
+        if None in cells:
+            raise SurveyError("too few columns", row_no, path)
+        day, emotion, percent = cells
         try:
-            di = lowered.index("date")
-            ei = lowered.index("emotion")
-            pi = lowered.index("percent")
+            d = date.fromisoformat(day.strip())
         except ValueError:
-            raise SurveyError(f"{path}: header must name date, emotion and percent columns") from None
-        for row_no, row in numbered_rows(reader):
-            if not any(cell.strip() for cell in row):
-                continue
-            if len(row) <= max(di, ei, pi):
-                raise SurveyError(f"{path}:{row_no}: too few columns")
-            try:
-                d = date.fromisoformat(row[di].strip())
-            except ValueError:
-                raise SurveyError(f"{path}:{row_no}: bad date {row[di]!r}") from None
-            emotion = row[ei].strip()
-            if not emotion:
-                raise SurveyError(f"{path}:{row_no}: empty emotion")
-            try:
-                percent = float(row[pi])
-            except ValueError:
-                raise SurveyError(f"{path}:{row_no}: bad percent {row[pi]!r}") from None
-            if not 0.0 <= percent <= 100.0:
-                raise SurveyError(f"{path}:{row_no}: percent {percent} outside [0, 100]")
-            rows = per.setdefault(emotion, [])
-            if not rows:
-                order.append(emotion)
-            elif d == rows[-1][0]:
-                raise SurveyError(f"{path}:{row_no}: duplicate date {d} for {emotion}")
-            elif d < rows[-1][0]:
-                raise SurveyError(f"{path}:{row_no}: dates not increasing for {emotion}")
-            rows.append((d, percent))
-    except csv.Error as err:  # a field past csv's size limit
-        raise SurveyError(f"{path}:{reader.line_num}: {err}") from None
+            raise SurveyError(f"bad date {day!r}", row_no, path) from None
+        emotion = emotion.strip()
+        if not emotion:
+            raise SurveyError("empty emotion", row_no, path)
+        try:
+            value = float(percent)
+        except ValueError:
+            raise SurveyError(f"bad percent {percent!r}", row_no, path) from None
+        if not 0.0 <= value <= 100.0:
+            raise SurveyError(f"percent {value} outside [0, 100]", row_no, path)
+        rows = per.setdefault(emotion, [])
+        if not rows:
+            order.append(emotion)
+        elif d == rows[-1][0]:
+            raise SurveyError(f"duplicate date {d} for {emotion}", row_no, path)
+        elif d < rows[-1][0]:
+            raise SurveyError(f"dates not increasing for {emotion}", row_no, path)
+        rows.append((d, value))
     if not per:
-        raise SurveyError(f"{path}: no data rows")
+        raise SurveyError("no data rows", None, path)
     return [
         SurveySeries(
             emotion=emotion,

@@ -1,4 +1,4 @@
-"""Validation statistics: correlation inference, permutation tests,
+"""Validation statistics: correlation inference, circular-shift tests,
 detrended cross-correlation, HAC-robust lagged regression, KPSS
 stationarity, two-proportion comparison, and ROC analysis.
 
@@ -105,26 +105,21 @@ def correlate(x, y) -> CorrelationResult:
     return CorrelationResult(r=r, n=n, ci_low=lo, ci_high=hi, p=correlation_p(r, n))
 
 
-# Bytes per (permutations x observations) work array. Small chunks keep the
-# kernels' temporaries in cache and add little to peak memory. 12 rows of
-# 10k permutations on a 2-vCPU host, DCCA window 12 (banded kernel) at
-# n = 106 / 156 / 520: 64 KiB took 49 / 78 / 446 ms, 256 KiB 37 / 59 / 239,
-# 1 MiB 33 / 50 / 186 and 4 MiB 36 / 52 / 214; Pearson moved by at most 10%.
-# 1 MiB is faster for DCCA but raised the peak memory of the two calls by
-# 4.6 MB against 1.6 MB (n=156), 7% of a whole `validate`'s 42 MB, so 256 KiB
-# stays.
+# Bytes per (shifts x observations) work array. Small chunks keep the
+# kernels' temporaries in cache and add little to peak memory; one chunk
+# holds every shift of a series of up to 181 observations.
 _CHUNK_BYTES = 256 << 10
 
-# Relative tolerance for counting a permuted statistic as reaching the
+# Relative tolerance for counting a shifted statistic as reaching the
 # observed one (scipy.stats.permutation_test uses the same): arrangements
-# whose statistics are equal in exact arithmetic, such as swaps of tied
-# values, must not fall below the observed value by rounding.
+# whose statistics are equal in exact arithmetic, such as the shifts of a
+# periodic series, must not fall below the observed value by rounding.
 _TIE_RTOL = 100 * sys.float_info.epsilon
 
 
 def _pearson_rows(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Row kernel: Pearson r of every row of X (permutations of x) with y.
-    Mean and norm of x do not change under permutation."""
+    """Row kernel: Pearson r of every row of X (rearrangements of x) with
+    y. Mean and norm of x do not change under rearrangement."""
     import numpy as np
 
     mu = x.mean()
@@ -140,25 +135,8 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.nda
     return rows
 
 
-def _index_chunks(seed: int, n: int, n_perm: int):
-    """Permutation indices into x, in (k, n) chunks drawn from one stream,
-    that of np.random.default_rng(seed).
-
-    Each row shuffles the observations exactly as rng.permutation(n) would,
-    so the stream does not depend on the chunk size.
-    """
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    units = np.arange(n)
-    per_chunk = max(1, _CHUNK_BYTES // (8 * n))
-    for done in range(0, n_perm, per_chunk):
-        k = min(per_chunk, n_perm - done)
-        yield rng.permuted(np.tile(units, (k, 1)), axis=1)
-
-
 def permutation_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """The observations a permutation test of x against y runs on: the
+    """The observations a shift test of x against y runs on: the
     pairwise-complete values. Raises StatError where the test is
     undefined, for fewer than 3 pairs or where r is (see `_spread`)."""
     x, y = _clean_pair(x, y)
@@ -169,84 +147,48 @@ def permutation_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-# Permuted values (permutations x observations x statistics) per process,
-# at least, where permutation_test splits its rows across forked
-# processes. A fork with numpy loaded costs 1-5 ms, and every process
-# draws the shuffles of its rows' n itself. Two processes against one on
-# 2 CPUs, 12 rows at n=156: with Pearson and DCCA x0.69 at 1.1M values in
-# all, x1.02 at 3.7M, x1.30 at 11.2M and x1.5 at 37M (10k permutations);
-# with Pearson alone x0.67 at 1.9M and x0.99 at 5.6M.
-_MIN_FORK_WORK = 1 << 22
-
-
-def _hit_counts(tests, n_perm: int, seed: int) -> list[list[int]]:
-    """Permutations reaching each observed statistic of each test (x, [(row
-    kernel, bar), ...]): one draw of the shuffles per n, and each row's
-    permuted x gathered once per chunk for all its statistics."""
+def _shift_hits(x: np.ndarray, kernels) -> list[int]:
+    """Circular shifts k = 1..n-1 of x reaching each observed statistic,
+    for kernels [(row kernel, bar), ...]. Row s of the windows of x twice
+    over is x rolled by n - s, so rows 1..n-1 are the shifts, taken in
+    chunks of _CHUNK_BYTES without copying x."""
     import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
 
-    hits = [[0] * len(kernels) for _, kernels in tests]
-    by_n: dict[int, list[int]] = {}
-    for i, (x, _) in enumerate(tests):
-        by_n.setdefault(len(x), []).append(i)
-    for n, members in by_n.items():
-        for idx in _index_chunks(seed, n, n_perm):
-            for i in members:
-                x, kernels = tests[i]
-                X = x[idx]
-                for j, (rows, bar) in enumerate(kernels):
-                    hits[i][j] += int(np.count_nonzero(np.abs(rows(X)) >= bar))
+    n = len(x)
+    shifts = sliding_window_view(np.concatenate([x, x]), n)
+    per_chunk = max(1, _CHUNK_BYTES // (8 * n))
+    hits = [0] * len(kernels)
+    for s in range(1, n, per_chunk):
+        X = shifts[s : min(s + per_chunk, n)]
+        for j, (rows, bar) in enumerate(kernels):
+            hits[j] += int(np.count_nonzero(np.abs(rows(X)) >= bar))
     return hits
 
 
-def _fork_parts(tests, n_perm: int, cpus: int) -> list[list[int]]:
-    """Indices of the tests, ordered by n, in at most one contiguous part
-    per CPU of about equal work, each of at least _MIN_FORK_WORK."""
-    work = [len(x) * len(kernels) for x, kernels in tests]
-    total = sum(work)
-    parts = max(1, min(cpus, len(tests), n_perm * total // _MIN_FORK_WORK))
-    cuts, done = [[]], 0
-    for i in sorted(range(len(tests)), key=lambda i: len(tests[i][0])):
-        if done * parts >= total * len(cuts):
-            cuts.append([])
-        cuts[-1].append(i)
-        done += work[i]
-    return cuts
-
-
-def permutation_test(
-    xs, ys, windows, n_perm: int = 10_000, seed: int | None = None
-) -> list[tuple[float, float | None]]:
-    """Two-sided permutation p-values of rows of series pairs, shuffling
-    the observations of x while y stays fixed.
+def permutation_test(xs, ys, windows) -> list[tuple[float, float | None]]:
+    """Two-sided circular-shift p-values of rows of series pairs: x rolled
+    by every k = 1..n-1 while y stays fixed, so each series keeps its
+    autocorrelation (the toroidal shift test; compare the surrogates of
+    Theiler et al., Physica D 1992, and Ebisuzaki, J. Climate 1997).
 
     Row i tests xs[i] against ys[i] and gives (Pearson p, DCCA p at box
-    size windows[i]); the DCCA p is None where windows[i] is None. Both
-    statistics of a row see the same shuffles, drawn from
-    np.random.default_rng(seed) once per n (pairs left after dropping
-    non-finite ones) for all rows. p = (1 + hits) / (n_perm + 1), the
-    add-one estimator, so p is never exactly zero. A permutation is a hit
+    size windows[i]); the DCCA p is None where windows[i] is None. n is
+    the row's count of pairs left after dropping non-finite ones. p =
+    (1 + hits) / n over the n - 1 shifts, the unshifted x counting as the
+    one, so p is exact, deterministic and at least 1 / n. A shift is a hit
     when |stat| >= |obs| up to 100 machine epsilons relative to |obs|, or,
     for Pearson, to sum |xc_i yc_i| / (|xc| |yc|), so near-equal statistics
-    (ties up to rounding) count as hits. A seed is mandatory: an unseeded
-    test is not reproducible.
+    (ties up to rounding) count as hits.
 
     Each statistic is evaluated in batches by a row kernel mapping a (k, n)
-    array of permuted x to k statistics (`_pearson_rows`, `_dcca_rows`).
-    The rows are split across up to one forked process per usable CPU
-    (`corpus.fork_map`), each of which draws the shuffles itself, so every
-    p-value equals that of the row's own one-row call, whatever the number
-    of CPUs.
+    array of shifted x to k statistics (`_pearson_rows`, `_dcca_rows`);
+    the rows of one call share the DCCA band blocks of each (n, window).
     """
-    if seed is None:
-        raise StatError("seed is required for a reproducible permutation test")
-    if n_perm < 1:
-        raise StatError(f"n_perm must be >= 1, got {n_perm}")
     if not len(xs) == len(ys) == len(windows):
         raise StatError("xs, ys and windows must hold one entry per row")
-
     bands: dict[tuple[int, int], list] = {}  # the DCCA band blocks by (n, window)
-    tests = []
+    p_values = []
     for a, b, window in zip(xs, ys, windows):
         a, b = permutation_pair(a, b)
         row_kernels = [_pearson_rows(a, b)]
@@ -256,20 +198,7 @@ def permutation_test(
         for rows in row_kernels:
             obs = abs(rows(a[None, :])[0])
             kernels.append((rows, obs - _TIE_RTOL * getattr(rows, "magnitude", obs)))
-        tests.append((a, kernels))
-    from . import corpus
-
-    parts = _fork_parts(tests, n_perm, corpus._usable_cpus())
-    counted = corpus.fork_map(
-        lambda part: _hit_counts([tests[i] for i in part], n_perm, seed),
-        parts, "permutation test",
-    )
-    hits: dict[int, list[int]] = {}
-    for part, part_hits in zip(parts, counted):
-        hits.update(zip(part, part_hits))
-    p_values = []
-    for i in range(len(tests)):
-        p = [(1 + h) / (n_perm + 1) for h in hits[i]]
+        p = [(1 + h) / len(a) for h in _shift_hits(a, kernels)]
         p_values.append((p[0], p[1] if len(p) == 2 else None))
     return p_values
 
@@ -327,18 +256,6 @@ def dcca(x, y, window: int = 12) -> DccaResult:
 # by width 40 and stays flat beyond it.
 _DCCA_BLOCK = 40
 
-# Multiply-adds per matrix product of the DCCA kernel, at most; a larger
-# product is cut into slices of rows. numpy's bundled OpenBLAS (0.3.31)
-# splits a product across its threads from about 1M multiply-adds, and
-# beside forked copies of permutation_test those threads fight over the
-# CPUs. On 2 CPUs, 200 products of (420 x 62) @ (62 x 40), 1.04M each,
-# took 1.6 s beside a forked twin against 3 ms alone, while (380 x 62) @
-# (62 x 40), 942k, ran as fast beside a twin as alone. 12 rows at n=40 and
-# 10k permutations took 580 ms in two processes against 23 ms in one
-# before the cut, 12 against 16 ms after it. At n=156, window 12, no
-# product is cut.
-_ONE_THREAD_PRODUCT = 1 << 19
-
 
 def _dcca_blocks(n: int, window: int) -> list[tuple[slice, slice, np.ndarray]]:
     """The band of M = sum_s E_s^T A E_s (E_s selects box s, A the box's
@@ -375,8 +292,8 @@ def _dcca_blocks(n: int, window: int) -> list[tuple[slice, slice, np.ndarray]]:
 def _dcca_rows(
     x: np.ndarray, y: np.ndarray, window: int, bands: dict[tuple[int, int], list]
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Row kernel: the dcca coefficient of every row of X (permutations of
-    x) with y, without forming any box of a permuted profile.
+    """Row kernel: the dcca coefficient of every row of X (rearrangements
+    of x) with y, without forming any box of a rearranged profile.
 
     With xc the centred row, P = cumsum(xc) its profile, ry y's box
     residuals and m = n - window + 1 boxes, the m * window * F2 sums are
@@ -394,7 +311,7 @@ def _dcca_rows(
     cumulative sums of the profile is O(n) per row but drifted 2e-8 from
     `dcca` on a random-walk x (n=1061, window 4); this one stays within
     1e-12. It does about (_DCCA_BLOCK + 2 * window) * n multiply-adds per
-    permutation, more than the 2 * window * n of a loop over lags, but in
+    row, more than the 2 * window * n of a loop over lags, but in
     matrix products: at n=156 and window 12, 10k permutations took 2.9 ms
     per row against the lag loop's 10.3 ms, and 45 ms against 84 ms at
     n=1100, window 16.
@@ -421,10 +338,7 @@ def _dcca_rows(
         xc = X - mu
         auto = np.zeros(len(X))
         for r, c, Mb in blocks:
-            step = max(1, _ONE_THREAD_PRODUCT // Mb.size)
-            for s in range(0, len(X), step):
-                part = xc[s : s + step]
-                auto[s : s + step] += np.einsum("ki,ki->k", part[:, r] @ Mb, part[:, c])
+            auto += np.einsum("ki,ki->k", xc[:, r] @ Mb, xc[:, c])
         return (xc @ G) / np.sqrt(auto * syy)
 
     return rows

@@ -184,13 +184,12 @@ def dcca_rho(window: int) -> Callable[[np.ndarray, np.ndarray], float]:
     return lambda x, y: dcca(x, y, window=window).rho
 
 
-def loop_permutation_p(x, y, statistic, n_perm, seed):
-    """Scalar oracle: one statistic(x, y) call per shuffle of x, each
-    shuffle an rng.permutation of the observations, with the tie rule of
-    permutation_test."""
+def loop_permutation_p(x, y, statistic):
+    """Scalar oracle: one statistic(np.roll(x, k), y) call per circular
+    shift k = 1..n-1 of x, with the tie rule of permutation_test; p =
+    (1 + hits) / n."""
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    rng = np.random.default_rng(seed)
     obs = abs(statistic(x, y))
     magnitude = obs
     if statistic is pearson:  # Pearson ties are measured against its terms
@@ -198,6 +197,6 @@ def loop_permutation_p(x, y, statistic, n_perm, seed):
         magnitude = np.abs(xc) @ np.abs(yc) / math.sqrt((xc @ xc) * (yc @ yc))
     bar = obs - 100 * np.finfo(float).eps * magnitude
     hits = 0
-    for _ in range(n_perm):
-        hits += abs(statistic(rng.permutation(x), y)) >= bar
-    return (1 + hits) / (n_perm + 1)
+    for k in range(1, len(x)):
+        hits += abs(statistic(np.roll(x, k), y)) >= bar
+    return (1 + hits) / len(x)

@@ -6,6 +6,7 @@ so the log doubles as the acceptance record. Heavyweight fixtures (the
 1.2M-post synthetic corpus) are built once and shared across criteria.
 """
 
+import math
 import random
 import statistics
 import time
@@ -282,23 +283,42 @@ def test_criterion_06_planted_signal_recovery(capsys, tmp_path_factory):
         )
 
 
+# Replicates per row of criterion 7's autocorrelated nulls, and the band
+# their rejection rate at nominal 5% must keep: 3.29 binomial standard
+# errors, a two-sided 0.1% band. Shuffling the weeks instead rejects 12.8-
+# 15.8% of independent pairs at phi = 0.5 and n = 156, outside it.
+AR1_REPLICATES = 2000
+AR1_BAND = 3.29 * math.sqrt(0.05 * 0.95 / AR1_REPLICATES)
+
+
 def test_criterion_07_permutation_calibration(capsys):
-    with criterion(capsys, 7, "permutation test calibrated on AR(1) nulls") as d:
+    with criterion(capsys, 7, "shift tests calibrated on AR(1) nulls") as d:
         t0 = time.perf_counter()
         replicates, rejections = 500, 0
         for i in range(replicates):
             rng = np.random.default_rng(7000 + i)
             x = _ar1(rng, 70, 0.3)
             y = _ar1(rng, 70, 0.3)
-            if permutation_test([x], [y], [None], n_perm=1000, seed=i)[0][0] < 0.05:
+            if permutation_test([x], [y], [None])[0][0] < 0.05:
                 rejections += 1
         rate = rejections / replicates
-        elapsed = time.perf_counter() - t0
         assert 0.02 <= rate <= 0.09, rate
+        # both columns, on independent pairs at n = 156 (the weekly
+        # validate-battery length) from white noise to strong persistence
+        rates = {}
+        for phi in (0.0, 0.5, 0.7, 0.9):
+            pairs = [(_ar1(rng, 156, phi), _ar1(rng, 156, phi))
+                     for rng in map(np.random.default_rng, range(15600, 15600 + AR1_REPLICATES))]
+            p = np.array(permutation_test(*zip(*pairs), [12] * AR1_REPLICATES), dtype=float)
+            rates[phi] = (p < 0.05).mean(axis=0)
+            assert np.all(abs(rates[phi] - 0.05) <= AR1_BAND), (phi, rates[phi])
+        elapsed = time.perf_counter() - t0
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
         d["note"] = (
-            f"rejection rate {rate:.3f} at nominal 0.05 "
-            f"({replicates} replicates, 1000 permutations, {elapsed:.1f}s)"
+            f"rejection rate {rate:.3f} at nominal 0.05 (phi 0.3, n 70, {replicates} "
+            f"replicates); perm/dcca at n 156, {AR1_REPLICATES} replicates: "
+            + ", ".join(f"phi {phi} {a:.3f}/{b:.3f}" for phi, (a, b) in rates.items())
+            + f"; {elapsed:.1f}s"
         )
 
 

@@ -16,6 +16,7 @@ import pytest
 
 import emoscope
 from emoscope.cli import main
+from emoscope.config import config_text, format_ini, load_config
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -181,7 +182,8 @@ class TestValidate:
         for signal in ("sadness", "anxiety", "positive"):
             row = rows[signal]
             assert float(row["r1"]) > 0.5
-            assert float(row["perm_p"]) < 0.01
+            # no circular shift of the signal reaches the planted r: the floor 1/n
+            assert float(row["perm_p"]) == pytest.approx(1 / int(row["n_full"]), rel=1e-3)
             assert float(row["dcca_rho"]) > 0.0
             assert float(row["beta"]) > 0.0
             assert float(row["beta_p"]) < 0.05
@@ -238,38 +240,24 @@ class TestValidate:
         # score signals carry no gender attribute, so no per-gender rows
         assert ("score_sadness", "male") not in strata
 
-    def test_permutation_floor_enforced(self, workspace, tmp_path):
-        code = main(
-            [
-                "validate",
-                "--config",
-                str(workspace / "pipeline.ini"),
-                "--output",
-                str(tmp_path / "x"),
-                "--permutations",
-                "10",
-            ]
-        )
-        assert code == 1
-
-    def test_seed_changes_nothing_material(self, workspace, tmp_path):
-        # permutation p fluctuates with seed but stays at the add-one floor
-        # for the strongly planted pairs
-        out = tmp_path / "seeded"
-        code = main(
-            [
-                "validate",
-                "--config",
-                str(workspace / "pipeline.ini"),
-                "--output",
-                str(out),
-                "--seed",
-                "99",
-            ]
-        )
-        assert code == 0
-        rows = {r["signal"]: r for r in _read_report(out / "report.csv")}
-        assert float(rows["anxiety"]["perm_p"]) < 0.01
+    def test_retired_keys_and_flags_are_noted_and_ignored(self, workspace, report, tmp_path,
+                                                          capsys):
+        """`--permutations` and `--seed`, and the same keys in [validate],
+        still run, with one stderr note each, to the same report."""
+        ini = tmp_path / "retired.ini"  # the workspace's config, its paths absolute
+        text = format_ini(config_text(load_config(workspace / "pipeline.ini")))
+        ini.write_text(text.replace("[validate]\n", "[validate]\npermutations = 10\nseed = -1\n"),
+                       encoding="utf-8")
+        out = tmp_path / "retired"
+        capsys.readouterr()
+        assert main(["validate", "--config", str(ini), "--output", str(out), "--plot-data",
+                     "--permutations", "lots", "--seed", "99"]) == 0
+        shifts = "is retired and ignored: p-values come from circular shifts"
+        assert capsys.readouterr().err == "".join(f"note: {where} {shifts}\n" for where in (
+            "--permutations", "--seed", f"{ini}: [validate] permutations",
+            f"{ini}: [validate] seed"))
+        for name in ("report.csv", "report.txt", "plot_data.csv"):
+            assert (out / name).read_bytes() == (report / name).read_bytes()
 
 
 class TestValidateDegenerate:
@@ -299,7 +287,7 @@ class TestValidateDegenerate:
             "[lexicons]\nsadness = sad.txt\n\n"
             "[signals]\ngender_mode = agnostic\n\n"
             "[survey]\npath = survey.csv\npairs = sad:sadness\n\n"
-            "[validate]\nsplit_date = 2020-06-21\npermutations = 1000\n",
+            "[validate]\nsplit_date = 2020-06-21\n",
             encoding="utf-8",
         )
         return tmp_path
@@ -328,10 +316,11 @@ class TestValidateDegenerate:
         ini.write_text(text.replace("path = survey.csv\npairs = sad:sadness", survey),
                        encoding="utf-8")
         (ws / "c.ndjson").unlink()  # a scan would end in its own error
-        assert main(["validate", "--config", str(ini)]) == 1
+        assert main(["validate", "--config", str(ini), "--output", str(ws / "fresh")]) == 1
         out, err = capsys.readouterr()
         assert "records=" not in out
         assert err == f"config error: {error.format(ws=ws)}\n"
+        assert not (ws / "fresh").exists()  # refused before any output, so no directory
 
     def test_constant_signal_is_skipped_not_fatal(self, tmp_path, capsys):
         ws = self._make_workspace(tmp_path)  # every post matches -> fraction 1.0
@@ -524,7 +513,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("seed", "-1"), ("permutations", "999"), ("week_length", "0"), ("dcca_window", "3")],
+        [("week_length", "0"), ("dcca_window", "3")],
     )
     def test_bounds_hold_for_every_command_and_flag(self, tmp_path, capsys, key, value):
         ws = tmp_path / "ws"
@@ -600,6 +589,7 @@ class TestStartup:
             "assert pools() == [], ('thirdperson', pools())\n"
             "assert main(['validate', '--config', sys.argv[1]]) == 0\n"
             "assert loaded() == [], ('validate', loaded())\n"
+            "assert 'numpy.random' not in sys.modules, 'validate loaded numpy.random'\n"
             "assert main(['auc', '--scores', sys.argv[2], '--labels', sys.argv[3],\n"
             "             '--output', sys.argv[4]]) == 0\n"
             "assert loaded() == [], ('auc', loaded())\n"
@@ -733,9 +723,8 @@ class TestThirdPerson:
         path = tmp_path / "counts.csv"
         path.write_text(f"label,with_k,with_n,without_k,without_n\nsad,{counts}\n", encoding="utf-8")
         out = tmp_path / "tp"
-        assert main(["thirdperson", "--counts", str(path), "--output", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"config error: {path}:2: counts must satisfy 0 <= k <= n\n")
+        assert main(["thirdperson", "--counts", str(path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: counts must satisfy 0 <= k <= n\n"
         assert not (out / "thirdperson.csv").exists()
 
     def test_counts_errors_name_the_physical_line(self, tmp_path, capsys):
@@ -745,8 +734,8 @@ class TestThirdPerson:
         head = 'label,with_k,with_n,without_k,without_n\n"multi\nline",1,2,3,4\n'
         for tail, line in (("sad,x,2,3,4\n", 4), ("sad,1,2,3,4\n\nbad,5,2,3,4\n", 6)):
             path.write_text(head + tail, encoding="utf-8")
-            assert main(["thirdperson", "--counts", str(path), "--output", str(tmp_path)]) == 1
-            assert capsys.readouterr().err.startswith(f"config error: {path}:{line}: ")
+            assert main(["thirdperson", "--counts", str(path), "--output", str(tmp_path)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {path}:{line}: ")
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["thirdperson"]) == 1
@@ -782,6 +771,30 @@ class TestAuc:
         curve = (out / "roc_sad.csv").read_text().splitlines()
         assert curve[0] == "fpr,tpr,threshold"
         assert len(curve) > 2
+
+    def test_labels_follow_the_csv_input_rules(self, tmp_path, capsys):
+        """The labels file is read as the survey and --counts are: header
+        names matched with case and surrounding spaces aside, in any
+        order, rows of blank cells skipped, and a bad row or header a
+        data error (exit 2) naming the file and the row's line."""
+        scores = tmp_path / "s.ndjson"
+        scores.write_text("".join(
+            json.dumps({"id": i, "date": "2020-01-01", "scores": {"sad": v}}) + "\n"
+            for i, v in (("a", 0.1), ("b", 0.4), ("c", 0.35), ("d", 0.8))), encoding="utf-8")
+        labels = tmp_path / "l.csv"
+        argv = ["auc", "--scores", str(scores), "--labels", str(labels),
+                "--output", str(tmp_path / "auc")]
+        rows = "0,a,sad\n0,b,sad\n , ,\n1,c,sad\n1,d,sad\n"
+        labels.write_text(" Label,ID ,Emotion\n" + rows, encoding="utf-8")
+        assert main(argv) == 0
+        assert "sad: AUC = 0.7500 (n=4, missing scores=0)" in capsys.readouterr().out
+        labels.write_text("label,id,emotion\n" + rows.replace("1,c", "x,c"), encoding="utf-8")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {labels}:5: label must be 0 or 1, got 'x'\n"
+        labels.write_text("label,post,emotion\n" + rows, encoding="utf-8")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {labels}: header must name the columns emotion, id, label\n")
 
     def test_score_bookkeeping(self, tmp_path, capsys):
         # one broken line and one score outside [0, 1]: both are counted,
@@ -911,13 +924,13 @@ PINNED_CSV = {
     "out/signal/weekly_score_sadness_all.csv": "8ed6b7bfe893e979f668c89234d0f48afaac8073696f508a6657a74b50cf9829",
     "out/thirdperson/thirdperson.csv": "50b8bcd0da9d528d6d7b2317d6bc4badba652fd30ee578afb42d5199e25faf20",
     "out/validate/plot_data.csv": "cb45c1983e76dd953b4458c3aaaa49e094d2432150e2eadfff630639397dc3d0",
-    "out/validate/report.csv": "77613538bc26c3060f31b491e290a25c4188b8be399e9a19b205857da10fca72",
+    "out/validate/report.csv": "c422297f673530a5df13ab6ccbf279b091262c1b6ba7720156a0092313e7d5cc",
     "ws/survey.csv": "2c3b6dbaec478ad6c115953e12b984ef7b2e1b5409a7456c029b09a69aacdc80",
     "ws/truth.csv": "eedb98a4763270f1bb2a1a9b4ec5b6c8160c1e0e3ad4dac26e62784b827f86b6",
 }
 # The text table of validate, the same rows formatted by format_report_table.
 PINNED_TEXT = {
-    "out/validate/report.txt": "207b9edfefd1591f8d413fd5067a3f7385ee5f37093c38d39b530bc4cec21232",
+    "out/validate/report.txt": "3fab5535d68c32157a29f70c023117972f46c45eb8cdc6c35bd1745d48504fe9",
 }
 
 

@@ -42,7 +42,6 @@ class TestLoadConfig:
         assert cfg.inputs == (str(tmp_path / "corpus.ndjson"),)
         assert cfg.gender_mode == "rescaled"
         assert cfg.split_date == date(2020, 11, 1)
-        assert cfg.permutations == 10_000
         assert cfg.dcca_window == 12
 
     def test_full_file(self, tmp_path):
@@ -62,8 +61,6 @@ class TestLoadConfig:
             "week_length = 14\n"
             "\n[validate]\n"
             "split_date = 2020-06-01\n"
-            "permutations = 2000\n"
-            "seed = 3\n"
             "dcca_window = 8\n"
             "\n[output]\n"
             "dir = results\n"
@@ -80,8 +77,6 @@ class TestLoadConfig:
         assert cfg.gender_mode == "stratified"
         assert cfg.week_length == 14
         assert cfg.split_date == date(2020, 6, 1)
-        assert cfg.permutations == 2000
-        assert cfg.seed == 3
         assert cfg.dcca_window == 8
         assert cfg.output_dir == str(tmp_path / "results")
 
@@ -106,9 +101,19 @@ class TestLoadConfig:
             load_config(_write_config(tmp_path, body))
 
     def test_bad_int(self, tmp_path):
-        body = MINIMAL + "\n[validate]\npermutations = lots\n"
-        with pytest.raises(ConfigError, match="permutations"):
+        body = MINIMAL + "\n[validate]\ndcca_window = lots\n"
+        with pytest.raises(ConfigError, match="dcca_window"):
             load_config(_write_config(tmp_path, body))
+
+    def test_retired_keys_are_noted_and_ignored(self, tmp_path, capsys):
+        # the permutation count and seed no longer govern any output; a
+        # file that gives them, in any form, loads as one without them
+        body = MINIMAL + "\n[validate]\npermutations = lots\nseed = -1\n"
+        path = _write_config(tmp_path, body)
+        assert load_config(path) == load_config(_write_config(tmp_path, MINIMAL))
+        shifts = "is retired and ignored: p-values come from circular shifts"
+        assert capsys.readouterr().err == (f"note: {path}: [validate] permutations {shifts}\n"
+                                           f"note: {path}: [validate] seed {shifts}\n")
 
     def test_bad_date(self, tmp_path):
         body = MINIMAL + "\n[validate]\nsplit_date = soon\n"
@@ -173,11 +178,11 @@ class TestLoadConfig:
         assert str(err.value) == f"{path}: {message}"
 
     def test_overrides_replace_the_file_and_keep_its_bounds(self, tmp_path):
-        path = _write_config(tmp_path, MINIMAL + "\n[validate]\nseed = 3\n")
-        assert load_config(path, {"seed": 4, "output_dir": "elsewhere"}).seed == 4
+        path = _write_config(tmp_path, MINIMAL + "\n[validate]\ndcca_window = 8\n")
+        assert load_config(path, {"dcca_window": 16, "output_dir": "elsewhere"}).dcca_window == 16
         assert load_config(path, {"output_dir": "elsewhere"}).output_dir == "elsewhere"
-        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
-            load_config(path, {"seed": -1})
+        with pytest.raises(ConfigError, match="dcca_window must be >= 4, got 3"):
+            load_config(path, {"dcca_window": 3})
 
     def test_effective_config_reads_back_equal(self, tmp_path):
         (tmp_path / "scores.ndjson").write_text("", encoding="utf-8")
@@ -186,7 +191,7 @@ class TestLoadConfig:
             "\n[report_adjectives]\nsad = sad, down\nglum = glum\n"
             "\n[scores]\npath = scores.ndjson\nemotions = sadness\n"
             "\n[survey]\npath = survey.csv\npairs = sad:sadness, sad:report_sad\n"
-            "\n[validate]\nsplit_date = 2020-06-01\nseed = 0\n"
+            "\n[validate]\nsplit_date = 2020-06-01\ndcca_window = 8\n"
         )
         cfg = load_config(_write_config(tmp_path, body))
         text = config_text(cfg)
@@ -217,7 +222,7 @@ def test_readme_example_loads(tmp_path):
         assert Path(referenced).is_file(), referenced
     assert cfg.filter.exclude_retweets is True
     assert cfg.tz_offset_minutes == 0
-    assert cfg.seed == 1
+    assert cfg.dcca_window == 12
     assert cfg.signal_names() == [
         "sadness", "anxiety", "positive", "report_sad", "score_sadness"
     ]
@@ -253,15 +258,12 @@ class TestPipelineConfigValidate:
             {"gender_mode": "both"},
             {"week_length": 0},
             {"week_offset": -1},
-            {"permutations": 0},
             {"dcca_window": 3},
             {"tz_offset_minutes": 1441},
             {"tz_offset_minutes": -1441},
             {"lexicons": (("a", "x"), ("a", "y"))},
             {"score_emotions": ("sad",)},
             {"pairs": (("sad", "ghost"),)},
-            {"permutations": 999},
-            {"seed": -1},
             {"report_emotions": ("glum",)},
         ],
     )

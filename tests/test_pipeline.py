@@ -1,6 +1,6 @@
 """The one corpus scan behind `signal` and `thirdperson`, checked against
 brute-force counts over the same filtered posts, and the shared
-permutation calls behind `validate`, checked against one call per test."""
+shift tests behind `validate`, checked against one call per test."""
 
 import csv
 import dataclasses
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emoscope import corpus, pipeline, stats
+from emoscope import corpus, pipeline
 from emoscope.cli import main
 from emoscope.config import PipelineConfig, expand_inputs, load_config
 from emoscope.corpus import StreamCounts, stream_posts
@@ -415,7 +415,6 @@ def test_run_permutation_p_equals_per_row_calls(tmp_path):
         # a survey with fewer weeks, so its rows are tested at a smaller n
         fh.write("".join(f"{a},short,{10 + i * 7 % 5}\n" for i, a in enumerate(anchors[:20])))
     cfg = load_config(ws / "pipeline.ini")
-    cfg.permutations = 2000
     cfg.pairs = cfg.pairs + (("flat", "sadness"), ("short", "anxiety"))
     bundle = build_signals(cfg)
     rows = run_validation(cfg, bundle, extra_stratified=True)
@@ -443,11 +442,10 @@ def test_run_permutation_p_equals_per_row_calls(tmp_path):
         assert pair_x.tolist() == x.tolist() and pair_y.tolist() == y.tolist()
         assert window == cfg.dcca_window
         sizes.add(len(x))
-        kw = {"n_perm": cfg.permutations, "seed": cfg.seed}
-        assert [(row.perm_p, row.dcca_p)] == permutation_test([x], [y], [window], **kw)
-        p_values += [row.perm_p, row.dcca_p]
+        assert [(row.perm_p, row.dcca_p)] == permutation_test([x], [y], [window])
+        p_values += [row.perm_p * len(x), row.dcca_p * len(x)]  # 1 + hits
     assert sizes == {20, 28}
-    assert sum(p > 20 / (cfg.permutations + 1) for p in p_values) >= 10, p_values
+    assert sum(hits > 3 for hits in p_values) >= 10, p_values
 
 
 # The pre-registration layout: 106 weekly field dates, 2019-06-24 to
@@ -525,34 +523,19 @@ class TestPeriodSplit:
         assert row.r1 is None and row.n1 == 71 and row.r2 is not None
 
 
-def test_run_validation_rows_do_not_depend_on_cpus(weak_workspace, monkeypatch):
-    """Every row, p-values included, is the same whether the permutation
-    tests run in one process or are split across two or three."""
-    cfg = load_config(weak_workspace / "pipeline.ini")
-    cfg.permutations = 2000
-    bundle = build_signals(cfg)
-    monkeypatch.setattr(stats, "_MIN_FORK_WORK", 1)
-    runs = []
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(corpus, "_usable_cpus", lambda: cpus)
-        runs.append(run_validation(cfg, bundle, extra_stratified=True))
-    assert runs[0] == runs[1] == runs[2]
-    assert [format(row.perm_p, ".4g") for row in runs[0]] == WEAK_PERM_P
-
-
-# The perm_p and dcca_p columns of report.csv on a weak-signal workspace, as
-# `validate` wrote them before the DCCA kernel became a banded block form.
-# Most sit well above the floor 1/2001 = 0.0004998, so a change in the
-# permutation engine or in either kernel that moves a single hit shows here.
-WEAK_PERM_P = ["0.7251", "0.3783", "0.9995", "0.005497", "0.001999", "0.6537", "0.3048",
-               "0.1169", "0.8111", "0.0004998", "0.0004998", "0.0004998"]
+# The perm_p and dcca_p columns of report.csv on a weak-signal workspace of
+# 28 weeks, as the literal loop over circular shifts in tests/oracles.py
+# gives them. Most sit well above the floor 1/28 = 0.03571, so a change in
+# the shift engine or in either kernel that moves a single hit shows here.
+WEAK_PERM_P = ["0.7857", "0.3929", "1", "0.03571", "0.03571", "0.7143", "0.3571", "0.1429",
+               "0.8929", "0.03571", "0.03571", "0.03571"]
 WEAK_DCCA_P = {
-    4: ["0.5632", "0.8116", "0.4088", "0.1294", "0.01299", "0.8231", "0.5647", "0.2399",
-        "0.9495", "0.0004998", "0.0004998", "0.0004998"],
-    12: ["0.7426", "0.2544", "0.7561", "0.01099", "0.04798", "0.4703", "0.2354", "0.1169",
-         "0.985", "0.0004998", "0.0004998", "0.0004998"],
-    16: ["0.5527", "0.2279", "0.8506", "0.01499", "0.1119", "0.3463", "0.1079", "0.07296",
-         "0.8581", "0.0004998", "0.0004998", "0.0004998"],
+    4: ["0.6429", "0.8214", "0.4643", "0.2143", "0.03571", "0.7857", "0.5714", "0.3929", "1",
+        "0.03571", "0.03571", "0.03571"],
+    12: ["0.5714", "0.25", "0.5357", "0.03571", "0.03571", "0.5", "0.2857", "0.1071", "1",
+         "0.03571", "0.03571", "0.03571"],
+    16: ["0.3571", "0.2857", "0.8214", "0.03571", "0.03571", "0.3571", "0.25", "0.07143",
+         "0.8929", "0.03571", "0.03571", "0.03571"],
 }
 
 
@@ -568,8 +551,7 @@ def weak_workspace(tmp_path_factory):
 def test_weak_signal_p_values_pinned(weak_workspace, tmp_path, window):
     out = tmp_path / "out"
     assert main(["validate", "--config", str(weak_workspace / "pipeline.ini"), "--output",
-                 str(out), "--stratified", "--permutations", "2000",
-                 "--dcca-window", str(window)]) == 0
+                 str(out), "--stratified", "--dcca-window", str(window)]) == 0
     with open(out / "report.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["perm_p"] for row in rows] == WEAK_PERM_P
