@@ -16,7 +16,7 @@ import pytest
 
 import emoscope
 from emoscope.cli import main
-from emoscope.config import config_text, format_ini, load_config
+from emoscope.config import SCHEMA, config_text, format_ini, load_config
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -513,7 +513,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("week_length", "0"), ("dcca_window", "3")],
+        [("week_length", "0"), ("week_offset", "-1"), ("tz_offset_minutes", "1441"),
+         ("dcca_window", "3")],
     )
     def test_bounds_hold_for_every_command_and_flag(self, tmp_path, capsys, key, value):
         ws = tmp_path / "ws"
@@ -525,9 +526,9 @@ class TestExitCodes:
         for command in ("signal", "thirdperson", "validate"):
             assert main([command, "--config", str(ws / "bad.ini")]) == 1
             assert f"{key} must be " in capsys.readouterr().err
-        flag = f"--{key.replace('_', '-')}"
-        if key != "week_length":  # not a flag
-            assert main(["validate", "--config", str(ini), flag, value]) == 1
+        [flag] = [row.flag for row in SCHEMA if row.key == key]
+        if flag is not None:
+            assert main(["validate", "--config", str(ini), f"--{flag}", value]) == 1
             assert f"{key} must be " in capsys.readouterr().err
 
     def test_help_exits_zero(self):

@@ -264,6 +264,9 @@ class TestPipelineConfigValidate:
             {"lexicons": (("a", "x"), ("a", "y"))},
             {"score_emotions": ("sad",)},
             {"pairs": (("sad", "ghost"),)},
+            {"pairs": (("sad", "report_sad"),)},  # a report signal not built
+            {"pairs": (("sad", "score_sad"),)},  # a score signal not built
+            {"gender_mode": "Rescaled"},  # modes are matched as written
             {"report_emotions": ("glum",)},
         ],
     )

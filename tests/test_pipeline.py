@@ -547,6 +547,20 @@ def weak_workspace(tmp_path_factory):
     return ws
 
 
+def test_run_validation_rows_do_not_depend_on_cpus(weak_workspace, monkeypatch):
+    """Every row, p-values included, is the same whether the scan behind it
+    runs in one process or is split across two or three."""
+    cfg = load_config(weak_workspace / "pipeline.ini")
+    monkeypatch.setattr(corpus, "_MIN_SHARD_BYTES", 1)
+    runs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: cpus)
+        runs.append(run_validation(cfg, build_signals(cfg), extra_stratified=True))
+    assert runs[0] == runs[1] == runs[2]
+    assert [format(row.perm_p, ".4g") for row in runs[0]] == WEAK_PERM_P
+    assert [format(row.dcca_p, ".4g") for row in runs[0]] == WEAK_DCCA_P[cfg.dcca_window]
+
+
 @pytest.mark.parametrize("window", [4, 12, 16])
 def test_weak_signal_p_values_pinned(weak_workspace, tmp_path, window):
     out = tmp_path / "out"

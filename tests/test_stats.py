@@ -1,6 +1,7 @@
 """Statistics battery: frozen oracle values first, then invariants."""
 
 import math
+import os
 import sys
 from statistics import NormalDist
 
@@ -298,8 +299,17 @@ class TestPermutationTest:
     def test_p_on_the_grid_of_shifts(self, seed, n):
         rng = np.random.default_rng(seed)
         x, y = rng.normal(size=n), rng.normal(size=n)
-        hits = _pearson_p(x, y) * n - 1
-        assert hits == round(hits) and 0 <= hits <= n - 1
+        p = _pearson_p(x, y)
+        hits = round(p * n) - 1
+        assert p == (1 + hits) / n and 0 <= hits <= n - 1
+
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 40))
+    @settings(max_examples=25, deadline=None)
+    def test_p_in_unit_interval(self, seed, n):
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        [row] = permutation_test([x], [y], [4])
+        assert all(1 / n <= p <= 1.0 for p in row), row
 
 
 def _ar1_pair(seed, n):
@@ -324,8 +334,11 @@ class TestPermutationEngine:
     """The chunked shift engine against the literal loop over np.roll:
     equal p."""
 
-    @pytest.mark.parametrize("window, n", [(None, 50), (12, 50), (12, 156), (28, 300)],
-                             ids=["pearson", "dcca", "dcca-n156", "dcca-n300"])
+    @pytest.mark.parametrize(
+        "window, n",
+        [(None, 50), (12, 50), (None, 156), (12, 156), (None, 300), (28, 300)],
+        ids=["pearson", "dcca", "pearson-n156", "dcca-n156", "pearson-n300", "dcca-n300"],
+    )
     @pytest.mark.parametrize("seed", [3, 17])
     def test_matches_scalar_loop(self, window, n, seed):
         x, y = _ar1_pair(seed, n)
@@ -354,6 +367,28 @@ class TestPermutationEngine:
             [(pearson_p, dcca_p)] = permutation_test([x], [y], [4])
             assert (pearson_p, dcca_p) == _oracle_row(x, y, 4)
             assert min(pearson_p, dcca_p) >= 2 / 20
+
+    def test_theoretical_ties_count_as_hits(self):
+        # x repeats with period 8, so its shifts by 8 and 16 are x itself:
+        # both statistics there equal the observed ones in exact arithmetic,
+        # and a chunk of many rows, rounded otherwise than the one observed
+        # row, must not lose those two hits
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x, y = np.tile(rng.normal(size=8), 3), rng.normal(size=24)
+            [(pearson_p, dcca_p)] = permutation_test([x], [y], [6])
+            assert (pearson_p, dcca_p) == _oracle_row(x, y, 6)
+            assert min(pearson_p, dcca_p) >= 3 / 24
+
+    def test_integer_series_ties_match_scalar_loop(self):
+        # the DCCA column on small-integer series, where shifts often tie
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            x = rng.integers(0, 3, 20).astype(float)
+            y = rng.integers(0, 3, 20).astype(float)
+            if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+                continue
+            assert permutation_test([x], [y], [5]) == [_oracle_row(x, y, 5)], seed
 
     def test_integer_series_ties_are_exact(self):
         # on integer series |r| of shift k reaches |r_obs| iff the integer
@@ -402,6 +437,19 @@ class TestPermutationEngine:
         for got, row in zip(rows(X), X):
             assert abs(got - dcca(row, y, window=window).rho) <= 1e-10
 
+    @pytest.mark.parametrize("window", [4, 12, 30])
+    def test_dcca_kernel_row_slices(self, window):
+        # the engine hands the kernel its shifts a chunk of rows at a time:
+        # slices of 1 to 3 rows give what one product over all rows gives
+        x, y = _ar1_pair(window, 120)
+        X = np.stack([np.roll(x, k) for k in range(7)])
+        whole = stats._dcca_rows(x, y, window, {})(X)
+        for rows_per_slice in (1, 2, 3):
+            rows = stats._dcca_rows(x, y, window, {})
+            sliced = np.concatenate([rows(X[i : i + rows_per_slice])
+                                     for i in range(0, len(X), rows_per_slice)])
+            np.testing.assert_allclose(sliced, whole, rtol=1e-13, atol=0)
+
     @pytest.mark.parametrize("window", [4, 12, 16])
     @pytest.mark.parametrize(
         "length",
@@ -442,9 +490,29 @@ def _assert_rows_equal_calls(pairs, windows):
     return calls
 
 
+def _rows_per_chunk(monkeypatch, rows, n):
+    """Make the engine evaluate the shifts of a series of n observations
+    `rows` at a time."""
+    monkeypatch.setattr(stats, "_CHUNK_BYTES", 8 * n * rows)
+
+
 class TestPermutationBatch:
     """Many pairs in one `permutation_test` call against one call per
     pair: equal p, bit for bit."""
+
+    def _rows(self):
+        """Rows at n = 60, 58 (two NaN weeks) and 44 (a shorter series),
+        with and without DCCA."""
+        pairs = [_weak_pair(seed, 60, (5, 40) if seed % 3 == 1 else ()) for seed in range(6)]
+        pairs += [_weak_pair(seed, 44) for seed in (6, 7)]
+        return pairs, [12, None, 12, 12, None, None, 12, None]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_each_p_equals_its_own_call(self, monkeypatch, rows):
+        pairs, windows = self._rows()
+        default = _assert_rows_equal_calls(pairs, windows)
+        _rows_per_chunk(monkeypatch, rows, 60)
+        assert _assert_rows_equal_calls(pairs, windows) == default
 
     def test_weak_signals_above_the_floor(self):
         pairs = [_weak_pair(seed, 60) for seed in range(6)]
@@ -458,10 +526,12 @@ class TestPermutationBatch:
         for window in (None, 12):
             _assert_rows_equal_calls(pairs, [window] * 6)
 
-    def test_windows_mixed_at_one_n(self):
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_windows_mixed_at_one_n(self, monkeypatch, rows):
         # the DCCA band blocks are shared by the rows of a call and depend
         # on n and the window: rows of one n at windows 8 and 12, and rows
         # without DCCA between them
+        _rows_per_chunk(monkeypatch, rows, 50)
         pairs = [_weak_pair(seed, 50) for seed in range(6)]
         windows = [8, None, 12, 12, None, 8]
         rows = _assert_rows_equal_calls(pairs, windows)
@@ -482,6 +552,41 @@ class TestPermutationBatch:
             assert str(batched.value) == str(called.value)
         with pytest.raises(StatError, match="one entry per row"):
             permutation_test([good, good], [good], [None, None])
+
+    def test_statistics_must_match_the_rows(self):
+        x, y = _weak_pair(1, 30)
+        with pytest.raises(StatError, match="one entry per row"):
+            permutation_test([x, x], [y, y], [None])
+
+    def test_first_failing_row_in_input_order_raises(self):
+        good, flat, short = np.arange(6.0), [1.0] * 6, [1.0, 2.0] + [np.nan] * 4
+        for bad, message in (([flat, short], "constant series"), ([short, flat], "have 2")):
+            with pytest.raises(StatError, match=message):
+                permutation_test([good, *bad], [good] * 3, [None, 4, None])
+
+    def test_runs_in_one_process(self, monkeypatch):
+        # twelve rows of the validate-battery shape, 156 weeks at window 12
+        monkeypatch.setattr(os, "fork", None)
+        pairs = [_weak_pair(seed, 156) for seed in range(12)]
+        rows = permutation_test([x for x, _ in pairs], [y for _, y in pairs], [12] * 12)
+        assert len(rows) == 12 and all(dcca_p is not None for _, dcca_p in rows)
+
+    def test_band_blocks_built_once_per_n_and_window(self, monkeypatch):
+        built = []
+        blocks = stats._dcca_blocks
+
+        def counting_blocks(n, window):
+            built.append((n, window))
+            return blocks(n, window)
+
+        monkeypatch.setattr(stats, "_dcca_blocks", counting_blocks)
+        pairs, windows = self._rows()
+        pairs.append(_weak_pair(9, 60))
+        windows.append(8)
+        _assert_rows_equal_calls(pairs, windows)
+        # the per-row calls build each of their own once more
+        assert sorted(set(built)) == [(44, 12), (60, 8), (60, 12)]
+        assert len(built) == 3 + sum(w is not None for w in windows)
 
 
 def _dcca_reference(x, y, window):
