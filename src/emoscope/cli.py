@@ -25,6 +25,7 @@ from .corpus import read_csv
 from .errors import ConfigError, EmoscopeError, RecordError, StatError, writing
 from .pipeline import (
     ProportionRow,
+    SignalBundle,
     build_signals,
     finalize_proportion_row,
     format_proportions_table,
@@ -225,13 +226,22 @@ def cmd_signal(args) -> int:
     return 0
 
 
+def _scanned(cfg: PipelineConfig) -> SignalBundle:
+    """build_signals(cfg), its counts printed."""
+    bundle = build_signals(cfg)
+    _print_counts(bundle.counts)
+    return bundle
+
+
 def cmd_validate(args) -> int:
     cfg = _load_config(args)
     out = Path(cfg.output_dir)
     surveys = validation_surveys(cfg)  # a bad survey config is refused before the scan
-    bundle = build_signals(cfg)
-    _print_counts(bundle.counts)
-    rows = run_validation(cfg, bundle, surveys, extra_stratified=args.stratified,
+    # the bundle goes to run_validation unnamed: CPython (3.11 on) hands a
+    # call's arguments to the callee's frame, so run_validation holds the
+    # last reference and frees the daily signals once the pairs are
+    # aligned, before numpy loads
+    rows = run_validation(cfg, _scanned(cfg), surveys, extra_stratified=args.stratified,
                           plot_data=out / "plot_data.csv" if args.plot_data else None)
     write_report_csv(rows, out / "report.csv")
     table = format_report_table(rows)

@@ -251,8 +251,25 @@ _MIN_SHARD_BYTES = 1 << 18
 def _cut_after_newline(fh, offset: int) -> int:
     """The first line start at or after `offset` in the open binary file."""
     fh.seek(offset - 1)
-    fh.readline()
+    _skip_line(fh)
     return fh.tell()
+
+
+# The longest NDJSON line, in bytes and its newline aside, that
+# read_records decodes. A longer line is a malformed record, so the scan's
+# memory does not grow with the longest line of its input.
+_MAX_LINE_BYTES = 1 << 20
+
+
+def _skip_line(fh) -> int:
+    """Read the open binary file to just past its next newline, or to its
+    end, in reads of at most _MAX_LINE_BYTES + 1 bytes; the bytes read."""
+    skipped = 0
+    while True:
+        chunk = fh.readline(_MAX_LINE_BYTES + 1)
+        skipped += len(chunk)
+        if not chunk or chunk.endswith(b"\n"):
+            return skipped
 
 
 def _newlines(fh, start: int, stop: int) -> int:
@@ -327,8 +344,10 @@ def read_records(
     counts.records. A line that is not valid UTF-8, or whose parse raises
     RecordError, is counted as rejected by counts without aborting the
     stream; a None result is counted as dropped, any other as kept and
-    yielded. A damaged .gz input raises RecordError naming the file and
-    the line where it breaks off.
+    yielded. A line longer than _MAX_LINE_BYTES, its newline aside, is
+    rejected whatever it holds, and read past in bounded reads. A damaged
+    .gz input raises RecordError naming the file and the line where it
+    breaks off.
     """
     for path in paths:
         shard = path if isinstance(path, Shard) else Shard(path)
@@ -337,12 +356,21 @@ def read_records(
         pos = shard.start  # where the next line starts
         stop = sys.maxsize if shard.stop is None else shard.stop
         with (gzip.open if Path(name).suffix == ".gz" else open)(name, "rb") as fh:
+            readline = fh.readline
             try:
                 fh.seek(pos)
-                for line_no, raw in enumerate(fh, shard.first_line):
-                    if pos >= stop:
+                while pos < stop:
+                    raw = readline(_MAX_LINE_BYTES + 1)
+                    if not raw:
                         break
                     pos += len(raw)
+                    line_no += 1
+                    if len(raw) > _MAX_LINE_BYTES and not raw.endswith(b"\n"):
+                        pos += _skip_line(fh)
+                        counts.records += 1
+                        counts.reject(RecordError(
+                            f"line longer than {_MAX_LINE_BYTES} bytes", line_no, name))
+                        continue
                     try:
                         line = raw.decode()
                     except UnicodeDecodeError as err:

@@ -432,6 +432,12 @@ def run_validation(
     validation_surveys(cfg), read here if not given; `bundle` is
     build_signals(cfg), built here, after the survey is read, if not given.
 
+    Every pair is aligned before the first statistic, and this call then
+    drops its own reference to the bundle: a bundle built here, or passed
+    in and held by nothing else (as `validate` passes it), is freed with
+    its daily signals before the statistics load numpy. A caller's bundle
+    is never changed but for stratum_signal's cache.
+
     With `plot_data`, a path, the same aligned pairs are also written there
     as a tidy per-anchor CSV for external plotting, in the configured
     strata only (not the extra_stratified ones)."""
@@ -440,6 +446,7 @@ def run_validation(
     if bundle is None:
         bundle = build_signals(cfg)
     pairs = list(_weekly_pairs(cfg, bundle, surveys, extra_stratified))
+    del bundle
     results = [validate_pair(survey, weekly, stratum, cfg) for survey, stratum, weekly in pairs]
     tested = [(row, test) for row, test in results if test is not None]
     if tested:

@@ -2,11 +2,12 @@
 detrended cross-correlation, HAC-robust lagged regression, KPSS
 stationarity, two-proportion comparison, and ROC analysis.
 
-numpy and the standard library only: the normal quantile is
-statistics.NormalDist, the Student t tail comes from `special`, the
-chi-square tail is math.erfc and the AUC ranks are numpy average ranks.
-numpy, `statistics` and `special` are imported inside the functions that
-use them, so the scan commands, which need none of them, never load them."""
+numpy and the standard library only: the normal quantile is a constant
+equal to statistics.NormalDist's, the Student t tail comes from `special`,
+the chi-square tail is math.erfc and the AUC ranks are numpy average ranks.
+numpy and `special` are imported inside the functions that use them, so
+the scan commands, which need neither, never load them; no command loads
+`statistics`."""
 
 from __future__ import annotations
 
@@ -61,6 +62,11 @@ def _spread(x: np.ndarray, y: np.ndarray, what: str) -> float:
     return scale
 
 
+# The standard normal's 0.975 quantile, statistics.NormalDist().inv_cdf(0.975)
+# to the bit: importing statistics for it would also load decimal and fractions.
+_Z975 = 1.9599639845400536
+
+
 def fisher_ci(r: float, n: int) -> tuple[float, float]:
     """95% confidence interval for a correlation via the atanh (Fisher z)
     transform."""
@@ -68,10 +74,8 @@ def fisher_ci(r: float, n: int) -> tuple[float, float]:
         raise StatError(f"interval needs n >= 4, have {n}")
     if abs(r) >= 1.0:
         raise StatError(f"interval undefined at |r| >= 1 (r={r})")
-    from statistics import NormalDist  # not loaded by the scan commands
-
     z = math.atanh(r)
-    half = NormalDist().inv_cdf(0.975) / math.sqrt(n - 3)
+    half = _Z975 / math.sqrt(n - 3)
     return math.tanh(z - half), math.tanh(z + half)
 
 

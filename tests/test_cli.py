@@ -571,9 +571,12 @@ class TestStartup:
         """No command loads scipy: importing the CLI and running `signal`,
         `thirdperson`, `validate` and `auc` load none of it. The scan, in
         shards here, loads no process pool either: multiprocessing alone
-        costs more peak memory than the benchmark's bound allows."""
+        costs more peak memory than the benchmark's bound allows. Nor does
+        `validate` load `statistics`, with the decimal and fractions it
+        imports, for its one normal quantile: 180 days give both periods
+        the 8 weeks that their correlations and intervals need."""
         ws = tmp_path / "ws"
-        assert main(["synth", "--out", str(ws), "--days", "60", "--posts-per-day", "20"]) == 0
+        assert main(["synth", "--out", str(ws), "--days", "180", "--posts-per-day", "10"]) == 0
         script = (
             "import sys\n"
             "from emoscope import corpus\n"
@@ -591,6 +594,8 @@ class TestStartup:
             "assert main(['validate', '--config', sys.argv[1]]) == 0\n"
             "assert loaded() == [], ('validate', loaded())\n"
             "assert 'numpy.random' not in sys.modules, 'validate loaded numpy.random'\n"
+            "stdlib = [m for m in ('statistics', 'decimal', 'fractions') if m in sys.modules]\n"
+            "assert stdlib == [], ('validate', stdlib)\n"
             "assert main(['auc', '--scores', sys.argv[2], '--labels', sys.argv[3],\n"
             "             '--output', sys.argv[4]]) == 0\n"
             "assert loaded() == [], ('auc', loaded())\n"

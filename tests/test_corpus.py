@@ -480,19 +480,19 @@ class TestRecordErrorPickle:
         assert (str(back), back.line_no, back.source) == (str(err), err.line_no, err.source)
 
 
+def _object_line(line, line_no, source):
+    if not line.startswith("{"):
+        raise RecordError("not an object", line_no, source)
+    return line_no, source, line
+
+
 def _read_all(paths):
     """Every (line number, source, line) that read_records keeps, with
-    every error met in order: read_records's own (bad UTF-8) and "not an
-    object" for each line that does not start with "{"."""
-
-    def parse(line, line_no, source):
-        if not line.startswith("{"):
-            raise RecordError("not an object", line_no, source)
-        return line_no, source, line
-
+    every error met in order: read_records's own (bad UTF-8, too long) and
+    "not an object" for each line that does not start with "{"."""
     counts = StreamCounts()
     with mock.patch.object(corpus, "_MAX_ERROR_SAMPLES", sys.maxsize):
-        records = list(read_records(paths, parse, counts))
+        records = list(read_records(paths, _object_line, counts))
     return records, [str(e) for e in counts.errors], counts.as_dict()
 
 
@@ -502,26 +502,44 @@ SHARD_LINE = st.one_of(
 )
 
 
+# lines that a small cap finds too long, some of them objects
+LONG_LINE = st.one_of(
+    st.integers(0, 30).map(lambda n: b"{" + b"x" * n + b"}"),
+    st.binary(min_size=8, max_size=40),
+)
+
+
 class TestShards:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         files=st.lists(
-            st.tuples(st.lists(st.tuples(SHARD_LINE, st.sampled_from([b"\n", b"\r\n", b""]))),
+            st.tuples(st.lists(st.tuples(st.one_of(SHARD_LINE, LONG_LINE),
+                                         st.sampled_from([b"\n", b"\r\n", b""]))),
                       st.booleans()),
             min_size=1,
             max_size=3,
         ),
         parts=st.integers(1, 6),
         min_bytes=st.integers(1, 64),
+        cap=st.one_of(st.just(corpus._MAX_LINE_BYTES), st.integers(1, 12)),
     )
-    def test_groups_read_as_the_whole_files(self, files, parts, min_bytes):
-        with tempfile.TemporaryDirectory() as tmp:
+    def test_groups_read_as_the_whole_files(self, files, parts, min_bytes, cap):
+        """Each file reads as its lines one by one, each line longer than
+        the line cap (patched small, mostly) one malformed record; and the
+        shard groups, their cuts inside such lines too, read as the files."""
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(corpus, "_MAX_LINE_BYTES", cap):
             paths = []
             for i, (lines, gz) in enumerate(files):
                 data = b"".join(line + end for line, end in lines)
                 path = Path(tmp) / (f"in-{i}.ndjson" + (".gz" if gz else ""))
                 path.write_bytes(gzip.compress(data, mtime=0) if gz else data)
                 paths.append(path)
+                records, errors, counts = _read_all([path])
+                expected, expected_errors, expected_counts = _per_line(
+                    data, _object_line, lambda rec: True, str(path))
+                assert (repr(records), errors, counts) == (
+                    expected, expected_errors, expected_counts.as_dict())
             with mock.patch.object(corpus, "_MIN_SHARD_BYTES", min_bytes):
                 groups = corpus.shard_groups(paths, parts)
             total = sum(p.stat().st_size for p in paths)
@@ -535,6 +553,23 @@ class TestShards:
             assert [r for recs, _, _ in pieces for r in recs] == whole[0]
             assert [e for _, errs, _ in pieces for e in errs] == whole[1]
             assert _read_all(shards) == whole
+
+    def test_a_cut_inside_a_long_line_moves_past_it(self, tmp_path):
+        path = tmp_path / "in.ndjson"
+        path.write_bytes(b"{a}\n{" + b"x" * 100 + b"}\n{b}\n")  # lines of 4, 103 and 4 bytes
+        with mock.patch.object(corpus, "_MIN_SHARD_BYTES", 1):
+            (first,), (second,) = corpus.shard_groups([path], 2)
+        assert (first.start, first.stop, second.start, second.first_line) == (0, 107, 107, 3)
+        with mock.patch.object(corpus, "_MAX_LINE_BYTES", 10):
+            assert _read_all([first]) == (
+                [(1, str(path), "{a}\n")], [f"{path}:2: line longer than 10 bytes"],
+                {"records": 2, "parsed": 1, "malformed": 1, "filtered": 0, "kept": 1})
+            assert _read_all([second])[0] == [(3, str(path), "{b}\n")]
+        # a line of the cap's length, its newline aside, is read
+        with mock.patch.object(corpus, "_MAX_LINE_BYTES", 102):
+            assert _read_all([path])[1] == []
+        with mock.patch.object(corpus, "_MAX_LINE_BYTES", 101):
+            assert _read_all([path])[1] == [f"{path}:2: line longer than 101 bytes"]
 
     def test_cut_after_newline_numbers_lines_on(self, tmp_path):
         path = tmp_path / "in.ndjson"
@@ -624,12 +659,20 @@ def _record_file(*objects):
 
 
 def _per_line(data, parse, keep, source):
-    """The records, error strings and counts of parsing each line alone."""
+    """The records, error strings and counts of parsing each line alone;
+    a line longer than corpus._MAX_LINE_BYTES, its newline aside, is
+    malformed."""
     counts = StreamCounts()
     records, errors = [], []
     pieces = data.split(b"\n")
     lines = [piece + b"\n" for piece in pieces[:-1]] + [pieces[-1]] * bool(pieces[-1])
     for line_no, raw in enumerate(lines, 1):
+        if len(raw) - raw.endswith(b"\n") > corpus._MAX_LINE_BYTES:
+            counts.records += 1
+            counts.malformed += 1
+            errors.append(str(RecordError(
+                f"line longer than {corpus._MAX_LINE_BYTES} bytes", line_no, source)))
+            continue
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError as err:

@@ -7,8 +7,10 @@ import csv
 import gzip
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -297,6 +299,22 @@ class TestShardedSignal:
             f"{tmp_path / 'corpus-0.ndjson'}:21: invalid UTF-8 at byte 21 (invalid start byte)"
         ]
 
+    def test_long_line_across_a_cut(self, lexicon_workspace, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus, "_MAX_LINE_BYTES", 1000)
+        long = json.dumps({**json.loads(_post_line(0)), "text": "sad " * 750}).encode()
+        data = _posts(range(20)) + long + b"\n" + _posts(range(10))
+        (tmp_path / "corpus-0.ndjson").write_bytes(data)
+        ini = _signal_ini(lexicon_workspace, tmp_path)
+        assert _groups(ini) == 3  # the second cut falls inside the long line ...
+        code, _, _, files = _assert_same_runs(ini, tmp_path)
+        assert code == 0
+        manifest = json.loads(files["manifest.json"])
+        assert manifest["counts"]["malformed"] == 1
+        # ... which is read once, under its own line number
+        assert manifest["error_samples"] == [
+            f"{tmp_path / 'corpus-0.ndjson'}:21: line longer than 1000 bytes"
+        ]
+
     def test_damaged_gz_in_a_later_shard(self, lexicon_workspace, tmp_path):
         (tmp_path / "corpus-0.ndjson").write_bytes(_posts(range(60)))
         data = gzip.compress(_posts(range(30)), mtime=0)
@@ -337,6 +355,48 @@ class TestShardedSignal:
         assert [tuple(s.split(":")[:2]) for s in manifest["error_samples"]] == [
             (str(tmp_path / "corpus-0.ndjson"), str(1 + 6 * i)) for i in range(10)
         ] + [(str(scores), str(n)) for n in range(1, 11)]
+
+
+# `signal` in a child whose address space may grow only 32 MB past its
+# size after import; the limit is set in the child, on it alone. Run
+# "uncapped", the line cap is lifted first.
+_SMALL_ADDRESS_SPACE = """\
+import resource, sys
+from emoscope import corpus
+from emoscope.cli import main
+if sys.argv[1] == "uncapped":
+    corpus._MAX_LINE_BYTES = 1 << 40
+with open("/proc/self/statm") as fh:
+    limit = int(fh.read().split()[0]) * resource.getpagesize() + (32 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(["signal", "--config", sys.argv[2], "--output", sys.argv[3]]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_a_long_line_fits_a_small_address_space(lexicon_workspace, tmp_path):
+    """A 3 MB line among ordinary posts ends as one malformed record within
+    the limit, its line named. Without the cap, splitting its 750k words
+    alone needs more than the limit."""
+    long = json.dumps({**json.loads(_post_line(0)), "text": "sad " * 750_000}).encode()
+    path = tmp_path / "corpus-0.ndjson"
+    path.write_bytes(_posts(range(20)) + long + b"\n" + _posts(range(20, 40)))
+    ini = _signal_ini(lexicon_workspace, tmp_path)
+    env = dict(os.environ)
+    package_root = str(Path(corpus.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    runs = {
+        mode: subprocess.run(
+            [sys.executable, "-c", _SMALL_ADDRESS_SPACE, mode, str(ini), str(tmp_path / mode)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        for mode in ("capped", "uncapped")
+    }
+    assert runs["capped"].returncode == 0, runs["capped"].stderr
+    assert _stdout_counts(runs["capped"].stdout)["malformed"] == 1
+    manifest = json.loads((tmp_path / "capped" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["error_samples"] == [f"{path}:21: line longer than {1 << 20} bytes"]
+    assert runs["uncapped"].returncode != 0
 
 
 # The score file rides the same scan as one uncut shard after the corpus:

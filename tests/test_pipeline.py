@@ -4,6 +4,7 @@ shift tests behind `validate`, checked against one call per test."""
 
 import csv
 import dataclasses
+import gc
 import json
 import math
 import random
@@ -42,7 +43,14 @@ from emoscope.pipeline import (
     thirdperson_rows,
     validate_pair,
 )
-from emoscope.signals import GENDER_STRATA, SurveySeries, WeeklySeries, paired_values, weekly_align
+from emoscope.signals import (
+    GENDER_STRATA,
+    DailySignal,
+    SurveySeries,
+    WeeklySeries,
+    paired_values,
+    weekly_align,
+)
 from emoscope.stats import correlate, permutation_test
 
 from oracles import daily_fraction, lexicon_predicate, matches_explicit_report, matches_lexicon
@@ -570,3 +578,48 @@ def test_weak_signal_p_values_pinned(weak_workspace, tmp_path, window):
         rows = list(csv.DictReader(fh))
     assert [row["perm_p"] for row in rows] == WEAK_PERM_P
     assert [row["dcca_p"] for row in rows] == WEAK_DCCA_P[window]
+
+
+class TestDailySignalsReleased:
+    """`validate` aligns every pair, then frees the daily signals before
+    the first paired_values call, the first statistic to load numpy."""
+
+    @staticmethod
+    def _live_at_first_pairing(monkeypatch, run) -> list[int]:
+        """run(), and the daily signals alive at its first paired_values
+        call, but for those alive before it."""
+        gc.collect()
+        before = [o for o in gc.get_objects() if isinstance(o, DailySignal)]  # held: ids stay
+        known = {id(o) for o in before}
+        live = []
+
+        def counting(*args):
+            if not live:  # no collection first: a signal kept by a cycle counts
+                live.append(sum(isinstance(o, DailySignal) and id(o) not in known
+                                for o in gc.get_objects()))
+            return paired_values(*args)
+
+        monkeypatch.setattr(pipeline, "paired_values", counting)
+        run()
+        return live
+
+    def test_validate_command(self, weak_workspace, tmp_path, monkeypatch):
+        argv = ["validate", "--config", str(weak_workspace / "pipeline.ini"), "--output",
+                str(tmp_path / "out"), "--stratified", "--plot-data"]
+        live = self._live_at_first_pairing(monkeypatch, lambda: main(argv))
+        assert live == [0]
+
+    def test_run_validation_without_a_bundle(self, weak_workspace, monkeypatch):
+        cfg = load_config(weak_workspace / "pipeline.ini")
+        assert self._live_at_first_pairing(monkeypatch, lambda: run_validation(cfg)) == [0]
+
+    def test_a_callers_bundle_is_kept_whole(self, weak_workspace, monkeypatch):
+        cfg = load_config(weak_workspace / "pipeline.ini")
+        bundle = build_signals(cfg)
+        copy = dataclasses.replace(bundle, daily=dict(bundle.daily))
+        live = self._live_at_first_pairing(
+            monkeypatch, lambda: run_validation(cfg, bundle, extra_stratified=True))
+        assert live and live[0] > 0  # the count sees the caller's signals
+        for _, signal in cfg.pairs:
+            for stratum in strata_for(cfg, signal, extra_stratified=True):
+                assert bundle.stratum_signal(signal, stratum) == copy.stratum_signal(signal, stratum)

@@ -146,6 +146,12 @@ class TestFisherCI:
         assert hi == pytest.approx(0.1935246647916799, abs=1e-12)
         assert lo == pytest.approx(-hi, abs=1e-15)
 
+    def test_quantile_is_the_standard_librarys_to_the_bit(self):
+        assert stats._Z975 == NormalDist().inv_cdf(0.975)
+        assert stats._Z975 != 1.959963984540054  # the shortest 16 digits are another double
+        # at n = 4 the half width is the quantile itself
+        assert fisher_ci(0.0, 4) == (-math.tanh(stats._Z975), math.tanh(stats._Z975))
+
     def test_needs_four_points(self):
         with pytest.raises(StatError):
             fisher_ci(0.5, 3)
