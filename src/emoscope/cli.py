@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from datetime import date
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -41,16 +41,7 @@ from .pipeline import (
 )
 from .signals import ScoreCounts, score_values, stream_scores, write_csv
 from .stats import roc_auc, roc_curve
-from .synth import (
-    SynthConfig,
-    check_count,
-    check_noise,
-    generate_corpus,
-    generate_scores,
-    generate_survey,
-    planted_truth,
-    weekly_anchors,
-)
+from .synth import SynthConfig, generate_corpus, generate_scores, generate_survey, weekly_anchors
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,39 +50,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _date_arg(raw: str) -> date:
-    try:
-        return date.fromisoformat(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an ISO date: {raw!r}") from None
-
-
-def _parse_emotion_spec(items) -> dict[str, tuple[float, float]]:
-    out: dict[str, tuple[float, float]] = {}
-    for item in items:
-        try:
-            name, _, rates = item.partition("=")
-            male, _, female = rates.partition(":")
-            out[name.strip()] = (float(male), float(female))
-        except ValueError:
-            raise ConfigError(f"--emotion expects NAME=MALE:FEMALE, got {item!r}") from None
-        if not name.strip():
-            raise ConfigError(f"--emotion expects NAME=MALE:FEMALE, got {item!r}")
-    return out
-
-
-def _parse_step_spec(items) -> tuple[tuple[str, int, float], ...]:
-    steps = []
-    for item in items:
-        try:
-            name, _, rest = item.partition("=")
-            day, _, shift = rest.partition(":")
-            steps.append((name.strip(), int(day), float(shift)))
-        except ValueError:
-            raise ConfigError(f"--step expects NAME=DAY:SHIFT, got {item!r}") from None
-    return tuple(steps)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -107,44 +65,20 @@ _PIPELINE_HEADER = """\
 
 
 def cmd_synth(args) -> int:
-    prevalence = _parse_emotion_spec(args.emotion) if args.emotion else None
-    cfg = SynthConfig(
-        days=args.days,
-        posts_per_day=args.posts_per_day,
-        seed=args.seed,
-        start=args.start,
-        male_share=args.male_share,
-        phi=args.phi,
-        amplitude=args.amplitude,
-        decoy_fraction=args.decoy_fraction,
-        pronoun_rate=args.pronoun_rate,
-        pronoun_rate_emotional=args.pronoun_rate_emotional,
-        step_changes=_parse_step_spec(args.step) if args.step else (),
-        **({"prevalence": prevalence} if prevalence else {}),
-    )
-    cfg.validate()
-    # the survey and score knobs too, before the corpus is written
-    check_count("--respondents", args.respondents, 0)
-    check_count("--survey-seed", args.survey_seed, 0, high=None)
-    check_count("--scores-per-day", args.scores_per_day, 1)
-    check_noise("--score-noise", args.score_noise)
-    check_count("--score-seed", args.score_seed, 0, high=None)
-    anchors = weekly_anchors(cfg.start, cfg.days)
-    planted_truth(cfg)  # a step change may push a planted rate out of (0, 1)
+    knobs = {}
+    for f in fields(SynthConfig):
+        value = getattr(args, f.name)
+        if value is not None:  # a repeatable flag not given, or --pronoun-rate-emotional
+            knobs[f.name] = f.metadata["specs"](value) if "specs" in f.metadata else value
+    cfg = SynthConfig(**knobs)
     out = Path(args.out)
     corpus_name = "corpus.ndjson.gz" if args.gzip else "corpus.ndjson"
 
+    # checks every knob and draws the planted truth before its first write
     truth = generate_corpus(cfg, out / corpus_name, truth_path=out / "truth.csv")
-    generate_survey(
-        truth, anchors, out / "survey.csv", respondents=args.respondents, seed=args.survey_seed
-    )
-    generate_scores(
-        truth,
-        out / "scores.ndjson",
-        per_day=args.scores_per_day,
-        noise_sd=args.score_noise,
-        seed=args.score_seed,
-    )
+    anchors = weekly_anchors(cfg.start, cfg.days)
+    generate_survey(cfg, truth, anchors, out / "survey.csv")
+    generate_scores(cfg, truth, out / "scores.ndjson")
     emotions = truth.emotions
     for emotion in emotions:
         text = (resources.files("emoscope") / "data" / f"{emotion}.txt").read_text("utf-8")
@@ -361,31 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic corpus with planted truth",
                        formatter_class=fmt)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--days", type=int, default=120, help="number of generated days")
-    p.add_argument("--posts-per-day", type=int, default=1000, help="posts per day")
-    p.add_argument("--seed", type=int, default=1, help="corpus RNG seed")
-    p.add_argument("--start", type=_date_arg, default=date(2020, 6, 1), help="first day (ISO)")
-    p.add_argument("--male-share", type=float, default=0.639, help="share of male-authored posts")
-    p.add_argument("--phi", type=float, default=0.9, help="AR(1) coefficient of the latent mood")
-    p.add_argument("--amplitude", type=float, default=0.02,
-                   help="max prevalence deflection of the latent mood")
-    p.add_argument("--emotion", action="append", metavar="NAME=MALE:FEMALE",
-                   help="emotion with per-gender base rates (repeatable); "
-                        "default: sadness=0.04:0.06 anxiety=0.05:0.05 positive=0.09:0.11")
-    p.add_argument("--decoy-fraction", type=float, default=0.0,
-                   help="fraction of posts given out-of-range follower counts")
-    p.add_argument("--pronoun-rate", type=float, default=0.15,
-                   help="third-person pronoun rate in non-matching posts")
-    p.add_argument("--pronoun-rate-emotional", type=float, default=None,
-                   help="pronoun rate in matching posts (default: same as --pronoun-rate)")
-    p.add_argument("--step", action="append", metavar="NAME=DAY:SHIFT",
-                   help="level shift of one emotion from a day index on (repeatable)")
-    p.add_argument("--respondents", type=int, default=2000,
-                   help="survey respondents per week (0 = noise-free survey)")
-    p.add_argument("--survey-seed", type=int, default=0, help="survey RNG seed")
-    p.add_argument("--scores-per-day", type=int, default=200, help="score records per day")
-    p.add_argument("--score-noise", type=float, default=0.05, help="score noise sd")
-    p.add_argument("--score-seed", type=int, default=0, help="score RNG seed")
+    for f in fields(SynthConfig):
+        option = dict(f.metadata)
+        flag = option.pop("flag", f.name.replace("_", "-"))
+        if option.pop("specs", None):
+            # argparse appends to a list default: the field's applies when the flag is absent
+            option["action"] = "append"
+        else:
+            option.setdefault("type", type(f.default))
+            option["default"] = f.default
+        p.add_argument(f"--{flag}", dest=f.name, **option)
     p.add_argument("--gzip", action="store_true", help="gzip the corpus file")
     p.set_defaults(func=cmd_synth)
 
@@ -442,6 +361,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:  # numpy names the array it could not allocate
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -292,8 +292,8 @@ def _newlines(fh, start: int, stop: int) -> int:
 def shard_groups(paths: Iterable, parts: int) -> list[list[Shard]]:
     """The inputs, in order, as at most `parts` groups of contiguous shards
     holding about equal bytes; no more groups than _MIN_SHARD_BYTES fit
-    into the inputs' total size. An input given as a Shard of a whole file,
-    of any Shard class, is kept whole and as it is.
+    into the inputs' total size. An input given as a Shard of a whole file
+    is kept whole and as it is.
 
     Cuts fall after a newline of a plain file given by its path, or at an
     edge of any other input, so a line is never split and each shard

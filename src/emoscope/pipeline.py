@@ -375,16 +375,15 @@ def validate_pair(
                                          (res.r, res.ci_low, res.ci_high, res.p)):
                     setattr(row, f"r{k}{suffix}", value)
 
-    def permutation(label):
-        return guard(label, lambda: permutation_pair(x, y)) is not None
-
-    tested = permutation("permutation")
+    tested = guard("permutation", lambda: permutation_pair(x, y)) is not None
     window = None
     dcca_result = guard("dcca", lambda: dcca(x, y, window=cfg.dcca_window))
     if dcca_result is not None:
         row.dcca_rho = dcca_result.rho
-        if permutation("dcca permutation"):
+        if tested:
             window = cfg.dcca_window
+        else:  # DCCA's p-value needs the same shift test, skipped for the last note's reason
+            row.notes.append(f"dcca {row.notes[-1]}")
     fit = guard("regression", lambda: lagged_regression_hac(y, x))
     if fit is not None:
         row.beta = fit.beta

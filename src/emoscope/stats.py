@@ -254,10 +254,10 @@ def dcca(x, y, window: int = 12) -> DccaResult:
 
 
 # Column-block width of the DCCA kernel's banded quadratic form (widened to
-# the window when that is larger). 10k permutations of one row at n=156,
-# window 12, on a 2-vCPU host: widths 32-48 took 2.9 ms, 16 took 3.3 ms,
-# 64 3.9 ms and 96 6.4 ms. At n=1100, window 16, the time falls to 45 ms
-# by width 40 and stays flat beyond it.
+# the window when that is larger). 10,000 kernel rows (rearrangements of x;
+# a shift test runs n - 1) at n=156, window 12, on a 2-vCPU host: widths
+# 32-48 took 2.9 ms, 16 took 3.3 ms, 64 3.9 ms and 96 6.4 ms. At n=1100,
+# window 16, the time falls to 45 ms by width 40 and stays flat beyond it.
 _DCCA_BLOCK = 40
 
 
@@ -316,9 +316,9 @@ def _dcca_rows(
     `dcca` on a random-walk x (n=1061, window 4); this one stays within
     1e-12. It does about (_DCCA_BLOCK + 2 * window) * n multiply-adds per
     row, more than the 2 * window * n of a loop over lags, but in
-    matrix products: at n=156 and window 12, 10k permutations took 2.9 ms
-    per row against the lag loop's 10.3 ms, and 45 ms against 84 ms at
-    n=1100, window 16.
+    matrix products: at n=156 and window 12, 10,000 kernel rows took 2.9 ms
+    against the lag loop's 10.3 ms, and 45 ms against 84 ms at n=1100,
+    window 16 (a shift test runs n - 1 rows).
     """
     import numpy as np
 

@@ -8,6 +8,7 @@ recovery checks meaningful.
 from __future__ import annotations
 
 import math
+from argparse import ArgumentTypeError
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -61,50 +62,96 @@ def check_count(label: str, value: int, low: int, high: int | None = _MAX_COUNT)
         raise ConfigError(f"{label} must be <= {high}, got {value}")
 
 
-def check_noise(label: str, sd: float) -> None:
-    """Refuse a noise standard deviation that is negative, NaN or infinite."""
-    if not 0.0 <= sd < math.inf:
-        raise ConfigError(f"{label} must be finite and >= 0, got {sd}")
+def _iso_date(raw: str) -> date:
+    try:
+        return date.fromisoformat(raw)
+    except ValueError:
+        raise ArgumentTypeError(f"not an ISO date: {raw!r}") from None
 
 
-def _default_prevalence() -> dict[str, tuple[float, float]]:
-    return {
-        "sadness": (0.040, 0.060),
-        "anxiety": (0.050, 0.050),
-        "positive": (0.090, 0.110),
-    }
+def _prevalence_specs(items) -> dict[str, tuple[float, float]]:
+    out: dict[str, tuple[float, float]] = {}
+    for item in items:
+        try:
+            name, _, rates = item.partition("=")
+            male, _, female = rates.partition(":")
+            out[name.strip()] = (float(male), float(female))
+        except ValueError:
+            raise ConfigError(f"--emotion expects NAME=MALE:FEMALE, got {item!r}") from None
+        if not name.strip():
+            raise ConfigError(f"--emotion expects NAME=MALE:FEMALE, got {item!r}")
+    return out
+
+
+def _step_specs(items) -> tuple[tuple[str, int, float], ...]:
+    steps = []
+    for item in items:
+        try:
+            name, _, rest = item.partition("=")
+            day, _, shift = rest.partition(":")
+            steps.append((name.strip(), int(day), float(shift)))
+        except ValueError:
+            raise ConfigError(f"--step expects NAME=DAY:SHIFT, got {item!r}") from None
+    return tuple(steps)
+
+
+def _knob(default, help: str, **option):
+    """A SynthConfig field of this default, and the `emoscope synth` option
+    that sets it: its help text and, where the field's name and default do
+    not give them, its `flag` name and argparse `type`. A repeatable option
+    names its `metavar` and the `specs` parser that builds the value from
+    the list of its texts, raising ConfigError."""
+    metadata = {"help": help, **option}
+    if isinstance(default, dict):
+        return field(default_factory=default.copy, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+_PREVALENCE = {"sadness": (0.040, 0.060), "anxiety": (0.050, 0.050), "positive": (0.090, 0.110)}
 
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Knobs for the synthetic corpus generator.
+    """Knobs of a synthetic workspace: the corpus, the survey and the scores.
 
     `prevalence` maps emotion -> (male base, female base) daily match
     rates; a shared per-emotion latent mood (tanh-bounded AR(1)) moves
     each rate by at most `amplitude`, so base +- amplitude must stay
     strictly inside (0, 1). `step_changes` entries (emotion, day index,
     shift) add a level shift to both genders from that day on. Each
-    emotion's terms are those of its demo lexicon.
+    emotion's terms are those of its demo lexicon. Each field is also an
+    option of `emoscope synth`, described by its metadata (see `_knob`).
     """
 
-    days: int = 120
-    posts_per_day: int = 1000
-    seed: int = 1
-    start: date = date(2020, 6, 1)
-    male_share: float = 0.639
-    prevalence: Mapping[str, tuple[float, float]] = field(default_factory=_default_prevalence)
-    phi: float = 0.9
-    amplitude: float = 0.02
-    decoy_fraction: float = 0.0
-    pronoun_rate: float = 0.15
-    pronoun_rate_emotional: float | None = None
-    step_changes: tuple[tuple[str, int, float], ...] = ()
+    days: int = _knob(120, "number of generated days")
+    posts_per_day: int = _knob(1000, "posts per day")
+    seed: int = _knob(1, "corpus RNG seed")
+    start: date = _knob(date(2020, 6, 1), "first day (ISO)", type=_iso_date)
+    male_share: float = _knob(0.639, "share of male-authored posts")
+    phi: float = _knob(0.9, "AR(1) coefficient of the latent mood")
+    amplitude: float = _knob(0.02, "max prevalence deflection of the latent mood")
+    prevalence: Mapping[str, tuple[float, float]] = _knob(
+        _PREVALENCE, "emotion with per-gender base rates (repeatable); default: "
+        + " ".join(f"{e}={male:g}:{female:g}" for e, (male, female) in _PREVALENCE.items()),
+        flag="emotion", metavar="NAME=MALE:FEMALE", specs=_prevalence_specs)
+    decoy_fraction: float = _knob(0.0, "fraction of posts given out-of-range follower counts")
+    pronoun_rate: float = _knob(0.15, "third-person pronoun rate in non-matching posts")
+    pronoun_rate_emotional: float | None = _knob(
+        None, "pronoun rate in matching posts (default: same as --pronoun-rate)", type=float)
+    step_changes: tuple[tuple[str, int, float], ...] = _knob(
+        (), "level shift of one emotion from a day index on (repeatable)",
+        flag="step", metavar="NAME=DAY:SHIFT", specs=_step_specs)
+    respondents: int = _knob(2000, "survey respondents per week (0 = noise-free survey)")
+    survey_seed: int = _knob(0, "survey RNG seed")
+    scores_per_day: int = _knob(200, "score records per day")
+    score_noise: float = _knob(0.05, "score noise sd")
+    score_seed: int = _knob(0, "score RNG seed")
 
     def emotions(self) -> tuple[str, ...]:
         return tuple(self.prevalence)
 
     def validate(self) -> None:
-        check_count("days", self.days, 1, high=None)
+        check_count("days", self.days, 7, high=None)  # the survey's first anchor is day 7
         if self.days > (date.max - self.start).days + 1:
             raise ConfigError(f"days: {self.days} days from {self.start} run past {date.max}")
         check_count("posts_per_day", self.posts_per_day, 1)
@@ -141,6 +188,12 @@ class SynthConfig:
         unknown = [e for e in self.prevalence if e not in DEMO_LEXICON_NAMES]
         if unknown:
             raise ConfigError(f"emotions {unknown} have no demo lexicon; use {DEMO_LEXICON_NAMES}")
+        check_count("respondents", self.respondents, 0)
+        check_count("survey_seed", self.survey_seed, 0, high=None)
+        check_count("scores_per_day", self.scores_per_day, 1)
+        if not 0.0 <= self.score_noise < math.inf:
+            raise ConfigError(f"score_noise must be finite and >= 0, got {self.score_noise}")
+        check_count("score_seed", self.score_seed, 0, high=None)
 
 
 @dataclass
@@ -257,7 +310,9 @@ def generate_corpus(cfg: SynthConfig, corpus_path, truth_path=None) -> GroundTru
     Emotion terms are injected per post by per-gender Bernoulli draws at
     the planted rate; a decoy_fraction of posts gets out-of-range
     follower counts so the default filter drops exactly that many.
-    Returns the ground truth (also written to truth_path if given).
+    Returns the ground truth (also written to truth_path if given). Every
+    knob of cfg, the survey's and the scores' too, is checked and the
+    truth drawn before the first write, so a refused cfg leaves no file.
     """
     import numpy as np
 
@@ -336,25 +391,22 @@ def weekly_anchors(start: date, days: int) -> list[date]:
     return [start + timedelta(days=i) for i in range(6, days, 7)]
 
 
-def generate_survey(
-    truth: GroundTruth, anchors: Sequence[date], path, respondents: int = 2000, seed: int = 0
-) -> None:
+def generate_survey(cfg: SynthConfig, truth: GroundTruth, anchors: Sequence[date], path) -> None:
     """Write a long-form survey CSV sampled from the planted truth, one row
-    per anchor and emotion of the truth.
+    per anchor and emotion of the truth, as generate_corpus(cfg) checked cfg.
 
-    Each percent is a binomial draw (respondents trials) around the 7-day
-    window mean of the population prevalence; respondents=0 writes the
-    noise-free percent instead.
+    Each percent is a binomial draw (cfg.respondents trials) around the
+    7-day window mean of the population prevalence; respondents=0 writes
+    the noise-free percent instead.
     """
     import numpy as np
 
-    check_count("respondents", respondents, 0)
-    check_count("seed", seed, 0, high=None)
+    respondents = cfg.respondents
     anchors = list(anchors)
     if anchors != sorted(set(anchors)):
         raise ConfigError("anchors must be strictly increasing")
     weekly = truth.weekly_population(anchors)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.survey_seed)
 
     def percent(p_true: float) -> float:
         if respondents > 0:
@@ -368,23 +420,16 @@ def generate_survey(
     ))
 
 
-def generate_scores(
-    truth: GroundTruth,
-    path,
-    per_day: int = 200,
-    noise_sd: float = 0.05,
-    seed: int = 0,
-) -> None:
-    """Write a score NDJSON whose daily means track the planted population
-    prevalence of each emotion of the truth (independent noise per record,
-    clipped to [0, 1])."""
+def generate_scores(cfg: SynthConfig, truth: GroundTruth, path) -> None:
+    """Write a score NDJSON of cfg.scores_per_day records a day, as
+    generate_corpus(cfg) checked cfg, whose daily means track the planted
+    population prevalence of each emotion of the truth (independent noise
+    of sd cfg.score_noise per record, clipped to [0, 1])."""
     import numpy as np
 
-    check_count("per_day", per_day, 1)
-    check_noise("noise_sd", noise_sd)
-    check_count("seed", seed, 0, high=None)
+    per_day, noise_sd = cfg.scores_per_day, cfg.score_noise
     emotions = truth.emotions
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.score_seed)
     population = np.array([truth.population(e) for e in emotions]).T.tolist()
     names = [f'"{e}":' for e in emotions]
     with writing(path) as out:

@@ -1,5 +1,6 @@
 """Subcommand flows, exit codes, and end-to-end recovery of planted effects."""
 
+import argparse
 import csv
 import errno
 import hashlib
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import emoscope
-from emoscope.cli import main
+from emoscope.cli import build_parser, main
 from emoscope.config import SCHEMA, config_text, format_ini, load_config
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -63,24 +64,62 @@ class TestSynth:
     # of the planted truth, before --out is made.
     @pytest.mark.parametrize("flags, named", [
         (["--seed", "-1"], "seed"),
-        (["--survey-seed", "-1"], "--survey-seed"),
-        (["--score-seed", "-1"], "--score-seed"),
-        (["--score-noise", "nan"], "--score-noise"),
-        (["--score-noise", "inf"], "--score-noise"),
+        (["--survey-seed", "-1"], "survey_seed"),
+        (["--score-seed", "-1"], "score_seed"),
+        (["--score-noise", "nan"], "score_noise"),
+        (["--score-noise", "inf"], "score_noise"),
         (["--start", "9999-12-01", "--days", "40"], "days"),
-        (["--respondents", "100000000000000000000"], "--respondents"),
+        (["--respondents", "100000000000000000000"], "respondents"),
         (["--posts-per-day", "100000000000000000000"], "posts_per_day"),
-        (["--scores-per-day", "100000000000000000000"], "--scores-per-day"),
+        (["--scores-per-day", "100000000000000000000"], "scores_per_day"),
         (["--step", "sadness=5:0.99"], "sadness: planted prevalence leaves (0, 1)"),
+        (["--days", "6"], "days must be >= 7"),
     ], ids=["seed", "survey-seed", "score-seed", "score-noise-nan", "score-noise-inf",
-            "start-past-9999", "respondents", "posts-per-day", "scores-per-day", "step"])
+            "start-past-9999", "respondents", "posts-per-day", "scores-per-day", "step",
+            "days-under-a-week"])
     def test_bad_flag_refused_before_writing(self, tmp_path, capsys, flags, named):
         out = tmp_path / "x"
         assert main(["synth", "--out", str(out), "--days", "14", "--posts-per-day", "5",
                      *flags]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and named in err
+        assert err.startswith(f"config error: {named}")
         assert not out.exists()
+
+    def test_readme_names_every_option(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### `emoscope synth`", 1)[1].split("\n### ", 1)[0]
+        (synth,) = (action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+        options = {opt for action in synth.choices["synth"]._actions
+                   for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section)) == options
+
+    # A size past the machine's memory, in a child whose address space may
+    # grow only 64 MB past its size once numpy is loaded, so that numpy's
+    # request fails at once: one line, exit 2, no traceback.
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+    @pytest.mark.parametrize("flag", ["--posts-per-day", "--scores-per-day"])
+    def test_out_of_memory_is_one_line(self, tmp_path, flag):
+        child = (
+            "import resource, sys\n"
+            "import numpy\n"
+            "from emoscope.cli import main\n"
+            "with open('/proc/self/statm') as fh:\n"
+            "    limit = int(fh.read().split()[0]) * resource.getpagesize() + (64 << 20)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        sizes = {"--posts-per-day": "5", "--scores-per-day": "10", flag: "10000000000"}
+        argv = ["synth", "--out", str(tmp_path / "ws"), "--days", "7"]
+        argv += [arg for item in sizes.items() for arg in item]
+        env = dict(os.environ)
+        package_root = str(Path(emoscope.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+        run = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True,
+                             text=True, timeout=120, env=env)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith("error: Unable to allocate ")
+        assert run.stderr.count("\n") == 1
 
 
 class TestSignal:

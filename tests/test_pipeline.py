@@ -531,6 +531,22 @@ class TestPeriodSplit:
         assert row.r1 is None and row.n1 == 71 and row.r2 is not None
 
 
+# Spreads near 1e-158 whose products underflow: the shift test is
+# undefined, DCCA (on the integrated profiles) is not. The row says once
+# for the shift test and once for DCCA's p-value why it has neither.
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_dcca_without_a_shift_test_says_why():
+    signal = {a: 1e-158 * (2 + math.sin(i)) for i, a in enumerate(WEEKS)}
+    survey = SurveySeries("sadness", WEEKS,
+                          percent={a: 1e-153 * (2 + math.cos(i / 3)) for i, a in enumerate(WEEKS)})
+    row, test = validate_pair(survey, WeeklySeries("sadness", WEEKS, values=signal), "all",
+                              PipelineConfig(split_date=SPLIT))
+    undefined = "permutation test undefined: the centred sum of squares underflows"
+    assert row.notes[-2:] == [f"permutation skipped: {undefined}",
+                              f"dcca permutation skipped: {undefined}"]
+    assert row.dcca_rho is not None and test is None
+
+
 # The perm_p and dcca_p columns of report.csv on a weak-signal workspace of
 # 28 weeks, as the literal loop over circular shifts in tests/oracles.py
 # gives them. Most sit well above the floor 1/28 = 0.03571, so a change in

@@ -5,6 +5,7 @@ import gzip
 import hashlib
 import json
 import math
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -48,6 +49,15 @@ class TestSynthConfig:
             {"seed": -1},
             {"start": date(9999, 12, 1), "days": 40},
             {"days": 120, "posts_per_day": 2**62},
+            {"days": 6},
+            {"respondents": -1},
+            {"respondents": 2**63},
+            {"survey_seed": -1},
+            {"scores_per_day": 0},
+            {"score_noise": -0.1},
+            {"score_noise": math.nan},
+            {"score_noise": math.inf},
+            {"score_seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -103,7 +113,7 @@ class TestCorpusShape:
         assert min(days) == SMALL.start
 
     def test_decoy_fraction_exact(self, tmp_path):
-        cfg = SynthConfig(days=4, posts_per_day=250, seed=3, decoy_fraction=0.1)
+        cfg = SynthConfig(days=8, posts_per_day=125, seed=3, decoy_fraction=0.1)
         path = tmp_path / "c.ndjson"
         generate_corpus(cfg, path)
         counts = StreamCounts()
@@ -113,7 +123,7 @@ class TestCorpusShape:
         assert counts.malformed == 0
 
     def test_male_share(self, tmp_path):
-        cfg = SynthConfig(days=6, posts_per_day=2000, seed=5, male_share=0.639)
+        cfg = SynthConfig(days=7, posts_per_day=2000, seed=5, male_share=0.639)
         path = tmp_path / "c.ndjson"
         generate_corpus(cfg, path)
         posts = list(stream_posts([path], FilterConfig(), StreamCounts()))
@@ -136,7 +146,7 @@ class TestCorpusShape:
         # match decisions are planted per emotion; with prevalence ~ 0 no
         # post should match, i.e. filler words and pronouns are inert
         cfg = SynthConfig(
-            days=5,
+            days=7,
             posts_per_day=2000,
             seed=13,
             amplitude=0.0,
@@ -231,7 +241,7 @@ class TestGenerateSurvey:
         truth = generate_corpus(SMALL, tmp_path / "c.ndjson")
         anchors = weekly_anchors(SMALL.start, SMALL.days)
         path = tmp_path / "survey.csv"
-        generate_survey(truth, anchors, path, respondents=0)
+        generate_survey(replace(SMALL, respondents=0), truth, anchors, path)
         series = {s.emotion: s for s in load_survey(path)}
         weekly = truth.weekly_population(anchors)
         for emotion in truth.emotions:
@@ -245,7 +255,7 @@ class TestGenerateSurvey:
         truth = generate_corpus(cfg, tmp_path / "c.ndjson")
         anchors = weekly_anchors(cfg.start, cfg.days)
         path = tmp_path / "survey.csv"
-        generate_survey(truth, anchors, path, respondents=2000, seed=1)
+        generate_survey(replace(cfg, survey_seed=1), truth, anchors, path)
         series = {s.emotion: s for s in load_survey(path)}
         p = float(truth.population("sadness")[0])
         sd_pct = 100.0 * math.sqrt(p * (1 - p) / 2000)
@@ -259,21 +269,21 @@ class TestGenerateSurvey:
         truth = generate_corpus(SMALL, tmp_path / "c.ndjson")
         anchors = weekly_anchors(SMALL.start, SMALL.days)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        generate_survey(truth, anchors, a, seed=4)
-        generate_survey(truth, anchors, b, seed=4)
+        generate_survey(replace(SMALL, survey_seed=4), truth, anchors, a)
+        generate_survey(replace(SMALL, survey_seed=4), truth, anchors, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_anchor_outside_range(self, tmp_path):
         truth = generate_corpus(SMALL, tmp_path / "c.ndjson")
         with pytest.raises(ConfigError):
-            generate_survey(truth, [date(2030, 1, 1)], tmp_path / "s.csv")
+            generate_survey(SMALL, truth, [date(2030, 1, 1)], tmp_path / "s.csv")
 
 
 class TestGenerateScores:
     def test_plain_floats_and_mean_tracks_truth(self, tmp_path):
         truth = generate_corpus(SMALL, tmp_path / "c.ndjson")
         path = tmp_path / "scores.ndjson"
-        generate_scores(truth, path, per_day=300, noise_sd=0.05, seed=2)
+        generate_scores(replace(SMALL, scores_per_day=300, score_seed=2), truth, path)
         first = path.read_text().splitlines()[0]
         rec = json.loads(first)
         assert rec["id"] == "s0_0"
@@ -290,7 +300,7 @@ class TestGenerateScores:
     def test_zero_noise_exact(self, tmp_path):
         truth = generate_corpus(SMALL, tmp_path / "c.ndjson")
         path = tmp_path / "scores.ndjson"
-        generate_scores(truth, path, per_day=2, noise_sd=0.0, seed=2)
+        generate_scores(replace(SMALL, scores_per_day=2, score_noise=0.0), truth, path)
         for line in path.read_text().splitlines():
             rec = json.loads(line)
             idx = truth.day_index(date.fromisoformat(rec["date"]))
@@ -300,7 +310,8 @@ class TestGenerateScores:
     def test_scores_clipped(self, tmp_path):
         truth = generate_corpus(SMALL, tmp_path / "c.ndjson")
         path = tmp_path / "scores.ndjson"
-        generate_scores(truth, path, per_day=50, noise_sd=2.0, seed=3)
+        cfg = replace(SMALL, scores_per_day=50, score_noise=2.0, score_seed=3)
+        generate_scores(cfg, truth, path)
         for line in path.read_text().splitlines():
             for value in json.loads(line)["scores"].values():
                 assert 0.0 <= value <= 1.0
@@ -319,6 +330,7 @@ PINNED_SYNTH = {
     "scores.ndjson": "fd260d3184a3e16ff99ebc1ec98ba372dc55c6c3a5faeef25a5ddedc00edd1a1",
     "survey.csv": "a46c599f2b390c440ef3e3801b269058cfafb8ef3a60f3b81e77486f1ceabdfe",
     "truth.csv": "7303c82d302175bd3aa7ba4773017bd275570803128cd45ce7995ddb9ed6de11",
+    "pipeline.ini": "62f46c2725e2be3ce602b5394ffb8b8df8bc32564f37b83f076f32ba545f2198",
 }
 
 
@@ -331,3 +343,19 @@ def test_synth_output_bytes_pinned(tmp_path):
     assert digests == PINNED_SYNTH
     with gzip.open(packed / "corpus.ndjson.gz", "rb") as fh:
         assert fh.read() == (plain / "corpus.ndjson").read_bytes()
+
+
+# A run that sets only the size, so every other knob takes its default:
+# the seeds, rates, survey and score knobs and the planted prevalences.
+PINNED_DEFAULTS = {
+    "corpus.ndjson": "443bf163c337ac5f4571d2ae49f17316d10c5c68964a90b0d94b40945adcf314",
+    "survey.csv": "3dfc4fa6cce5240e82dfb90dce4dcef402086b3e71f45c8bffd4825baa71a223",
+    "pipeline.ini": "b919ba9561ca6766cf955b5606b4b20e7012dba8d201ad6ac3eaa4aeb01d3708",
+}
+
+
+def test_synth_default_bytes_pinned(tmp_path):
+    assert main(["synth", "--out", str(tmp_path), "--days", "21", "--posts-per-day", "5"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_DEFAULTS}
+    assert digests == PINNED_DEFAULTS
